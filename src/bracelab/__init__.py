@@ -50,7 +50,6 @@ from .census import (
     CensusEntry,
     classify_braces,
     enumerate_braces,
-    oracle_tables,
     regular_subgroups_of_holomorph,
 )
 from .errors import BraceLabError
@@ -82,7 +81,6 @@ from .groups import (
     abelian_group,
     are_isomorphic,
     automorphism_group,
-    brute_force_automorphisms,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -115,9 +113,8 @@ __all__ = [
     "FiniteGroup", "GroupHom", "PermRepresentation", "make_group",
     "cyclic_group", "abelian_group", "symmetric_group", "dihedral_group",
     "heisenberg_group", "m3_group", "direct_product", "semidirect_product",
-    "subgroup_closure", "automorphism_group", "brute_force_automorphisms",
-    "are_isomorphic", "generating_sequence", "left_regular", "holomorph",
-    "recognize",
+    "subgroup_closure", "automorphism_group", "are_isomorphic",
+    "generating_sequence", "left_regular", "holomorph", "recognize",
     # permutations
     "Perm", "PermutationGroup", "compose", "cycle_string", "parse_cycles",
     "perm_order",
@@ -139,7 +136,7 @@ __all__ = [
     # counting and enumeration
     "HGSCountReport", "ReciprocityReport", "count_hgs", "reciprocity_check",
     "BraceCensus", "CensusEntry", "regular_subgroups_of_holomorph",
-    "enumerate_braces", "classify_braces", "oracle_tables",
+    "enumerate_braces", "classify_braces",
     # files
     "read_group", "write_group", "read_brace", "read_brace_tables",
     "write_brace", "read_algebra", "write_algebra",

@@ -12,30 +12,20 @@ instead of refusing to construct anything.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BraceAxiomFailure,
-    IdentityMismatch,
-    InvalidTableError,
-    SearchLimitExceeded,
-)
+from .errors import BraceAxiomFailure, IdentityMismatch, InvalidTableError
 from .groups import (
     FiniteGroup,
     PermRepresentation,
-    _definition_chain,
-    _extend_images,
     _find_identity,
-    _is_bijective_hom,
+    _hom_search,
     _relabel,
     automorphism_group,
-    generating_sequence,
     make_group,
-    search_budget,
 )
 from .perms import Perm, PermutationGroup
 
@@ -112,9 +102,6 @@ class SkewBrace:
         self.order = add.order
         self._verdicts: dict[bool, Optional[CounterexampleTriple]] = {}
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
     def _direct(self, swapped: bool) -> Optional[CounterexampleTriple]:
         if swapped not in self._verdicts:
             if swapped:
@@ -138,22 +125,34 @@ class SkewBrace:
 # validators
 
 
+def _law_failures(
+    add: FiniteGroup, m_t: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Both sides of the law at each outer element ``a`` where they differ.
+
+    Yields (a, lhs, rhs) in increasing ``a``, with ``lhs[b, c]`` and
+    ``rhs[b, c]`` the two sides at the triple (a, b, c); ``m_t[a, x]`` is
+    read as a @ x.
+    """
+    a_t, inv = add.table, add.inverses
+    for a in range(add.order):
+        row = m_t[a]
+        lhs = row[a_t]                      # [b, c] -> a @ (b * c)
+        u = a_t[row, inv[a]]                # [b]    -> (a @ b) * inv(a)
+        rhs = a_t[u][:, row]                # [b, c] -> u[b] * (a @ c)
+        if not np.array_equal(lhs, rhs):
+            yield a, lhs, rhs
+
+
 def validate_direct(add: FiniteGroup, mult: FiniteGroup) -> Optional[CounterexampleTriple]:
     """Scan the compatibility law; None if it holds, else the first failure.
 
     Triples are scanned in lexicographic order of (a, b, c) with ``a`` the
     outer element, so the witness is deterministic.
     """
-    a_t, m_t = add.table, mult.table
-    inv = add.inverses
-    for a in range(add.order):
-        lhs = m_t[a][a_t]                   # [b, c] -> a @ (b * c)
-        u = a_t[m_t[a], inv[a]]             # [b]    -> (a @ b) * inv(a)
-        rhs = a_t[u][:, m_t[a]]             # [b, c] -> u[b] * (a @ c)
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)
-            b, c = (int(v) for v in bad[0])
-            return CounterexampleTriple(a, b, c, int(lhs[b, c]), int(rhs[b, c]))
+    for a, lhs, rhs in _law_failures(add, mult.table):
+        b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
+        return CounterexampleTriple(a, b, c, int(lhs[b, c]), int(rhs[b, c]))
     return None
 
 
@@ -192,13 +191,8 @@ def find_axiom_failures(
     ``sides=(left, right)`` keeps only failures with exactly those two side
     values; ``limit`` stops early once that many failures are collected.
     """
-    a_t, m_t = add.table, mult.table
-    inv = add.inverses
     out: list[CounterexampleTriple] = []
-    for a in range(add.order):
-        lhs = m_t[a][a_t]
-        u = a_t[m_t[a], inv[a]]
-        rhs = a_t[u][:, m_t[a]]
+    for a, lhs, rhs in _law_failures(add, mult.table):
         mask = lhs != rhs
         if sides is not None:
             mask &= (lhs == sides[0]) & (rhs == sides[1])
@@ -330,16 +324,11 @@ def is_biskew(brace: SkewBrace) -> bool:
 
 
 def is_two_sided(brace: SkewBrace) -> bool:
-    """Whether the mirrored law (b * c) @ a == (b @ a) * inv(a) * (c @ a) holds."""
-    a_t, m_t = brace.add.table, brace.mult.table
-    inv = brace.add.inverses
-    for a in range(brace.order):
-        lhs = m_t[:, a][a_t]                    # [b, c] -> (b * c) @ a
-        u = a_t[m_t[:, a], inv[a]]              # [b]    -> (b @ a) * inv(a)
-        rhs = a_t[u][:, m_t[:, a]]              # [b, c] -> u[b] * (c @ a)
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    """Whether the mirrored law (b * c) @ a == (b @ a) * inv(a) * (c @ a) holds.
+
+    That is the direct law read against the transposed circle table.
+    """
+    return next(_law_failures(brace.add, brace.mult.table.T), None) is None
 
 
 def brace_automorphism_group(brace: SkewBrace) -> PermutationGroup:
@@ -386,8 +375,9 @@ def are_brace_isomorphic(
 ) -> Optional[Perm]:
     """A single bijection carrying both operations of b1 to those of b2.
 
-    Generator-image search over the additive group, verifying each full
-    assignment against both tables.
+    The generator-image search over the additive group, with every full
+    assignment checked against the multiplicative tables too; the first
+    map found is returned.
     """
     if b1.order != b2.order:
         return None
@@ -395,21 +385,7 @@ def are_brace_isomorphic(
     o1m, o2m = b1.mult.element_orders(), b2.mult.element_orders()
     if sorted(zip(o1a.tolist(), o1m.tolist())) != sorted(zip(o2a.tolist(), o2m.tolist())):
         return None
-    gens = generating_sequence(b1.add)
-    order, parent = _definition_chain(b1.add, gens)
-    cands = [
-        [x for x in range(b2.order) if o2a[x] == o1a[g] and o2m[x] == o1m[g]]
-        for g in gens
-    ]
-    limit = search_budget(budget)
-    nodes = 0
-    for images in itertools.product(*cands):
-        nodes += 1
-        if nodes > limit:
-            raise SearchLimitExceeded(limit, "brace isomorphism search")
-        img = _extend_images(b2.add.table, order, parent, images)
-        if _is_bijective_hom(b1.add.table, b2.add.table, img) and _is_bijective_hom(
-            b1.mult.table, b2.mult.table, img
-        ):
-            return tuple(int(v) for v in img)
-    return None
+    return next(
+        _hom_search([b1.add, b1.mult], [b2.add, b2.mult], budget, "brace isomorphism search"),
+        None,
+    )

@@ -6,36 +6,23 @@ multiplicative table.  The search grows closed permutation sets one
 generator at a time, always branching on the smallest point of the
 carrier not yet hit from 0 — which visits each regular subgroup along
 exactly one path, so no deduplication is needed.
-
-For carriers of order at most 6 an independent oracle is available:
-transport every abstract group of that order through every identity-
-fixing relabeling and keep the tables satisfying the brace law.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .braces import (
-    SkewBrace,
-    are_brace_isomorphic,
-    brace_from_groups,
-    validate_direct,
-)
+from .braces import SkewBrace, are_brace_isomorphic, brace_from_groups
 from .errors import CapExceeded, SearchLimitExceeded
 from .groups import (
     FiniteGroup,
-    abelian_group,
     automorphism_group,
-    cyclic_group,
     holomorph,
     make_group,
     recognize,
     search_budget,
-    symmetric_group,
 )
 from .perms import Perm, PermutationGroup, compose, identity_perm, is_fixed_point_free
 
@@ -45,7 +32,6 @@ __all__ = [
     "regular_subgroups_of_holomorph",
     "circle_table_from_regular",
     "enumerate_braces",
-    "oracle_tables",
     "classify_braces",
 ]
 
@@ -79,7 +65,7 @@ def regular_subgroups_of_holomorph(
     SearchLimitExceeded when the search outgrows its node budget.
     """
     n = g.order
-    hol = holomorph(g)
+    hol = holomorph(g, budget)
     ident = identity_perm(n)
     usable = frozenset(p for p in hol if p == ident or is_fixed_point_free(p))
     by_start: dict[int, list[Perm]] = {x: [] for x in range(1, n)}
@@ -159,41 +145,6 @@ def enumerate_braces(
         mult = make_group(circle_table_from_regular(sub))
         braces.append(brace_from_groups(g, mult))
     return braces
-
-
-# ---------------------------------------------------------------------------
-# independent oracle for tiny carriers
-
-
-def _abstract_groups_of_order(n: int) -> list[FiniteGroup]:
-    if n == 4:
-        return [cyclic_group(4), abelian_group([2, 2])]
-    if n == 6:
-        return [cyclic_group(6), symmetric_group(3)]
-    if 1 <= n <= 5:
-        return [cyclic_group(n)]
-    raise ValueError(f"the abstract catalog stops at order 6, got {n}")
-
-
-def oracle_tables(g: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """Brute-force multiplicative tables for every brace on g (order <= 6).
-
-    Transports each catalog group through all identity-fixing bijections and
-    keeps the tables satisfying the brace law with g additive.  The result
-    is a sorted, duplicate-free list, suitable for set comparison with the
-    holomorph route.
-    """
-    n = g.order
-    keep: set[tuple[tuple[int, ...], ...]] = set()
-    for h in _abstract_groups_of_order(n):
-        base = h.table
-        for rest in permutations(range(1, n)):
-            sigma = np.array((0,) + rest, dtype=np.int32)
-            inv = np.argsort(sigma)
-            transported = sigma[base[np.ix_(inv, inv)]]
-            if validate_direct(g, make_group(transported)) is None:
-                keep.add(tuple(tuple(int(v) for v in row) for row in transported))
-    return sorted(keep)
 
 
 # ---------------------------------------------------------------------------

@@ -474,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all braces on an additive group")
     p.add_argument("--group", required=True, metavar="FILE")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help=f"largest allowed group order (default {DEFAULT_CAP})")
+                   help="largest number of regular subgroups (braces) to enumerate "
+                        f"(default {DEFAULT_CAP})")
     p.add_argument("--out", metavar="DIR", default=None,
                    help="write one brace file per isomorphism class")
     common(p, budget=True)

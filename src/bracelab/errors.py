@@ -99,10 +99,6 @@ class IdentityMismatch(BraceLabError):
         )
 
 
-class AdditiveNotAbelian(BraceLabError):
-    """Raised where a construction requires an abelian additive group."""
-
-
 class BraceAxiomFailure(BraceLabError):
     """The compatibility law between the two operations fails.
 

@@ -14,11 +14,10 @@ and permutation tuples are distinct types.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import (
     NotBijectiveRowError,
     SearchLimitExceeded,
 )
-from .perms import Perm, PermutationGroup, all_perms, compose, identity_perm, invert
+from .perms import Perm, PermutationGroup, all_perms, compose, identity_perm
 
 __all__ = [
     "MAX_ORDER",
@@ -51,7 +50,6 @@ __all__ = [
     "subgroup_group",
     "generating_sequence",
     "automorphism_group",
-    "brute_force_automorphisms",
     "are_isomorphic",
     "left_regular",
     "holomorph",
@@ -470,104 +468,119 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def _definition_chain(
-    g: FiniteGroup, gens: Sequence[int]
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """BFS order and (parent, generator-slot) witness for every element."""
-    n = g.order
-    parent = [(-1, -1)] * n
-    seen = [False] * n
-    seen[0] = True
-    order = [0]
-    qi = 0
-    t = g.table
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for gi, gen in enumerate(gens):
-            y = int(t[x, gen])
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = (x, gi)
-                order.append(y)
-    if not all(seen):
-        raise AssertionError("generating sequence does not generate")
-    return order, parent
+def _hom_search(
+    src: Sequence[FiniteGroup],
+    dst: Sequence[FiniteGroup],
+    budget: Optional[int],
+    context: str,
+) -> Iterator[tuple[int, ...]]:
+    """Bijections carrying every table src[k] to dst[k], lexicographically.
 
-
-def _extend_images(
-    target_table: np.ndarray,
-    order: Sequence[int],
-    parent: Sequence[tuple[int, int]],
-    gen_images: Sequence[int],
-) -> np.ndarray:
-    img = np.empty(len(order), dtype=np.int32)
+    Images are assigned to ``generating_sequence(src[0])`` one generator at
+    a time, trying in ascending order the elements whose order matches the
+    generator's under every table.  Each partial assignment is extended
+    over the subgroup its generators span and abandoned at the first clash
+    with the dst[0] table or with injectivity; a clash rules out every
+    completion, so maps come out in lexicographic order of generator
+    images.  A full assignment is a bijective homomorphism for the first
+    pair of tables; further pairs are compared whole.  One node is one
+    candidate image tried, at any depth; past the budget the search raises
+    SearchLimitExceeded naming ``context``.
+    """
+    gens = generating_sequence(src[0])
+    n = src[0].order
+    s_rows = src[0].table.tolist()
+    d_rows = dst[0].table.tolist()
+    cands = [
+        np.flatnonzero(
+            np.logical_and.reduce(
+                [h.element_orders() == g.element_orders()[gen] for g, h in zip(src, dst)]
+            )
+        ).tolist()
+        for gen in gens
+    ]
+    limit = search_budget(budget)
+    img = [-1] * n
     img[0] = 0
-    for x in order[1:]:
-        px, gi = parent[x]
-        img[x] = target_table[img[px], gen_images[gi]]
-    return img
+    used = [False] * n
+    used[0] = True
+    domain = [0]  # elements with an image, in the order they got it
+    nodes = 0
 
+    def extend(depth: int, image: int) -> bool:
+        """Send gens[depth] to ``image`` and close the map over the new span.
 
-def _is_bijective_hom(src: np.ndarray, dst: np.ndarray, img: np.ndarray) -> bool:
-    n = src.shape[0]
-    if np.bincount(img, minlength=n).max() != 1:
-        return False
-    return bool(np.array_equal(img[src], dst[np.ix_(img, img)]))
+        Elements already mapped only need their product with the new
+        generator checked; newly mapped ones need every assigned generator.
+        """
+        assigned = [(gen, img[gen]) for gen in gens[:depth]] + [(gens[depth], image)]
+        newest = assigned[-1:]
+        old = len(domain)
+        pos = 0
+        while pos < len(domain):
+            x = domain[pos]
+            s_row, d_row = s_rows[x], d_rows[img[x]]
+            for gen, h in (newest if pos < old else assigned):
+                y, v = s_row[gen], d_row[h]
+                w = img[y]
+                if w < 0:
+                    if used[v]:
+                        return False
+                    img[y] = v
+                    used[v] = True
+                    domain.append(y)
+                elif w != v:
+                    return False
+            pos += 1
+        return True
+
+    if not gens:
+        yield tuple(img)
+        return
+    tried = [iter(cands[0])]  # candidate iterator of each assigned generator
+    starts: list[int] = []  # len(domain) before each current assignment
+    while tried:
+        depth = len(tried) - 1
+        if len(starts) > depth:  # retract the last image tried at this depth
+            old = starts.pop()
+            for y in domain[old:]:
+                used[img[y]] = False
+                img[y] = -1
+            del domain[old:]
+        image = next(tried[-1], None)
+        if image is None:
+            tried.pop()
+            continue
+        nodes += 1
+        if nodes > limit:
+            raise SearchLimitExceeded(limit, context)
+        starts.append(len(domain))
+        if not extend(depth, image):
+            continue
+        if depth + 1 < len(gens):
+            tried.append(iter(cands[depth + 1]))
+            continue
+        arr = np.asarray(img)
+        if all(
+            np.array_equal(arr[g.table], h.table[np.ix_(arr, arr)])
+            for g, h in zip(src[1:], dst[1:])
+        ):
+            yield tuple(img)
 
 
 _aut_cache: dict[bytes, PermutationGroup] = {}
 
 
 def automorphism_group(g: FiniteGroup, budget: Optional[int] = None) -> PermutationGroup:
-    """All automorphisms, found by assigning images to a generating sequence.
+    """All automorphisms, by the generator-image search; cached per table.
 
-    Candidate images are filtered by element order; every full assignment is
-    checked as a bijective homomorphism.  Results are cached per table.
-    Raises SearchLimitExceeded when the assignment count passes the budget.
+    Raises SearchLimitExceeded when the search passes its node budget.
     """
     cached = _aut_cache.get(g.digest)
-    if cached is not None:
-        return cached
-    n = g.order
-    if n == 1:
-        result = PermutationGroup(1, [(0,)])
-        _aut_cache[g.digest] = result
-        return result
-    gens = generating_sequence(g)
-    order, parent = _definition_chain(g, gens)
-    orders = g.element_orders()
-    cands = [[h for h in range(n) if orders[h] == orders[gen]] for gen in gens]
-    limit = search_budget(budget)
-    nodes = 0
-    auts = []
-    for images in itertools.product(*cands):
-        nodes += 1
-        if nodes > limit:
-            raise SearchLimitExceeded(limit, "automorphism search")
-        img = _extend_images(g.table, order, parent, images)
-        if _is_bijective_hom(g.table, g.table, img):
-            auts.append(tuple(int(v) for v in img))
-    result = PermutationGroup(n, auts)
-    _aut_cache[g.digest] = result
-    return result
-
-
-def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:
-    """Automorphisms by trying every identity-fixing bijection.
-
-    Exponential; refuses orders above 8.  Exists as an independent check on
-    :func:`automorphism_group`.
-    """
-    n = g.order
-    if n > 8:
-        raise ValueError(f"brute force is limited to order <= 8, got {n}")
-    auts = []
-    for rest in itertools.permutations(range(1, n)):
-        img = np.array((0,) + rest, dtype=np.int32)
-        if np.array_equal(img[g.table], g.table[np.ix_(img, img)]):
-            auts.append(tuple(int(v) for v in img))
-    return PermutationGroup(n, auts)
+    if cached is None:
+        cached = PermutationGroup(g.order, _hom_search([g], [g], budget, "automorphism search"))
+        _aut_cache[g.digest] = cached
+    return cached
 
 
 def are_isomorphic(
@@ -576,34 +589,21 @@ def are_isomorphic(
     """An isomorphism g -> h if one exists, else None.
 
     Cheap invariants (order, abelianness, element-order multiset, center,
-    derived subgroup) run first; then a generator-image search.
+    derived subgroup) run first; then the generator-image search, whose
+    first map is returned.
     """
     if g.order != h.order:
         return None
-    if g.order == 1:
-        return GroupHom(g, h, (0,))
     if g.is_abelian() != h.is_abelian():
         return None
-    go, ho = g.element_orders(), h.element_orders()
-    if sorted(go.tolist()) != sorted(ho.tolist()):
+    if sorted(g.element_orders().tolist()) != sorted(h.element_orders().tolist()):
         return None
     if len(g.center()) != len(h.center()):
         return None
     if g.derived_size() != h.derived_size():
         return None
-    gens = generating_sequence(g)
-    order, parent = _definition_chain(g, gens)
-    cands = [[x for x in range(h.order) if ho[x] == go[gen]] for gen in gens]
-    limit = search_budget(budget)
-    nodes = 0
-    for images in itertools.product(*cands):
-        nodes += 1
-        if nodes > limit:
-            raise SearchLimitExceeded(limit, "isomorphism search")
-        img = _extend_images(h.table, order, parent, images)
-        if _is_bijective_hom(g.table, h.table, img):
-            return GroupHom(g, h, tuple(int(v) for v in img))
-    return None
+    images = next(_hom_search([g], [h], budget, "isomorphism search"), None)
+    return None if images is None else GroupHom(g, h, images)
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,26 @@ class ReciprocityReport:
         ]
 
 
-def count_hgs(brace: SkewBrace, budget: Optional[int] = None) -> HGSCountReport:
-    """Count the structures the brace contributes, with exactness asserted."""
+def _aut_orders(brace: SkewBrace, budget: Optional[int]) -> tuple[int, int, int]:
+    """|Aut| of the multiplicative group, the additive group and the brace.
+
+    Brace automorphisms form a subgroup of both group automorphism groups,
+    so their order must divide both; anything else means a broken search.
+    """
     aut_mult = automorphism_group(brace.mult, budget).order
     aut_add = automorphism_group(brace.add, budget).order
     aut_brace = brace_automorphism_group(brace).order
-    if aut_mult % aut_brace:
+    if aut_mult % aut_brace or aut_add % aut_brace:
         raise AssertionError(
             f"brace automorphisms ({aut_brace}) do not divide Aut of the "
-            f"multiplicative group ({aut_mult})"
+            f"multiplicative ({aut_mult}) or the additive ({aut_add}) group"
         )
+    return aut_mult, aut_add, aut_brace
+
+
+def count_hgs(brace: SkewBrace, budget: Optional[int] = None) -> HGSCountReport:
+    """Count the structures the brace contributes, with exactness asserted."""
+    aut_mult, aut_add, aut_brace = _aut_orders(brace, budget)
     return HGSCountReport(
         galois_name=recognize(brace.mult),
         type_name=recognize(brace.add),
@@ -101,11 +111,7 @@ def reciprocity_check(brace: SkewBrace, budget: Optional[int] = None) -> Recipro
     """
     if not is_biskew(brace):
         raise NotBiskew("the swapped orientation fails the compatibility law")
-    aut_mult = automorphism_group(brace.mult, budget).order
-    aut_add = automorphism_group(brace.add, budget).order
-    aut_brace = brace_automorphism_group(brace).order
-    if aut_mult % aut_brace or aut_add % aut_brace:
-        raise AssertionError("brace automorphism order fails to divide a factor")
+    aut_mult, aut_add, aut_brace = _aut_orders(brace, budget)
     return ReciprocityReport(
         count_forward=aut_mult // aut_brace,
         count_swapped=aut_add // aut_brace,

@@ -44,12 +44,10 @@ from bracelab.factorizations import (
     demo_s4,
     validate_factorization,
 )
-from bracelab.census import oracle_tables
 from bracelab.groups import (
     abelian_group,
     are_isomorphic,
     automorphism_group,
-    brute_force_automorphisms,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -63,6 +61,7 @@ from bracelab.groups import (
 )
 from bracelab.hgs import reciprocity_check
 from bracelab.perms import all_perms, parse_cycles
+from oracles import brute_force_automorphisms, oracle_tables
 
 
 @contextmanager

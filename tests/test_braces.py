@@ -17,6 +17,7 @@ from bracelab.braces import (
     validate_direct,
     validate_via_holomorph,
 )
+from bracelab.census import enumerate_braces
 from bracelab.errors import BraceAxiomFailure, IdentityMismatch
 from bracelab.groups import (
     abelian_group,
@@ -25,6 +26,7 @@ from bracelab.groups import (
     recognize,
     symmetric_group,
 )
+from oracles import product_scan_isomorphism, relabel
 
 
 def mod4_ring_brace():
@@ -176,6 +178,16 @@ def test_are_brace_isomorphic():
     other = make_brace(star, circ)
     assert are_brace_isomorphic(b, other) is not None
     assert are_brace_isomorphic(b, trivial_brace(cyclic_group(4))) is None
+
+
+def test_are_brace_isomorphic_returns_first_map_of_the_plain_scan():
+    rng = np.random.default_rng(5)
+    for b in enumerate_braces(abelian_group([2, 2, 2]), cap=300):
+        sigma = [0] + list(1 + rng.permutation(7))
+        other = brace_from_groups(relabel(b.add, sigma), relabel(b.mult, sigma))
+        found = are_brace_isomorphic(b, other)
+        assert found is not None
+        assert found == product_scan_isomorphism([b.add, b.mult], [other.add, other.mult])
 
 
 def test_brace_from_groups_holomorph_check():

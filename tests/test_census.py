@@ -1,14 +1,15 @@
 import pytest
 
+from bracelab import groups
 from bracelab.census import (
     circle_table_from_regular,
     classify_braces,
     enumerate_braces,
-    oracle_tables,
     regular_subgroups_of_holomorph,
 )
 from bracelab.errors import CapExceeded, SearchLimitExceeded
 from bracelab.groups import abelian_group, cyclic_group, recognize, symmetric_group
+from oracles import oracle_tables
 
 SMALL = [
     ("C1", lambda: cyclic_group(1)),
@@ -119,3 +120,11 @@ def test_cap_exceeded():
 def test_budget_exceeded():
     with pytest.raises(SearchLimitExceeded):
         regular_subgroups_of_holomorph(symmetric_group(3), budget=3)
+
+
+def test_budget_reaches_the_automorphism_search(monkeypatch):
+    # an empty cache forces the holomorph to search for Aut(C5 x C5)
+    monkeypatch.setattr(groups, "_aut_cache", {})
+    with pytest.raises(SearchLimitExceeded) as exc:
+        enumerate_braces(abelian_group([5, 5]), cap=10**6, budget=500)
+    assert "automorphism search" in str(exc.value)

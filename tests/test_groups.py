@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from bracelab.groups import (
     abelian_group,
     are_isomorphic,
     automorphism_group,
-    brute_force_automorphisms,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -33,6 +33,7 @@ from bracelab.groups import (
     symmetric_group,
 )
 from bracelab.perms import all_perms, parse_cycles
+from oracles import brute_force_automorphisms, product_scan_isomorphism, relabel
 
 # the quaternion units 1,-1,i,-i,j,-j,k,-k as indices 0..7
 _QUAT = [
@@ -232,6 +233,10 @@ def test_aut_elementary_abelian_3_cubed_matches_matrix_count():
     gl3 = _gl3_count(3)
     assert gl3 == 11232
     assert automorphism_group(abelian_group([3, 3, 3])).order == gl3
+    # |GL(d, p)| = prod over i < d of (p^d - p^i)
+    for d, p, gl in ((4, 2, 20160), (2, 5, 480)):
+        assert math.prod(p**d - p**i for i in range(d)) == gl
+        assert automorphism_group(abelian_group([p] * d)).order == gl
 
 
 def test_aut_search_agrees_with_brute_force_up_to_order_8():
@@ -284,6 +289,22 @@ def test_are_isomorphic_finds_map():
     hom = are_isomorphic(abelian_group([3, 2]), cyclic_group(6))
     assert hom is not None
     assert hom.is_bijective()
+
+
+def test_are_isomorphic_returns_first_map_of_the_plain_scan():
+    rng = np.random.default_rng(3)
+    groups = [
+        cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+        abelian_group([2, 2]), cyclic_group(5), cyclic_group(6), symmetric_group(3),
+        cyclic_group(7), cyclic_group(8), abelian_group([2, 4]), abelian_group([2, 2, 2]),
+        dihedral_group(4), quaternion_group(),
+    ]
+    for g in groups:
+        for _ in range(3):
+            h = relabel(g, [0] + list(1 + rng.permutation(g.order - 1)))
+            hom = are_isomorphic(g, h)
+            assert hom is not None
+            assert hom.images == product_scan_isomorphism([g], [h])
 
 
 # ---------------------------------------------------------------------------
