@@ -274,6 +274,44 @@ def cyclic_ring(p: int, r: int, validate: bool = True) -> NilpotentAlgebra:
 # circle structure
 
 
+def _modulus(algebra: NilpotentAlgebra) -> int:
+    """The modulus of every digit of an element."""
+    return algebra.order if algebra.kind == "cyclic" else algebra.p
+
+
+def _times(algebra: NilpotentAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise products x[k] . y[k] of two batches of reduced digit rows."""
+    if algebra.kind == "cyclic":
+        scale = pow(algebra.p, algebra.r, algebra.order)
+        return scale * x % algebra.order * y % algebra.order
+    return np.einsum("xi,xj,ijl->xl", x, y, algebra.consts) % algebra.p
+
+
+def _series_inverses(
+    algebra: NilpotentAlgebra, elems: np.ndarray, limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quasi-inverses of a batch of elements, and a mask of the missing ones.
+
+    ``elems`` holds one element per row (a single digit for the cyclic
+    kind).  Sums -u + u^2 - u^3 + ... with left-normed powers
+    u^(k+1) = u^k . u for every row at once.  A series ends at its first
+    zero power, which stays zero, so later terms add nothing; a row is
+    missing when none of its first ``limit`` products is zero.
+    """
+    mod = _modulus(algebra)
+    u = np.asarray(elems, dtype=np.int64) % mod
+    acc = -u % mod
+    power = u
+    ended = np.zeros(len(u), dtype=bool)
+    sign = 1  # sign of the next term: (-1)^k for k = 2 is +1
+    for _ in range(limit):
+        power = _times(algebra, power, u)
+        ended |= ~power.any(axis=1)
+        acc = (acc + sign * power) % mod
+        sign = -sign
+    return acc, ~ended
+
+
 def quasi_inverse(algebra: NilpotentAlgebra, u: Element, cap: Optional[int] = None) -> Element:
     """The circle-inverse -u + u^2 - u^3 + ... of an element.
 
@@ -282,18 +320,29 @@ def quasi_inverse(algebra: NilpotentAlgebra, u: Element, cap: Optional[int] = No
     built with validate=False fail.
     """
     limit = cap if cap is not None else algebra.dim + 2
-    acc = algebra.neg(u)
-    power = np.asarray(u) if algebra.kind == "modp" else u
-    sign = 1  # sign of the *next* term: (-1)^k for k = 2 is +1
-    for _ in range(limit):
-        power = algebra.multiply(power, u)
-        if algebra.is_zero(power):
-            return acc
-        acc = algebra.add(acc, power if sign > 0 else algebra.neg(power))
-        sign = -sign
-    if algebra.kind == "cyclic":
-        raise QuasiInverseMissing((int(u),))
-    raise QuasiInverseMissing(tuple(int(x) for x in np.asarray(u)))
+    mod = _modulus(algebra)
+    digits = [int(x) for x in np.reshape(u, -1)]
+    acc, missing = _series_inverses(algebra, [[x % mod for x in digits]], limit)
+    if missing[0]:
+        raise QuasiInverseMissing(tuple(digits))
+    return int(acc[0, 0]) if algebra.kind == "cyclic" else acc[0]
+
+
+def _check_series_inverses(algebra: NilpotentAlgebra) -> None:
+    """Require every element's series inverse to end and to cancel.
+
+    Raises for the lowest failing element: QuasiInverseMissing when its
+    series does not end, else AssertionError when u o v != 0.
+    """
+    elems = algebra.elements().reshape(algebra.order, -1)
+    inverses, missing = _series_inverses(algebra, elems, algebra.dim + 2)
+    circled = (elems + inverses + _times(algebra, elems, inverses)) % _modulus(algebra)
+    bad = np.flatnonzero(missing | circled.any(axis=1))
+    if bad.size:
+        index = int(bad[0])
+        if missing[index]:
+            raise QuasiInverseMissing(tuple(int(x) for x in elems[index]))
+        raise AssertionError(f"series inverse of element {index} does not cancel")
 
 
 def _check_table_cap(algebra: NilpotentAlgebra) -> None:
@@ -311,7 +360,8 @@ def additive_group(algebra: NilpotentAlgebra) -> FiniteGroup:
         return make_group((idx[:, None] + idx[None, :]) % algebra.order)
     digits = algebra.elements()
     powers = algebra.p ** np.arange(algebra.dim - 1, -1, -1)
-    sums = (digits[:, None, :] + digits[None, :, :]) % algebra.p
+    sums = digits[:, None, :] + digits[None, :, :]
+    sums %= algebra.p
     return make_group(sums @ powers)
 
 
@@ -323,21 +373,19 @@ def circle_group(algebra: NilpotentAlgebra) -> FiniteGroup:
     table failure).
     """
     _check_table_cap(algebra)
-    for index in range(algebra.order):
-        u = algebra.decode(index)
-        v = quasi_inverse(algebra, u)
-        if not algebra.is_zero(algebra.circle(u, v)):
-            raise AssertionError(f"series inverse of element {index} does not cancel")
+    _check_series_inverses(algebra)
     if algebra.kind == "cyclic":
         idx = np.arange(algebra.order)
-        scale = algebra.p**algebra.r
+        scale = pow(algebra.p, algebra.r, algebra.order)
         table = (idx[:, None] + idx[None, :] + scale * idx[:, None] * idx[None, :]) % algebra.order
         return make_group(table)
     digits = algebra.elements()
     powers = algebra.p ** np.arange(algebra.dim - 1, -1, -1)
     half = np.einsum("xi,ijl->xjl", digits, algebra.consts)
-    prods = np.einsum("xjl,yj->xyl", half, digits)
-    table = (digits[:, None, :] + digits[None, :, :] + prods) % algebra.p
+    table = np.einsum("xjl,yj->xyl", half, digits)     # [x, y] -> x . y
+    table += digits[:, None, :]
+    table += digits[None, :, :]
+    table %= algebra.p
     return make_group(table @ powers)
 
 

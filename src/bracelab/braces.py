@@ -133,9 +133,19 @@ def _law_failures(
     Yields (a, lhs, rhs) in increasing ``a``, with ``lhs[b, c]`` and
     ``rhs[b, c]`` the two sides at the triple (a, b, c); ``m_t[a, x]`` is
     read as a @ x.
+
+    The law at (a, b, c) says that lam_a(x) = inv(a) * (a @ x) respects
+    addition at (b, c).  A map that respects addition on the right by each
+    of ``add.generators`` respects all of it, so one gather per generator
+    finds the outer elements that fail somewhere, and only those are
+    scanned in full.
     """
     a_t, inv = add.table, add.inverses
-    for a in range(add.order):
+    lam = a_t[inv[:, None], m_t]            # [a, x] -> lam_a(x)
+    failing = np.zeros(add.order, dtype=bool)
+    for s in add.generators:
+        failing |= (lam[:, a_t[:, s]] != a_t[lam, lam[:, s, None]]).any(axis=1)
+    for a in np.flatnonzero(failing).tolist():
         row = m_t[a]
         lhs = row[a_t]                      # [b, c] -> a @ (b * c)
         u = a_t[row, inv[a]]                # [b]    -> (a @ b) * inv(a)

@@ -35,7 +35,7 @@ __all__ = [
     "classify_braces",
 ]
 
-DEFAULT_CAP = 12
+DEFAULT_CAP = 10_000
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ class SearchLimitExceeded(BraceLabError):
         self.budget = budget
         super().__init__(
             f"{context} exceeded its node budget of {budget}; "
-            "raise it via the BRACELAB_BUDGET environment variable"
+            "raise it with the budget= argument or the --budget option, "
+            "or, when neither is given, the BRACELAB_BUDGET environment variable"
         )
 
 

@@ -83,10 +83,15 @@ class FiniteGroup:
     validate the table; the constructor itself trusts its inputs.
     """
 
-    def __init__(self, table: np.ndarray, inverses: np.ndarray) -> None:
+    def __init__(
+        self, table: np.ndarray, inverses: np.ndarray, generators: tuple[int, ...]
+    ) -> None:
         self.order: int = int(table.shape[0])
         self.table = table
         self.inverses = inverses
+        # a generating set from make_group's associativity test; searches
+        # use generating_sequence, whose greedy order they depend on
+        self.generators = generators
         self._digest: Optional[bytes] = None
         self._orders: Optional[np.ndarray] = None
         self._abelian: Optional[bool] = None
@@ -196,6 +201,8 @@ def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
     identity (NoIdentityError) which is moved to index 0 by swapping labels,
     bijective rows and columns (NotBijectiveRowError), and associativity
     with a lexicographically first witness (NotAssociativeError).
+    Associativity is decided by Light's test on a generating set, O(n^2)
+    per generator; only a failing table is scanned triple by triple.
     """
     arr = np.asarray(table, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -218,25 +225,53 @@ def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
         arr = _relabel(arr, sigma)
 
     idx = np.arange(n)
-    for a in range(n):
-        if not np.array_equal(np.sort(arr[a]), idx):
-            raise NotBijectiveRowError(a, "row")
-    for a in range(n):
-        if not np.array_equal(np.sort(arr[:, a]), idx):
-            raise NotBijectiveRowError(a, "column")
+    rows = (np.sort(arr, axis=1) == idx).all(axis=1)
+    if not rows.all():
+        raise NotBijectiveRowError(int(np.argmin(rows)), "row")
+    cols = (np.sort(arr, axis=0) == idx[:, None]).all(axis=0)
+    if not cols.all():
+        raise NotBijectiveRowError(int(np.argmin(cols)), "column")
 
-    for a in range(n):
-        left = arr[arr[a]]          # [b, c] -> (a*b)*c
-        right = arr[a][arr]         # [b, c] -> a*(b*c)
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)
-            b, c = (int(v) for v in bad[0])
-            raise NotAssociativeError((a, b, c))
-
+    generators = _associative_generators(arr)
     inverses = np.argmax(arr == 0, axis=1).astype(np.int32)
     arr.flags.writeable = False
     inverses.flags.writeable = False
-    return FiniteGroup(arr, inverses)
+    return FiniteGroup(arr, inverses, generators)
+
+
+def _associative_generators(arr: np.ndarray) -> tuple[int, ...]:
+    """A generating set of a loop table, each member passing Light's test.
+
+    Members are picked greedily: the smallest element that left-normed
+    products of the earlier ones do not reach.  Each is tested before it
+    joins: (x*s)*y == x*(s*y) for all x and y.  The elements passing that
+    test are closed under the product and every element is a left-normed
+    product of the set, so the table is associative.  Passing elements form
+    a group, so each new member at least doubles the reached set and there
+    are at most log2(n) of them.  On the first failure the table is scanned
+    in full for the lexicographically first witness.
+    """
+    reached = np.zeros(arr.shape[0], dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        s = int(np.argmin(reached))
+        if not np.array_equal(arr[arr[:, s]], arr[:, arr[s]]):
+            raise NotAssociativeError(_first_non_associative(arr))
+        gens.append(s)
+        reached[_closure(arr, gens)] = True
+    return tuple(gens)
+
+
+def _first_non_associative(arr: np.ndarray) -> tuple[int, int, int]:
+    """The lexicographically first (a, b, c) with (a*b)*c != a*(b*c)."""
+    for a in range(arr.shape[0]):
+        left = arr[arr[a]]          # [b, c] -> (a*b)*c
+        right = arr[a][arr]         # [b, c] -> a*(b*c)
+        if not np.array_equal(left, right):
+            b, c = (int(v) for v in np.argwhere(left != right)[0])
+            return a, b, c
+    raise AssertionError("Light's test failed on an associative table")
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -369,6 +404,14 @@ def semidirect_product(
 
 def subgroup_closure(g: FiniteGroup, seed: Iterable[int]) -> list[int]:
     """Sorted elements of the subgroup generated by ``seed``."""
+    return _closure(g.table, seed)
+
+
+def _closure(t: np.ndarray, seed: Iterable[int]) -> list[int]:
+    """Sorted closure of {0} and ``seed`` under right multiplication by ``seed``.
+
+    In a group table that is the subgroup ``seed`` generates.
+    """
     seen = {0}
     frontier = [0]
     gens = sorted(set(int(x) for x in seed))
@@ -376,7 +419,6 @@ def subgroup_closure(g: FiniteGroup, seed: Iterable[int]) -> list[int]:
         if x not in seen:
             seen.add(x)
             frontier.append(x)
-    t = g.table
     while frontier:
         nxt = []
         for x in frontier:
@@ -755,7 +797,9 @@ def recognize(g: FiniteGroup) -> str:
 
     Abelian groups always resolve (invariant factor form, e.g. "C2 x C6").
     Beyond that only a handful of named families are attempted: S3, S4,
-    dihedral groups, and the two nonabelian groups of odd prime-cubed order.
+    dihedral groups, the two nonabelian groups of odd prime-cubed order,
+    and every nonabelian group of order 8 (D4, Q8) or 12 (D6, A4, Dic3),
+    which their numbers of involutions tell apart.
     """
     n = g.order
     if n == 1:
@@ -764,6 +808,11 @@ def recognize(g: FiniteGroup) -> str:
         return " x ".join(f"C{d}" for d in _abelian_invariant_factors(g))
     if n == 6:
         return "S3"
+    involutions = int(np.count_nonzero(g.element_orders() == 2))
+    if n == 8:
+        return {1: "Q8", 5: "D4"}[involutions]
+    if n == 12:
+        return {1: "Dic3", 3: "A4", 7: "D6"}[involutions]
     if n == 24 and are_isomorphic(g, symmetric_group(4)) is not None:
         return "S4"
     p = _prime_cube_root(n)

@@ -2,9 +2,12 @@
 
 Each one answers a question the library answers too, by a route that
 shares none of the library's search code: trying every bijection,
-transporting every abstract group, or scanning every tuple of generator
+transporting every abstract group, scanning every tuple of generator
 images without pruning (only the choice of generators is shared, so the
-scan's first map is comparable with the library's).
+scan's first map is comparable with the library's), or evaluating a law
+on every triple of elements where the library checks generators only.
+It also holds the quaternion group, whose table no library constructor
+builds.
 """
 import itertools
 from typing import Optional, Sequence
@@ -21,6 +24,22 @@ from bracelab.groups import (
     symmetric_group,
 )
 from bracelab.perms import PermutationGroup
+
+# the quaternion units 1,-1,i,-i,j,-j,k,-k as indices 0..7
+_QUAT = [
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 0, 3, 2, 5, 4, 7, 6],
+    [2, 3, 1, 0, 6, 7, 5, 4],
+    [3, 2, 0, 1, 7, 6, 4, 5],
+    [4, 5, 7, 6, 1, 0, 2, 3],
+    [5, 4, 6, 7, 0, 1, 3, 2],
+    [6, 7, 4, 5, 3, 2, 1, 0],
+    [7, 6, 5, 4, 2, 3, 0, 1],
+]
+
+
+def quaternion_group() -> FiniteGroup:
+    return make_group(_QUAT)
 
 
 def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:
@@ -120,4 +139,55 @@ def product_scan_isomorphism(
             for s, h in zip(src, dst)
         ):
             return tuple(int(v) for v in img)
+    return None
+
+
+def first_non_associative(table: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """Lexicographically first (a, b, c) with (a*b)*c != a*(b*c), or None.
+
+    Both sides are evaluated on the whole n x n x n cube of triples.
+    """
+    t = np.asarray(table)
+    bad = np.argwhere(t[t] != t[:, t])      # [a, b, c]: (a*b)*c vs a*(b*c)
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def law_failures(add: FiniteGroup, m_t: np.ndarray) -> list[tuple[int, int, int, int, int]]:
+    """Every triple where a @ (b * c) != (a @ b) * inv(a) * (a @ c), in order.
+
+    Each failure is (a, b, c, left side, right side); ``m_t[a, x]`` is read
+    as a @ x.  Both sides are evaluated on the whole n x n x n cube of
+    triples.
+    """
+    a_t, m_t = add.table, np.asarray(m_t)
+    n = add.order
+    lhs = m_t[np.arange(n)[:, None, None], a_t[None, :, :]]
+    u = a_t[m_t, add.inverses[:, None]]     # [a, b] -> (a @ b) * inv(a)
+    rhs = a_t[u[:, :, None], m_t[:, None, :]]
+    bad = lhs != rhs
+    return [
+        (a, b, c, left, right)
+        for (a, b, c), left, right in zip(
+            np.argwhere(bad).tolist(), lhs[bad].tolist(), rhs[bad].tolist()
+        )
+    ]
+
+
+def intercalate_swap(table: np.ndarray, rng: np.random.Generator) -> Optional[np.ndarray]:
+    """The table with one 2 x 2 Latin subsquare off row and column 0 swapped.
+
+    Rows r1, r2 and columns c1, c2 with t[r1, c1] = t[r2, c2] = x and
+    t[r1, c2] = t[r2, c1] = y have x and y exchanged, which keeps every
+    row and column a permutation and 0 the identity.  None when 200 random
+    tries find no such subsquare.
+    """
+    t = np.array(table, dtype=np.int64)
+    n = len(t)
+    for _ in range(200):
+        r1, r2, c1 = (int(v) for v in rng.integers(1, n, 3))
+        x, y = t[r1, c1], t[r2, c1]
+        c2 = int(np.flatnonzero(t[r1] == y)[0])
+        if r1 != r2 and c2 not in (0, c1) and t[r2, c2] == x:
+            t[r1, c1], t[r1, c2], t[r2, c1], t[r2, c2] = y, x, x, y
+            return t
     return None

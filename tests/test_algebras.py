@@ -108,18 +108,39 @@ def test_cyclic_circle_groups_are_cyclic():
     assert recognize(circle_group(cyclic_ring(3, 1))) == "C27"
     assert recognize(circle_group(cyclic_ring(3, 2))) == "C27"
     assert recognize(circle_group(cyclic_ring(5, 1))) == "C125"
+    # p^40 does not fit a 64-bit integer; the product is zero from r = 3 on
+    assert recognize(circle_group(cyclic_ring(3, 40))) == "C27"
 
 
 def test_cyclic_rejection_modes():
     with pytest.raises(NotNilpotent):
         cyclic_ring(3, 0)
     bypassed = cyclic_ring(3, 0, validate=False)
-    with pytest.raises(QuasiInverseMissing):
+    with pytest.raises(QuasiInverseMissing) as exc:
         circle_group(bypassed)
+    assert exc.value.element == (1,)
     with pytest.raises(QuasiInverseMissing):
         quasi_inverse(bypassed, 1)
     with pytest.raises(UnsupportedParameter):
         cyclic_ring(3, -1)
+
+
+def test_circle_group_reports_the_first_element_without_an_inverse():
+    # e0 . e0 = e0 is idempotent, so no power of e0 = (1, 0) vanishes
+    idempotent = make_algebra(3, 2, {(0, 0): [1, 0]}, validate=False)
+    with pytest.raises(QuasiInverseMissing) as exc:
+        circle_group(idempotent)
+    assert exc.value.element == (1, 0)
+    with pytest.raises(QuasiInverseMissing) as exc:
+        quasi_inverse(idempotent, [1, 1])
+    assert exc.value.element == (1, 1)
+    # not associative: the series of element 5 = e0 + e2 ends at e0, and
+    # (e0 + e2) o e0 = e2
+    skewed = make_algebra(
+        2, 3, {(0, 2): [0, 0, 1], (1, 1): [1, 0, 0], (1, 2): [1, 0, 0]}, validate=False
+    )
+    with pytest.raises(AssertionError, match="element 5 does not cancel"):
+        circle_group(skewed)
 
 
 def test_cyclic_brace_verdicts():

@@ -19,14 +19,19 @@ from bracelab.braces import (
 )
 from bracelab.census import enumerate_braces
 from bracelab.errors import BraceAxiomFailure, IdentityMismatch
+from bracelab.algebras import catalog, to_brace
 from bracelab.groups import (
     abelian_group,
     cyclic_group,
+    dihedral_group,
+    direct_product,
+    heisenberg_group,
+    m3_group,
     make_group,
     recognize,
     symmetric_group,
 )
-from oracles import product_scan_isomorphism, relabel
+from oracles import law_failures, product_scan_isomorphism, quaternion_group, relabel
 
 
 def mod4_ring_brace():
@@ -188,6 +193,52 @@ def test_are_brace_isomorphic_returns_first_map_of_the_plain_scan():
         found = are_brace_isomorphic(b, other)
         assert found is not None
         assert found == product_scan_isomorphism([b.add, b.mult], [other.add, other.mult])
+
+
+def _tuples(witnesses):
+    return [(w.a, w.b, w.c, w.left, w.right) for w in witnesses]
+
+
+def test_law_kernel_matches_the_triple_scan():
+    rng = np.random.default_rng(13)
+    by_order = [
+        [cyclic_group(8), abelian_group([2, 4]), abelian_group([2, 2, 2]), dihedral_group(4),
+         quaternion_group()],
+        [cyclic_group(9), abelian_group([3, 3])],
+        [cyclic_group(12), abelian_group([2, 6]), dihedral_group(6)],
+        [abelian_group([4, 4]), abelian_group([2, 2, 2, 2]), dihedral_group(8)],
+        [cyclic_group(18), direct_product(symmetric_group(3), cyclic_group(3))],
+        [abelian_group([3, 3, 3]), heisenberg_group(3), m3_group(3), cyclic_group(27)],
+    ]
+    pairs = []
+    for groups in by_order:
+        for add in groups:
+            for j in rng.integers(len(groups), size=2):
+                sigma = [0] + list(1 + rng.permutation(add.order - 1))
+                pairs.append((add, relabel(groups[j], sigma)))
+    # braces, relabelled as a whole, where the law holds in one orientation
+    braces = enumerate_braces(abelian_group([2, 2, 2]), cap=300)[::29]
+    braces.append(to_brace(catalog("degraaf_A340", 3)))
+    for b in braces:
+        sigma = [0] + list(1 + rng.permutation(b.order - 1))
+        pairs.append((relabel(b.add, sigma), relabel(b.mult, sigma)))
+    holding = 0
+    for add, mult in pairs:
+        expected = law_failures(add, mult.table)
+        holding += not expected
+        assert _tuples(find_axiom_failures(add, mult)) == expected
+        assert _tuples(find_axiom_failures(add, mult, limit=3)) == expected[:3]
+        if expected:
+            sides = expected[-1][3:]
+            assert _tuples(find_axiom_failures(add, mult, sides=sides)) == [
+                w for w in expected if w[3:] == sides
+            ]
+        first = validate_direct(add, mult)
+        assert _tuples([first] if first else []) == expected[:1]
+        brace = brace_from_groups(add, mult, check="none")
+        assert is_biskew(brace) == (not law_failures(mult, add.table))
+        assert is_two_sided(brace) == (not law_failures(add, mult.table.T))
+    assert len(braces) <= holding < len(pairs)
 
 
 def test_brace_from_groups_holomorph_check():

@@ -128,3 +128,11 @@ def test_budget_reaches_the_automorphism_search(monkeypatch):
     with pytest.raises(SearchLimitExceeded) as exc:
         enumerate_braces(abelian_group([5, 5]), cap=10**6, budget=500)
     assert "automorphism search" in str(exc.value)
+
+
+def test_budget_error_names_the_argument_that_set_it():
+    with pytest.raises(SearchLimitExceeded) as exc:
+        enumerate_braces(abelian_group([5, 5]), cap=10**6, budget=500)
+    message = str(exc.value)
+    assert "budget=" in message and "--budget" in message
+    assert "when neither is given, the BRACELAB_BUDGET environment variable" in message

@@ -99,6 +99,13 @@ def test_count_trivial_brace(tmp_path, capsys):
     assert got["count"] == "1"
 
 
+def test_enumerate_default_cap_covers_c2_cubed(tmp_path, capsys):
+    grp = tmp_path / "c2cubed.grp"
+    write_group(grp, abelian_group([2, 2, 2]))
+    assert main(["enumerate", "--group", str(grp), "--format", "kv"]) == 0
+    assert kv(capsys)["raw"] == "232"
+
+
 def test_enumerate_klein(tmp_path, capsys):
     grp = tmp_path / "klein.grp"
     write_group(grp, abelian_group([2, 2]))

@@ -33,23 +33,14 @@ from bracelab.groups import (
     symmetric_group,
 )
 from bracelab.perms import all_perms, parse_cycles
-from oracles import brute_force_automorphisms, product_scan_isomorphism, relabel
-
-# the quaternion units 1,-1,i,-i,j,-j,k,-k as indices 0..7
-_QUAT = [
-    [0, 1, 2, 3, 4, 5, 6, 7],
-    [1, 0, 3, 2, 5, 4, 7, 6],
-    [2, 3, 1, 0, 6, 7, 5, 4],
-    [3, 2, 0, 1, 7, 6, 4, 5],
-    [4, 5, 7, 6, 1, 0, 2, 3],
-    [5, 4, 6, 7, 0, 1, 3, 2],
-    [6, 7, 4, 5, 3, 2, 1, 0],
-    [7, 6, 5, 4, 2, 3, 0, 1],
-]
-
-
-def quaternion_group():
-    return make_group(_QUAT)
+from oracles import (
+    brute_force_automorphisms,
+    first_non_associative,
+    intercalate_swap,
+    product_scan_isomorphism,
+    quaternion_group,
+    relabel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +65,10 @@ def test_make_group_rejects_missing_identity():
 def test_make_group_rejects_non_bijective_row():
     with pytest.raises(NotBijectiveRowError) as exc:
         make_group([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
-    assert exc.value.element == 1
+    assert (exc.value.element, exc.value.axis) == (1, "row")
+    with pytest.raises(NotBijectiveRowError) as exc:
+        make_group([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    assert (exc.value.element, exc.value.axis) == (1, "column")
 
 
 def test_make_group_rejects_non_associative_loop():
@@ -88,8 +82,37 @@ def test_make_group_rejects_non_associative_loop():
     ]
     with pytest.raises(NotAssociativeError) as exc:
         make_group(loop)
-    a, b, c = exc.value.witness
-    assert loop[loop[a][b]][c] != loop[a][loop[b][c]]
+    assert exc.value.witness == first_non_associative(loop)
+
+
+def test_make_group_reports_the_first_non_associative_triple():
+    # intercalate swaps turn relabelled group tables into loops, most of
+    # them not associative; the groups have generating sets of 1 to 6
+    # members, and every group of even order has intercalates
+    rng = np.random.default_rng(11)
+    bases = [
+        cyclic_group(8), dihedral_group(4), abelian_group([2, 2, 2]), quaternion_group(),
+        symmetric_group(4), direct_product(heisenberg_group(3), cyclic_group(2)),
+        abelian_group([4, 4]), abelian_group([2] * 6), dihedral_group(32),
+    ]
+    failures = 0
+    for g in bases:
+        assert len(subgroup_closure(g, g.generators)) == g.order
+        assert 2 ** len(g.generators) <= g.order
+        for _ in range(8):
+            sigma = [0] + list(1 + rng.permutation(g.order - 1))
+            loop = intercalate_swap(relabel(g, sigma).table, rng)
+            assert loop is not None
+            witness = first_non_associative(loop)
+            if witness is None:
+                make_group(loop)
+                continue
+            failures += 1
+            with pytest.raises(NotAssociativeError) as exc:
+                make_group(loop)
+            assert exc.value.witness == witness
+    assert failures > 60
+    assert max(len(g.generators) for g in bases) == 6
 
 
 def test_make_group_moves_identity_to_zero():
@@ -351,4 +374,9 @@ def test_recognize_names():
     assert recognize(dihedral_group(6)) == "D6"
     assert recognize(heisenberg_group(3)) == "M(3)"
     assert recognize(m3_group(3)) == "M3(3)"
-    assert recognize(quaternion_group()) == "unrecognized"
+    assert recognize(quaternion_group()) == "Q8"
+    klein, c3 = abelian_group([2, 2]), cyclic_group(3)
+    a4 = semidirect_product(klein, c3, [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
+    assert recognize(a4) == "A4"
+    dic3 = semidirect_product(c3, cyclic_group(4), [[0, 1, 2], [0, 2, 1]] * 2)
+    assert recognize(dic3) == "Dic3"
