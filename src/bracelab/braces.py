@@ -89,7 +89,8 @@ class SkewBrace:
     """A validated skew brace; construct via make_brace or brace_from_groups.
 
     ``add`` holds the additive group, ``mult`` the multiplicative one.
-    Validation verdicts for both orientations of the law are cached.
+    Validation verdicts for both orientations of the law are cached, and so
+    is the brace automorphism group, which both orientations share.
     """
 
     def __init__(self, add: FiniteGroup, mult: FiniteGroup) -> None:
@@ -101,6 +102,7 @@ class SkewBrace:
         self.mult = mult
         self.order = add.order
         self._verdicts: dict[bool, Optional[CounterexampleTriple]] = {}
+        self._auts: Optional[PermutationGroup] = None
 
     def _direct(self, swapped: bool) -> Optional[CounterexampleTriple]:
         if swapped not in self._verdicts:
@@ -115,6 +117,7 @@ class SkewBrace:
         other = SkewBrace(self.mult, self.add)
         for key, value in self._verdicts.items():
             other._verdicts[not key] = value
+        other._auts = self._auts
         return other
 
     def __repr__(self) -> str:
@@ -344,9 +347,11 @@ def is_two_sided(brace: SkewBrace) -> bool:
 def brace_automorphism_group(brace: SkewBrace) -> PermutationGroup:
     """Bijections fixing 0 that respect both operations at once.
 
-    Computed by filtering the automorphism group of whichever operation has
-    the fewer automorphisms.
+    Computed once per brace by filtering the automorphism group of whichever
+    operation has the fewer automorphisms.
     """
+    if brace._auts is not None:
+        return brace._auts
     aut_add = automorphism_group(brace.add)
     aut_mult = automorphism_group(brace.mult)
     small, other = (
@@ -358,7 +363,8 @@ def brace_automorphism_group(brace: SkewBrace) -> PermutationGroup:
         img = np.asarray(alpha, dtype=np.int32)
         if np.array_equal(img[t], t[np.ix_(img, img)]):
             keep.append(alpha)
-    return PermutationGroup(brace.order, keep)
+    brace._auts = PermutationGroup(brace.order, keep)
+    return brace._auts
 
 
 def exponent_compare(brace: SkewBrace) -> ExponentReport:

@@ -14,10 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .braces import SkewBrace, are_brace_isomorphic, brace_from_groups
+from .braces import SkewBrace, brace_from_groups
 from .errors import CapExceeded, SearchLimitExceeded
 from .groups import (
     FiniteGroup,
+    _relabel,
+    are_isomorphic,
     automorphism_group,
     holomorph,
     make_group,
@@ -151,52 +153,42 @@ def enumerate_braces(
 # classification
 
 
-def _canonical_circ(brace: SkewBrace, auts: PermutationGroup) -> bytes:
-    """Lexicographically least transport of the multiplicative table."""
-    base = brace.mult.table
-    best: Optional[bytes] = None
-    for alpha in auts:
-        sigma = np.asarray(alpha, dtype=np.int32)
-        inv = np.argsort(sigma)
-        cand = np.ascontiguousarray(sigma[base[np.ix_(inv, inv)]]).tobytes()
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
-
-
 def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
-    """Group braces into isomorphism classes.
+    """Group braces into isomorphism classes, in order of first occurrence.
 
-    When every brace shares one additive table (the enumeration case) the
-    classes are orbits under additive automorphisms, detected by a
-    canonical transported table.  Mixed inputs fall back to pairwise
-    isomorphism search.
+    Braces on one additive table are isomorphic exactly when an additive
+    automorphism transports one circle table to the other, so each class
+    is an Aut(A)-orbit of circle tables.  A brace on another labelling of
+    an additive group already seen is first moved into that group's
+    labelling by a group isomorphism.
     """
     if not braces:
         raise ValueError("cannot classify an empty brace list")
-    add = braces[0].add
-    same_add = all(b.add == add for b in braces)
+    adds: list[FiniteGroup] = []  # one labelling per additive isomorphism type
+    orbits: list[dict[bytes, int]] = []  # per entry of adds: circle table -> class
     classes: list[list[SkewBrace]] = []
-    if same_add:
-        auts = automorphism_group(add)
-        seen: dict[bytes, int] = {}
-        for b in braces:
-            key = _canonical_circ(b, auts)
-            if key in seen:
-                classes[seen[key]].append(b)
-            else:
-                seen[key] = len(classes)
-                classes.append([b])
-    else:
-        for b in braces:
-            for cls in classes:
-                if are_brace_isomorphic(cls[0], b) is not None:
-                    cls.append(b)
-                    break
-            else:
-                classes.append([b])
+    for b in braces:
+        table = b.mult.table
+        for k, add in enumerate(adds):
+            if add == b.add:
+                break
+            iso = are_isomorphic(b.add, add)
+            if iso is not None:
+                table = _relabel(table, np.asarray(iso.images, dtype=np.int32))
+                break
+        else:
+            k = len(adds)
+            adds.append(b.add)
+            orbits.append({})
+        cls = orbits[k].get(table.tobytes())
+        if cls is None:
+            cls = len(classes)
+            for alpha in automorphism_group(adds[k]):
+                moved = _relabel(table, np.asarray(alpha, dtype=np.int32))
+                orbits[k][moved.tobytes()] = cls
+            classes.append([])
+        classes[cls].append(b)
     entries = tuple(
         CensusEntry(cls[0], recognize(cls[0].mult), len(cls)) for cls in classes
     )
-    return BraceCensus(add, len(braces), entries)
+    return BraceCensus(adds[0], len(braces), entries)

@@ -32,6 +32,7 @@ from .algebras import (
     to_brace,
 )
 from .braces import (
+    CounterexampleTriple,
     SkewBrace,
     exponent_compare,
     is_biskew,
@@ -105,6 +106,17 @@ def _output_brace(brace: SkewBrace, out: Optional[str], pairs: Pairs, fmt: str) 
 # verdict commands
 
 
+def _witness_pairs(witness: CounterexampleTriple) -> Pairs:
+    """The failing triple of the law and its two sides."""
+    return [
+        ("witness_a", str(witness.a)),
+        ("witness_b", str(witness.b)),
+        ("witness_c", str(witness.c)),
+        ("left_side", str(witness.left)),
+        ("right_side", str(witness.right)),
+    ]
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     add_t, mult_t = read_brace_tables(args.brace)
     if args.swap:
@@ -130,18 +142,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             args.format,
         )
         return 0
-    _emit(
-        [
-            ("orientation", label),
-            ("valid", "false"),
-            ("witness_a", str(witness.a)),
-            ("witness_b", str(witness.b)),
-            ("witness_c", str(witness.c)),
-            ("left_side", str(witness.left)),
-            ("right_side", str(witness.right)),
-        ],
-        args.format,
-    )
+    _emit([("orientation", label), ("valid", "false")] + _witness_pairs(witness), args.format)
     return 1
 
 
@@ -170,17 +171,7 @@ def _cmd_reciprocity(args: argparse.Namespace) -> int:
     brace = read_brace(args.brace)
     witness = validate_direct(brace.mult, brace.add)
     if witness is not None:
-        _emit(
-            [
-                ("biskew", "false"),
-                ("witness_a", str(witness.a)),
-                ("witness_b", str(witness.b)),
-                ("witness_c", str(witness.c)),
-                ("left_side", str(witness.left)),
-                ("right_side", str(witness.right)),
-            ],
-            args.format,
-        )
+        _emit([("biskew", "false")] + _witness_pairs(witness), args.format)
         return 1
     report = reciprocity_check(brace, budget=args.budget)
     _emit(report.lines(), args.format)

@@ -1,26 +1,29 @@
 """Slow, independent reference computations used only by the tests.
 
-Each one answers a question the library answers too, by a route that
-shares none of the library's search code: trying every bijection,
-transporting every abstract group, scanning every tuple of generator
-images without pruning (only the choice of generators is shared, so the
-scan's first map is comparable with the library's), or evaluating a law
-on every triple of elements where the library checks generators only.
-It also holds the quaternion group, whose table no library constructor
-builds.
+Each one answers a question the library answers too, by a different
+route: trying every bijection, transporting every abstract group,
+scanning every tuple of generator images without pruning (only the
+choice of generators is shared, so the scan's first map is comparable
+with the library's), evaluating a law on every triple of elements where
+the library checks generators only, or comparing braces pairwise where
+the library compares orbits of circle tables.  It also lists one group
+of each isomorphism type up to order 15, among them the quaternion
+group, whose table no library constructor builds.
 """
 import itertools
 from typing import Optional, Sequence
 
 import numpy as np
 
-from bracelab.braces import validate_direct
+from bracelab.braces import SkewBrace, are_brace_isomorphic, validate_direct
 from bracelab.groups import (
     FiniteGroup,
     abelian_group,
     cyclic_group,
+    dihedral_group,
     generating_sequence,
     make_group,
+    semidirect_product,
     symmetric_group,
 )
 from bracelab.perms import PermutationGroup
@@ -56,13 +59,30 @@ def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:
 
 
 def _abstract_groups_of_order(n: int) -> list[FiniteGroup]:
-    if n == 4:
-        return [cyclic_group(4), abelian_group([2, 2])]
+    """One group of each isomorphism type of order n, for 1 <= n <= 15.
+
+    The abelian groups by invariant factors come first, then the
+    nonabelian ones: dihedral groups, Q8, A4 = C2^2 x| C3 and
+    Dic3 = C3 x| C4.
+    """
+    if not 1 <= n <= 15:
+        raise ValueError(f"the abstract catalog covers orders 1 to 15, got {n}")
+    factors = {4: [[4], [2, 2]], 8: [[8], [2, 4], [2, 2, 2]], 9: [[9], [3, 3]], 12: [[12], [2, 6]]}
+    found = [abelian_group(f) for f in factors.get(n, [[n]])]
     if n == 6:
-        return [cyclic_group(6), symmetric_group(3)]
-    if 1 <= n <= 5:
-        return [cyclic_group(n)]
-    raise ValueError(f"the abstract catalog stops at order 6, got {n}")
+        found.append(symmetric_group(3))
+    elif n == 8:
+        found += [dihedral_group(4), quaternion_group()]
+    elif n == 12:
+        klein, c3 = abelian_group([2, 2]), cyclic_group(3)
+        found += [
+            dihedral_group(6),
+            semidirect_product(klein, c3, [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]),
+            semidirect_product(c3, cyclic_group(4), [[0, 1, 2], [0, 2, 1]] * 2),
+        ]
+    elif n in (10, 14):
+        found.append(dihedral_group(n // 2))
+    return found
 
 
 def oracle_tables(g: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
@@ -140,6 +160,23 @@ def product_scan_isomorphism(
         ):
             return tuple(int(v) for v in img)
     return None
+
+
+def pairwise_classes(braces: Sequence[SkewBrace]) -> list[list[SkewBrace]]:
+    """Braces grouped up to isomorphism by pairwise search, first come first.
+
+    Each brace joins the first class whose first member
+    ``are_brace_isomorphic`` maps onto it, or else opens a new class.
+    """
+    classes: list[list[SkewBrace]] = []
+    for b in braces:
+        for cls in classes:
+            if are_brace_isomorphic(cls[0], b) is not None:
+                cls.append(b)
+                break
+        else:
+            classes.append([b])
+    return classes
 
 
 def first_non_associative(table: np.ndarray) -> Optional[tuple[int, int, int]]:

@@ -63,6 +63,14 @@ def test_trivial_brace_properties():
     assert brace_automorphism_group(b).order == 6
 
 
+def test_brace_automorphism_group_is_cached_on_the_brace():
+    b = mod4_ring_brace()
+    auts = brace_automorphism_group(b)
+    assert brace_automorphism_group(b) is auts
+    # both orientations have the same automorphisms
+    assert brace_automorphism_group(b.swapped()) is auts
+
+
 def test_opposite_brace_is_biskew_and_two_sided():
     b = opposite_brace(symmetric_group(3))
     assert is_biskew(b)

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from bracelab import groups
+from bracelab.braces import brace_from_groups
 from bracelab.census import (
     circle_table_from_regular,
     classify_braces,
@@ -8,8 +10,20 @@ from bracelab.census import (
     regular_subgroups_of_holomorph,
 )
 from bracelab.errors import CapExceeded, SearchLimitExceeded
-from bracelab.groups import abelian_group, cyclic_group, recognize, symmetric_group
-from oracles import oracle_tables
+from bracelab.groups import (
+    abelian_group,
+    cyclic_group,
+    dihedral_group,
+    recognize,
+    symmetric_group,
+)
+from oracles import (
+    _abstract_groups_of_order,
+    oracle_tables,
+    pairwise_classes,
+    quaternion_group,
+    relabel,
+)
 
 SMALL = [
     ("C1", lambda: cyclic_group(1)),
@@ -92,6 +106,52 @@ def test_classify_mixed_additive_groups():
     census = classify_braces(mixed)
     assert census.raw_count == 10
     assert len(census.entries) == 6
+
+
+def test_census_matches_the_published_counts_up_to_order_15():
+    # s(n) skew braces and b(n) braces (abelian additive group) of order n,
+    # from Guarnieri and Vendramin, Math. Comp. 86 (2017); 1/1 elsewhere
+    published = {
+        4: (4, 4), 6: (6, 2), 8: (47, 27), 9: (4, 4),
+        10: (6, 2), 12: (38, 10), 14: (6, 2), 15: (1, 1),
+    }
+    for n in range(1, 16):
+        s = b = 0
+        for g in _abstract_groups_of_order(n):
+            classes = len(classify_braces(enumerate_braces(g)).entries)
+            s += classes
+            b += classes if g.is_abelian() else 0
+        assert (s, b) == published.get(n, (1, 1)), n
+
+
+def test_classify_matches_the_pairwise_oracle():
+    rng = np.random.default_rng(11)
+    # pairs of non-isomorphic additive groups of one order, each group
+    # under two labellings, plus one table repeated in a new brace
+    for pair in ((dihedral_group(4), quaternion_group()), (cyclic_group(6), symmetric_group(3))):
+        braces = []
+        for g in pair:
+            found = enumerate_braces(g)
+            picks = rng.choice(len(found), min(len(found), 12), replace=False).tolist()
+            for _ in range(2):
+                sigma = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+                add = relabel(g, sigma)
+                braces += [brace_from_groups(add, relabel(found[i].mult, sigma)) for i in picks]
+        again = braces[int(rng.integers(len(braces)))]
+        braces.append(brace_from_groups(again.add, again.mult))
+        braces = [braces[i] for i in rng.permutation(len(braces)).tolist()]
+        assert len({b.add for b in braces}) == 4
+
+        census = classify_braces(braces)
+        classes = pairwise_classes(braces)
+        assert census.raw_count == len(braces)
+        assert [
+            (e.brace.add.table.tobytes(), e.brace.mult.table.tobytes(), e.size, e.circle_name)
+            for e in census.entries
+        ] == [
+            (c[0].add.table.tobytes(), c[0].mult.table.tobytes(), len(c), recognize(c[0].mult))
+            for c in classes
+        ]
 
 
 def test_realizability_is_symmetric_up_to_order_6():

@@ -84,7 +84,16 @@ def test_validate_swapped_failure_exits_1(tmp_path, capsys):
     assert got["valid"] == "false"
     assert {"witness_a", "witness_b", "witness_c"} <= got.keys()
 
-    assert main(["reciprocity", "--brace", str(brc)]) == 1
+    assert main(["reciprocity", "--brace", str(brc), "--format", "kv"]) == 1
+    reciprocity = kv(capsys)
+    assert reciprocity.pop("biskew") == "false"
+    del got["orientation"], got["valid"]
+    assert reciprocity == got
+    assert got == {
+        "witness_a": "1", "witness_b": "1", "witness_c": "1",
+        "left_side": "6", "right_side": "24",
+    }
+    assert list(got) == ["witness_a", "witness_b", "witness_c", "left_side", "right_side"]
 
 
 def test_count_trivial_brace(tmp_path, capsys):
