@@ -99,7 +99,8 @@ class SkewBrace:
                 f"operations have different orders {add.order} and {mult.order}"
             )
         self.add = add
-        self.mult = mult
+        # equal tables share one group, and with it its cached automorphisms
+        self.mult = add if mult == add else mult
         self.order = add.order
         self._verdicts: dict[bool, Optional[CounterexampleTriple]] = {}
         self._auts: Optional[PermutationGroup] = None
@@ -347,23 +348,13 @@ def is_two_sided(brace: SkewBrace) -> bool:
 def brace_automorphism_group(brace: SkewBrace) -> PermutationGroup:
     """Bijections fixing 0 that respect both operations at once.
 
-    Computed once per brace by filtering the automorphism group of whichever
-    operation has the fewer automorphisms.
+    That is Aut(add) ∩ Aut(mult): the members of the smaller automorphism
+    group found in the larger.  Computed once per brace.
     """
-    if brace._auts is not None:
-        return brace._auts
-    aut_add = automorphism_group(brace.add)
-    aut_mult = automorphism_group(brace.mult)
-    small, other = (
-        (aut_add, brace.mult) if aut_add.order <= aut_mult.order else (aut_mult, brace.add)
-    )
-    t = other.table
-    keep = []
-    for alpha in small:
-        img = np.asarray(alpha, dtype=np.int32)
-        if np.array_equal(img[t], t[np.ix_(img, img)]):
-            keep.append(alpha)
-    brace._auts = PermutationGroup(brace.order, keep)
+    if brace._auts is None:
+        auts = (automorphism_group(brace.add), automorphism_group(brace.mult))
+        small, large = sorted(auts, key=len)
+        brace._auts = PermutationGroup(brace.order, [alpha for alpha in small if alpha in large])
     return brace._auts
 
 

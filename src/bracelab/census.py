@@ -68,61 +68,61 @@ def regular_subgroups_of_holomorph(
     """
     n = g.order
     hol = holomorph(g, budget)
-    ident = identity_perm(n)
-    usable = frozenset(p for p in hol if p == ident or is_fixed_point_free(p))
+    usable = {p for p in hol if is_fixed_point_free(p)}
     by_start: dict[int, list[Perm]] = {x: [] for x in range(1, n)}
-    for p in usable:
-        if p != ident:
+    for p in hol:  # in sorted order, so each list is sorted
+        if p in usable:
             by_start[p[0]].append(p)
-    for lst in by_start.values():
-        lst.sort()
 
     limit = search_budget(budget)
     nodes = 0
-    found: list[frozenset[Perm]] = []
+    found: list[PermutationGroup] = []
 
-    def closure(base: frozenset[Perm], extra: Perm) -> Optional[frozenset[Perm]]:
-        """Grow to a closed set, or None when it leaves the usable pool."""
-        elems = set(base)
-        frontier = [extra]
-        elems.add(extra)
+    def closure(base: dict[int, Perm], gens: list[Perm]) -> Optional[dict[int, Perm]]:
+        """The group ``gens`` generate, keyed by image of 0, grown from ``base``.
+
+        ``base`` is the group gens[:-1] generate, so its elements need only
+        the newest generator.  None at the first element with a fixed point
+        or an image of 0 already taken: the group is then not semiregular.
+        """
+        elems = dict(base)
+        frontier, step = list(base.values()), gens[-1:]
         while frontier:
             nxt = []
             for p in frontier:
-                for q in list(elems):
-                    for r in (compose(p, q), compose(q, p)):
-                        if r not in elems:
-                            if r not in usable or len(elems) >= n:
-                                return None
-                            elems.add(r)
-                            nxt.append(r)
-            frontier = nxt
-        return frozenset(elems)
+                for s in step:
+                    r = compose(p, s)
+                    old = elems.get(r[0])
+                    if old is None:
+                        if r not in usable:
+                            return None
+                        elems[r[0]] = r
+                        nxt.append(r)
+                    elif old != r:
+                        return None
+            frontier, step = nxt, gens
+        return elems
 
-    def grow(current: frozenset[Perm]) -> None:
+    def grow(elems: dict[int, Perm], gens: list[Perm]) -> None:
         nonlocal nodes
-        covered = {p[0] for p in current}
-        target = min(x for x in range(n) if x not in covered)
+        if len(elems) == n:
+            found.append(PermutationGroup(n, elems.values()))
+            if len(found) > cap:
+                raise CapExceeded(cap, "regular subgroup enumeration")
+            return
+        # branch on the smallest point not yet hit from 0
+        target = next(x for x in range(n) if x not in elems)
         for q in by_start[target]:
             nodes += 1
             if nodes > limit:
                 raise SearchLimitExceeded(limit, "regular subgroup search")
-            grown = closure(current, q)
-            if grown is None or n % len(grown):
-                continue
-            if len(grown) == n:
-                found.append(grown)
-                if len(found) > cap:
-                    raise CapExceeded(cap, "regular subgroup enumeration")
-            elif len({p[0] for p in grown}) == len(grown):
-                grow(grown)
+            grown = closure(elems, gens + [q])
+            if grown is not None:
+                grow(grown, gens + [q])
 
-    if n == 1:
-        return [PermutationGroup(1, [(0,)])]
-    grow(frozenset([ident]))
-    groups = [PermutationGroup(n, fs) for fs in found]
-    groups.sort(key=lambda pg: pg.elements)
-    return groups
+    grow({0: identity_perm(n)}, [])
+    found.sort(key=lambda pg: pg.elements)
+    return found
 
 
 def circle_table_from_regular(n_sub: PermutationGroup) -> np.ndarray:
@@ -160,26 +160,31 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
     automorphism transports one circle table to the other, so each class
     is an Aut(A)-orbit of circle tables.  A brace on another labelling of
     an additive group already seen is first moved into that group's
-    labelling by a group isomorphism.
+    labelling by a group isomorphism, found once per additive table.
     """
     if not braces:
         raise ValueError("cannot classify an empty brace list")
     adds: list[FiniteGroup] = []  # one labelling per additive isomorphism type
     orbits: list[dict[bytes, int]] = []  # per entry of adds: circle table -> class
     classes: list[list[SkewBrace]] = []
+    # additive table digest -> (entry of adds, relabelling into it or None)
+    placed: dict[bytes, tuple[int, Optional[np.ndarray]]] = {}
     for b in braces:
-        table = b.mult.table
-        for k, add in enumerate(adds):
-            if add == b.add:
-                break
-            iso = are_isomorphic(b.add, add)
-            if iso is not None:
-                table = _relabel(table, np.asarray(iso.images, dtype=np.int32))
-                break
-        else:
-            k = len(adds)
-            adds.append(b.add)
-            orbits.append({})
+        if b.add.digest not in placed:
+            for k, add in enumerate(adds):
+                if add == b.add:
+                    placed[b.add.digest] = (k, None)
+                    break
+                iso = are_isomorphic(b.add, add)
+                if iso is not None:
+                    placed[b.add.digest] = (k, np.asarray(iso.images, dtype=np.int32))
+                    break
+            else:
+                placed[b.add.digest] = (len(adds), None)
+                adds.append(b.add)
+                orbits.append({})
+        k, sigma = placed[b.add.digest]
+        table = b.mult.table if sigma is None else _relabel(b.mult.table, sigma)
         cls = orbits[k].get(table.tobytes())
         if cls is None:
             cls = len(classes)

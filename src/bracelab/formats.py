@@ -70,7 +70,10 @@ def _parse_rows(lines: list[str], start: int, n: int) -> np.ndarray:
             raise FileFormatError(
                 line_no, f"expected {n} entries in table row, got {len(tokens)}"
             )
-        rows.append([_parse_int(t, line_no, "table entry") for t in tokens])
+        try:
+            rows.append([int(t) for t in tokens])
+        except ValueError:  # name the first bad token
+            rows.append([_parse_int(t, line_no, "table entry") for t in tokens])
     return np.asarray(rows, dtype=np.int64)
 
 
@@ -85,9 +88,12 @@ def read_group(path: PathLike) -> FiniteGroup:
     return make_group(_parse_rows(lines, 2, n))
 
 
+def _rows_text(table: np.ndarray) -> str:
+    return "\n".join(" ".join(map(str, row)) for row in table.tolist())
+
+
 def group_text(g: FiniteGroup) -> str:
-    rows = [" ".join(str(int(v)) for v in row) for row in g.table]
-    return f"group {g.order}\n" + "\n".join(rows) + "\n"
+    return f"group {g.order}\n{_rows_text(g.table)}\n"
 
 
 def write_group(path: PathLike, g: FiniteGroup) -> None:
@@ -121,10 +127,7 @@ def read_brace(path: PathLike) -> SkewBrace:
 
 
 def brace_text(brace: SkewBrace) -> str:
-    def block(table: np.ndarray) -> str:
-        return "\n".join(" ".join(str(int(v)) for v in row) for row in table)
-
-    return f"brace {brace.order}\n{block(brace.add.table)}\n\n{block(brace.mult.table)}\n"
+    return f"brace {brace.order}\n{_rows_text(brace.add.table)}\n\n{_rows_text(brace.mult.table)}\n"
 
 
 def write_brace(path: PathLike, brace: SkewBrace) -> None:

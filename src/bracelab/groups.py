@@ -96,6 +96,7 @@ class FiniteGroup:
         self._orders: Optional[np.ndarray] = None
         self._abelian: Optional[bool] = None
         self._derived: Optional[int] = None
+        self._auts: Optional[PermutationGroup] = None
 
     # -- basic operations ---------------------------------------------------
 
@@ -610,19 +611,14 @@ def _hom_search(
             yield tuple(img)
 
 
-_aut_cache: dict[bytes, PermutationGroup] = {}
-
-
 def automorphism_group(g: FiniteGroup, budget: Optional[int] = None) -> PermutationGroup:
-    """All automorphisms, by the generator-image search; cached per table.
+    """All automorphisms, by the generator-image search; cached on the group.
 
     Raises SearchLimitExceeded when the search passes its node budget.
     """
-    cached = _aut_cache.get(g.digest)
-    if cached is None:
-        cached = PermutationGroup(g.order, _hom_search([g], [g], budget, "automorphism search"))
-        _aut_cache[g.digest] = cached
-    return cached
+    if g._auts is None:
+        g._auts = PermutationGroup(g.order, _hom_search([g], [g], budget, "automorphism search"))
+    return g._auts
 
 
 def are_isomorphic(

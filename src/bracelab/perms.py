@@ -141,7 +141,7 @@ class PermutationGroup:
     :meth:`verify_closure` in tests or for small groups.
     """
 
-    __slots__ = ("degree", "elements", "_index")
+    __slots__ = ("degree", "elements", "_index", "__weakref__")
 
     def __init__(self, degree: int, elements: Iterable[Sequence[int]]) -> None:
         elems = sorted({tuple(p) for p in elements})

@@ -2,6 +2,8 @@
 
 Each one answers a question the library answers too, by a different
 route: trying every bijection, transporting every abstract group,
+testing each automorphism of one brace operation against the other's
+table where the library intersects two automorphism groups,
 scanning every tuple of generator images without pruning (only the
 choice of generators is shared, so the scan's first map is comparable
 with the library's), evaluating a law on every triple of elements where
@@ -19,6 +21,7 @@ from bracelab.braces import SkewBrace, are_brace_isomorphic, validate_direct
 from bracelab.groups import (
     FiniteGroup,
     abelian_group,
+    automorphism_group,
     cyclic_group,
     dihedral_group,
     generating_sequence,
@@ -43,6 +46,26 @@ _QUAT = [
 
 def quaternion_group() -> FiniteGroup:
     return make_group(_QUAT)
+
+
+def filtered_brace_automorphisms(brace: SkewBrace) -> PermutationGroup:
+    """Brace automorphisms by testing each automorphism of one operation.
+
+    The automorphisms of whichever operation has fewer of them are kept
+    when they also carry the other operation's table to itself.
+    """
+    aut_add = automorphism_group(brace.add)
+    aut_mult = automorphism_group(brace.mult)
+    small, other = (
+        (aut_add, brace.mult) if aut_add.order <= aut_mult.order else (aut_mult, brace.add)
+    )
+    t = other.table
+    keep = []
+    for alpha in small:
+        img = np.asarray(alpha, dtype=np.int32)
+        if np.array_equal(img[t], t[np.ix_(img, img)]):
+            keep.append(alpha)
+    return PermutationGroup(brace.order, keep)
 
 
 def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:

@@ -31,7 +31,14 @@ from bracelab.groups import (
     recognize,
     symmetric_group,
 )
-from oracles import law_failures, product_scan_isomorphism, quaternion_group, relabel
+from oracles import (
+    _abstract_groups_of_order,
+    filtered_brace_automorphisms,
+    law_failures,
+    product_scan_isomorphism,
+    quaternion_group,
+    relabel,
+)
 
 
 def mod4_ring_brace():
@@ -69,6 +76,24 @@ def test_brace_automorphism_group_is_cached_on_the_brace():
     assert brace_automorphism_group(b) is auts
     # both orientations have the same automorphisms
     assert brace_automorphism_group(b.swapped()) is auts
+
+
+def test_brace_automorphisms_match_the_table_filter():
+    braces = [
+        b for n in range(4, 13) for g in _abstract_groups_of_order(n) for b in enumerate_braces(g)
+    ]
+    rng = np.random.default_rng(5)
+    for name, p, params in (
+        ("truncated_poly", 2, {"m": 3}),
+        ("truncated_poly", 3, {"m": 2}),
+        ("cyclic", 3, {"r": 1}),
+        ("degraaf_A340", 3, {}),
+    ):
+        b = to_brace(catalog(name, p, **params))
+        sigma = np.concatenate([[0], 1 + rng.permutation(b.order - 1)])
+        braces.append(brace_from_groups(relabel(b.add, sigma), relabel(b.mult, sigma)))
+    for b in braces:
+        assert brace_automorphism_group(b) == filtered_brace_automorphisms(b)
 
 
 def test_opposite_brace_is_biskew_and_two_sided():

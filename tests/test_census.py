@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bracelab import groups
+from bracelab import census
 from bracelab.braces import brace_from_groups
 from bracelab.census import (
     circle_table_from_regular,
@@ -12,6 +12,7 @@ from bracelab.census import (
 from bracelab.errors import CapExceeded, SearchLimitExceeded
 from bracelab.groups import (
     abelian_group,
+    are_isomorphic,
     cyclic_group,
     dihedral_group,
     recognize,
@@ -154,6 +155,29 @@ def test_classify_matches_the_pairwise_oracle():
         ]
 
 
+def test_classify_finds_each_foreign_isomorphism_once(monkeypatch):
+    g = abelian_group([2, 4])
+    found = enumerate_braces(g)
+    sigma = [0, 3, 5, 1, 7, 2, 6, 4]
+    # every brace after the first on one foreign labelling, each built anew
+    braces = found[:1] + [
+        brace_from_groups(relabel(g, sigma), relabel(b.mult, sigma)) for b in found
+    ]
+    assert braces[1].add != g
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return are_isomorphic(*args, **kwargs)
+
+    monkeypatch.setattr(census, "are_isomorphic", counted)
+    result = classify_braces(braces)
+    assert len(calls) == 1
+    assert [e.size for e in result.entries] == [
+        e.size + (e.brace is found[0]) for e in classify_braces(found).entries
+    ]
+
+
 def test_realizability_is_symmetric_up_to_order_6():
     for order in (4, 6):
         groups = {
@@ -175,6 +199,8 @@ def test_realizability_is_symmetric_up_to_order_6():
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         regular_subgroups_of_holomorph(abelian_group([2, 2]), cap=2)
+    with pytest.raises(CapExceeded):
+        regular_subgroups_of_holomorph(cyclic_group(1), cap=0)
 
 
 def test_budget_exceeded():
@@ -182,9 +208,16 @@ def test_budget_exceeded():
         regular_subgroups_of_holomorph(symmetric_group(3), budget=3)
 
 
-def test_budget_reaches_the_automorphism_search(monkeypatch):
-    # an empty cache forces the holomorph to search for Aut(C5 x C5)
-    monkeypatch.setattr(groups, "_aut_cache", {})
+def test_search_node_count_on_c4_x_c4():
+    # one node is one candidate generator tried; 6828 nodes find all 880
+    with pytest.raises(SearchLimitExceeded) as exc:
+        regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=6827)
+    assert "regular subgroup search" in str(exc.value)
+    assert len(regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=6828)) == 880
+
+
+def test_budget_reaches_the_automorphism_search():
+    # a fresh group has no automorphisms cached, so the holomorph searches
     with pytest.raises(SearchLimitExceeded) as exc:
         enumerate_braces(abelian_group([5, 5]), cap=10**6, budget=500)
     assert "automorphism search" in str(exc.value)

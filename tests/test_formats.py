@@ -45,6 +45,7 @@ def test_group_non_integer(tmp_path):
     with pytest.raises(FileFormatError) as exc:
         read_group(path)
     assert exc.value.line == 2
+    assert "table entry must be an integer, got 'x'" in str(exc.value)
 
 
 def test_brace_roundtrip(tmp_path):

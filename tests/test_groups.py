@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -260,6 +261,15 @@ def test_aut_elementary_abelian_3_cubed_matches_matrix_count():
     for d, p, gl in ((4, 2, 20160), (2, 5, 480)):
         assert math.prod(p**d - p**i for i in range(d)) == gl
         assert automorphism_group(abelian_group([p] * d)).order == gl
+
+
+def test_automorphism_group_is_cached_on_the_group():
+    g = abelian_group([2, 4])
+    auts = weakref.ref(automorphism_group(g))
+    assert automorphism_group(g) is auts()
+    # no module-level cache keeps it alive once the group is gone
+    del g
+    assert auts() is None
 
 
 def test_aut_search_agrees_with_brute_force_up_to_order_8():
