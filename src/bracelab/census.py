@@ -21,12 +21,11 @@ from .groups import (
     _relabel,
     are_isomorphic,
     automorphism_group,
-    holomorph,
     make_group,
     recognize,
     search_budget,
 )
-from .perms import Perm, PermutationGroup, compose, identity_perm, is_fixed_point_free
+from .perms import Perm, PermutationGroup, compose, identity_perm
 
 __all__ = [
     "CensusEntry",
@@ -63,64 +62,92 @@ def regular_subgroups_of_holomorph(
 ) -> list[PermutationGroup]:
     """All regular subgroups of the holomorph, sorted deterministically.
 
+    A holomorph element x -> a * alpha_k(x) is coded as the pair (a, k):
+    a is its image of 0 and k indexes ``automorphism_group(g).elements``.
+    Then (a, k)(b, l) = (a * alpha_k(b), kl), two table lookups and one
+    product in Aut(g).  Candidates with image a are tried in the order of
+    their permutation tuples, so the search visits the holomorph as if it
+    were listed sorted; it is never built as tuples.
+
     Raises CapExceeded when more than ``cap`` subgroups exist and
     SearchLimitExceeded when the search outgrows its node budget.
     """
     n = g.order
-    hol = holomorph(g, budget)
-    usable = {p for p in hol if is_fixed_point_free(p)}
-    by_start: dict[int, list[Perm]] = {x: [] for x in range(1, n)}
-    for p in hol:  # in sorted order, so each list is sorted
-        if p in usable:
-            by_start[p[0]].append(p)
+    aut = automorphism_group(g, budget)
+    auts = aut.elements
+    m = len(auts)
+    rows = g.table.tolist()
+    alphas = np.array(auts, dtype=np.int32)
+    fpf: list[list[bool]] = []  # fpf[a][k]: (a, k) moves every point
+    by_start: dict[int, list[int]] = {}  # a -> usable k, in tuple order
+    for a in range(n):
+        moved = g.table[a][alphas]  # row k is the permutation (a, k)
+        free = (moved != np.arange(n)).all(axis=1)
+        fpf.append(free.tolist())
+        if a:
+            order = np.lexsort(moved.T[::-1])
+            by_start[a] = order[free[order]].tolist()
+    # k * m + l -> index of alpha_k alpha_l; a full table would be m^2
+    products: dict[int, int] = {}
+    perms: dict[int, Perm] = {}  # a * m + k -> permutation, shared by subgroups
 
     limit = search_budget(budget)
     nodes = 0
     found: list[PermutationGroup] = []
 
-    def closure(base: dict[int, Perm], gens: list[Perm]) -> Optional[dict[int, Perm]]:
-        """The group ``gens`` generate, keyed by image of 0, grown from ``base``.
+    def closure(base: dict[int, int], gens: list[tuple[int, int]]) -> Optional[dict[int, int]]:
+        """The group ``gens`` generate, as image of 0 -> k, grown from ``base``.
 
         ``base`` is the group gens[:-1] generate, so its elements need only
         the newest generator.  None at the first element with a fixed point
         or an image of 0 already taken: the group is then not semiregular.
         """
         elems = dict(base)
-        frontier, step = list(base.values()), gens[-1:]
+        frontier, step = list(base.items()), gens[-1:]
         while frontier:
             nxt = []
-            for p in frontier:
-                for s in step:
-                    r = compose(p, s)
-                    old = elems.get(r[0])
+            for a, k in frontier:
+                row, alpha = rows[a], auts[k]
+                for b, l in step:
+                    c = row[alpha[b]]
+                    kl = products.get(k * m + l)
+                    if kl is None:
+                        kl = products[k * m + l] = aut.index(compose(alpha, auts[l]))
+                    old = elems.get(c)
                     if old is None:
-                        if r not in usable:
+                        if not fpf[c][kl]:
                             return None
-                        elems[r[0]] = r
-                        nxt.append(r)
-                    elif old != r:
+                        elems[c] = kl
+                        nxt.append((c, kl))
+                    elif old != kl:
                         return None
             frontier, step = nxt, gens
         return elems
 
-    def grow(elems: dict[int, Perm], gens: list[Perm]) -> None:
+    def perm(a: int, k: int) -> Perm:
+        p = perms.get(a * m + k)
+        if p is None:
+            p = perms[a * m + k] = compose(rows[a], auts[k])
+        return p
+
+    def grow(elems: dict[int, int], gens: list[tuple[int, int]]) -> None:
         nonlocal nodes
         if len(elems) == n:
-            found.append(PermutationGroup(n, elems.values()))
+            found.append(PermutationGroup(n, (perm(a, k) for a, k in elems.items())))
             if len(found) > cap:
                 raise CapExceeded(cap, "regular subgroup enumeration")
             return
         # branch on the smallest point not yet hit from 0
         target = next(x for x in range(n) if x not in elems)
-        for q in by_start[target]:
+        for k in by_start[target]:
             nodes += 1
             if nodes > limit:
                 raise SearchLimitExceeded(limit, "regular subgroup search")
-            grown = closure(elems, gens + [q])
+            grown = closure(elems, gens + [(target, k)])
             if grown is not None:
-                grow(grown, gens + [q])
+                grow(grown, gens + [(target, k)])
 
-    grow({0: identity_perm(n)}, [])
+    grow({0: aut.index(identity_perm(n))}, [])
     found.sort(key=lambda pg: pg.elements)
     return found
 
@@ -188,8 +215,7 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
         cls = orbits[k].get(table.tobytes())
         if cls is None:
             cls = len(classes)
-            for alpha in automorphism_group(adds[k]):
-                moved = _relabel(table, np.asarray(alpha, dtype=np.int32))
+            for moved in _transports(table, automorphism_group(adds[k])):
                 orbits[k][moved.tobytes()] = cls
             classes.append([])
         classes[cls].append(b)
@@ -197,3 +223,15 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
         CensusEntry(cls[0], recognize(cls[0].mult), len(cls)) for cls in classes
     )
     return BraceCensus(adds[0], len(braces), entries)
+
+
+def _transports(table: np.ndarray, aut: PermutationGroup) -> np.ndarray:
+    """Row j is the table relabelled by automorphism j, flattened.
+
+    One gather for the whole group: row j equals
+    ``_relabel(table, alpha_j).ravel()`` and has the same bytes.
+    """
+    sigma = np.array(aut.elements, dtype=np.int32)
+    inv = np.argsort(sigma, axis=1)
+    moved = table[inv[:, :, None], inv[:, None, :]].reshape(len(sigma), -1)
+    return np.take_along_axis(sigma, moved, axis=1)

@@ -97,6 +97,7 @@ class FiniteGroup:
         self._abelian: Optional[bool] = None
         self._derived: Optional[int] = None
         self._auts: Optional[PermutationGroup] = None
+        self._gens: Optional[tuple[int, ...]] = None
 
     # -- basic operations ---------------------------------------------------
 
@@ -494,8 +495,11 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     Repeatedly append the element whose addition grows the generated
     subgroup the most, breaking ties toward the smallest index.  Greedy
     selection keeps backtracking searches shallow; it does not promise a
-    minimum-length sequence.
+    minimum-length sequence.  The sequence is cached on the group; each
+    call returns a fresh list.
     """
+    if g._gens is not None:
+        return list(g._gens)
     gens: list[int] = []
     size = 1
     while size < g.order:
@@ -508,6 +512,7 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
                     break
         gens.append(best_g)
         size = best_size
+    g._gens = tuple(gens)
     return gens
 
 
@@ -788,6 +793,21 @@ def _abelian_invariant_factors(g: FiniteGroup) -> list[int]:
     return factors
 
 
+# (elements of order 2, elements of order 4, distinct squares) -> name,
+# for the nine nonabelian groups of order 16
+_ORDER_16 = {
+    (9, 2, 4): "D8",
+    (1, 10, 4): "Q16",
+    (5, 6, 4): "SD16",
+    (3, 4, 4): "M16",
+    (11, 4, 2): "C2 x D4",
+    (3, 12, 2): "C2 x Q8",
+    (7, 8, 2): "C4 o D4",
+    (7, 8, 3): "C2^2 x| C4",
+    (3, 12, 3): "C4 x| C4",
+}
+
+
 def recognize(g: FiniteGroup) -> str:
     """A human-readable structure name, or "unrecognized".
 
@@ -795,7 +815,8 @@ def recognize(g: FiniteGroup) -> str:
     Beyond that only a handful of named families are attempted: S3, S4,
     dihedral groups, the two nonabelian groups of odd prime-cubed order,
     and every nonabelian group of order 8 (D4, Q8) or 12 (D6, A4, Dic3),
-    which their numbers of involutions tell apart.
+    which their numbers of involutions tell apart, or of order 16, which
+    their numbers of elements of orders 2 and 4 and of squares tell apart.
     """
     n = g.order
     if n == 1:
@@ -809,6 +830,10 @@ def recognize(g: FiniteGroup) -> str:
         return {1: "Q8", 5: "D4"}[involutions]
     if n == 12:
         return {1: "Dic3", 3: "A4", 7: "D6"}[involutions]
+    if n == 16:
+        fours = int(np.count_nonzero(g.element_orders() == 4))
+        squares = len(set(np.diagonal(g.table).tolist()))
+        return _ORDER_16[involutions, fours, squares]
     if n == 24 and are_isomorphic(g, symmetric_group(4)) is not None:
         return "S4"
     p = _prime_cube_root(n)

@@ -32,7 +32,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     """Function composition p∘q: the map x -> p(q(x))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def invert(p: Sequence[int]) -> Perm:

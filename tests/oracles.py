@@ -7,10 +7,13 @@ table where the library intersects two automorphism groups,
 scanning every tuple of generator images without pruning (only the
 choice of generators is shared, so the scan's first map is comparable
 with the library's), evaluating a law on every triple of elements where
-the library checks generators only, or comparing braces pairwise where
-the library compares orbits of circle tables.  It also lists one group
+the library checks generators only, comparing braces pairwise where
+the library compares orbits of circle tables, or closing candidate
+subgroups of the holomorph as permutation tuples where the library
+multiplies (translation, automorphism) codes.  It also lists one group
 of each isomorphism type up to order 15, among them the quaternion
-group, whose table no library constructor builds.
+group, whose table no library constructor builds, and the nine
+nonabelian groups of order 16.
 """
 import itertools
 from typing import Optional, Sequence
@@ -24,12 +27,14 @@ from bracelab.groups import (
     automorphism_group,
     cyclic_group,
     dihedral_group,
+    direct_product,
     generating_sequence,
+    holomorph,
     make_group,
     semidirect_product,
     symmetric_group,
 )
-from bracelab.perms import PermutationGroup
+from bracelab.perms import Perm, PermutationGroup, compose, identity_perm, is_fixed_point_free
 
 # the quaternion units 1,-1,i,-i,j,-j,k,-k as indices 0..7
 _QUAT = [
@@ -46,6 +51,45 @@ _QUAT = [
 
 def quaternion_group() -> FiniteGroup:
     return make_group(_QUAT)
+
+
+def _metacyclic(m: int, r: int, s: int) -> FiniteGroup:
+    """<x, y | x^m = 1, y^2 = x^s, y x y^-1 = x^r>; x^i y^j has index 2i + j."""
+    table = [
+        [
+            2 * ((i1 + pow(r, j1, m) * i2 + (s if j1 and j2 else 0)) % m) + (j1 ^ j2)
+            for i2 in range(m)
+            for j2 in range(2)
+        ]
+        for i1 in range(m)
+        for j1 in range(2)
+    ]
+    return make_group(table)
+
+
+def nonabelian_groups_of_order_16() -> dict[str, FiniteGroup]:
+    """The nine nonabelian groups of order 16, each built from its definition.
+
+    D8, Q16, SD16 and M16 extend C8 by y with y x y^-1 = x^-1, x^-1 (and
+    y^2 = x^4), x^3 and x^5.  C4 o D4 is (C4 x C2) x| C2 with the outer
+    generator fixing a and sending b to a^2 b, the Pauli group.  In
+    C2^2 x| C4 the generator of C4 swaps two involutions of C2^2; in
+    C4 x| C4 it inverts.
+    """
+    klein, c2, c4 = abelian_group([2, 2]), cyclic_group(2), cyclic_group(4)
+    # C4 x C2 indexes (a, b) as 2a + b
+    pauli = [list(range(8)), [2 * ((a + 2 * b) % 4) + b for a in range(4) for b in range(2)]]
+    return {
+        "D8": dihedral_group(8),
+        "Q16": _metacyclic(8, 7, 4),
+        "SD16": _metacyclic(8, 3, 0),
+        "M16": _metacyclic(8, 5, 0),
+        "C2 x D4": direct_product(c2, dihedral_group(4)),
+        "C2 x Q8": direct_product(c2, quaternion_group()),
+        "C4 o D4": semidirect_product(abelian_group([4, 2]), c2, pauli),
+        "C2^2 x| C4": semidirect_product(klein, c4, [[0, 1, 2, 3], [0, 2, 1, 3]] * 2),
+        "C4 x| C4": semidirect_product(c4, c4, [[0, 1, 2, 3], [0, 3, 2, 1]] * 2),
+    }
 
 
 def filtered_brace_automorphisms(brace: SkewBrace) -> PermutationGroup:
@@ -127,6 +171,61 @@ def oracle_tables(g: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
             if validate_direct(g, make_group(transported)) is None:
                 keep.add(tuple(tuple(int(v) for v in row) for row in transported))
     return sorted(keep)
+
+
+def tuple_closure_regular_subgroups(g: FiniteGroup) -> tuple[list[PermutationGroup], int]:
+    """Regular subgroups of the holomorph built as tuples, and the nodes used.
+
+    The same search as ``census.regular_subgroups_of_holomorph`` with every
+    holomorph element a permutation tuple: candidates are the sorted
+    fixed-point-free elements with the smallest point not yet hit from 0
+    as image of 0, and each is closed by composing tuples.  One node is one
+    candidate tried.
+    """
+    n = g.order
+    hol = holomorph(g)
+    usable = {p for p in hol if is_fixed_point_free(p)}
+    by_start: dict[int, list[Perm]] = {x: [] for x in range(1, n)}
+    for p in hol:  # in sorted order, so each list is sorted
+        if p in usable:
+            by_start[p[0]].append(p)
+    nodes = 0
+    found: list[PermutationGroup] = []
+
+    def closure(base: dict[int, Perm], gens: list[Perm]) -> Optional[dict[int, Perm]]:
+        elems = dict(base)
+        frontier, step = list(base.values()), gens[-1:]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for s in step:
+                    r = compose(p, s)
+                    old = elems.get(r[0])
+                    if old is None:
+                        if r not in usable:
+                            return None
+                        elems[r[0]] = r
+                        nxt.append(r)
+                    elif old != r:
+                        return None
+            frontier, step = nxt, gens
+        return elems
+
+    def grow(elems: dict[int, Perm], gens: list[Perm]) -> None:
+        nonlocal nodes
+        if len(elems) == n:
+            found.append(PermutationGroup(n, elems.values()))
+            return
+        target = next(x for x in range(n) if x not in elems)
+        for q in by_start[target]:
+            nodes += 1
+            grown = closure(elems, gens + [q])
+            if grown is not None:
+                grow(grown, gens + [q])
+
+    grow({0: identity_perm(n)}, [])
+    found.sort(key=lambda pg: pg.elements)
+    return found, nodes
 
 
 def relabel(g: FiniteGroup, sigma: Sequence[int]) -> FiniteGroup:

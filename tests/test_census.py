@@ -20,10 +20,12 @@ from bracelab.groups import (
 )
 from oracles import (
     _abstract_groups_of_order,
+    nonabelian_groups_of_order_16,
     oracle_tables,
     pairwise_classes,
     quaternion_group,
     relabel,
+    tuple_closure_regular_subgroups,
 )
 
 SMALL = [
@@ -214,6 +216,39 @@ def test_search_node_count_on_c4_x_c4():
         regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=6827)
     assert "regular subgroup search" in str(exc.value)
     assert len(regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=6828)) == 880
+
+
+def test_regular_subgroups_match_the_tuple_closure():
+    rng = np.random.default_rng(17)
+    bases = [g for n in range(1, 13) for g in _abstract_groups_of_order(n)]
+    for base in bases + [abelian_group([4, 4])]:
+        sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
+        for g in (base, relabel(base, sigma)):
+            # the oracle runs first, so Aut(g) is cached outside the budget
+            expected, nodes = tuple_closure_regular_subgroups(g)
+            assert regular_subgroups_of_holomorph(g, budget=nodes) == expected
+            if nodes:
+                with pytest.raises(SearchLimitExceeded, match="regular subgroup search"):
+                    regular_subgroups_of_holomorph(g, budget=nodes - 1)
+
+
+def test_recognize_names_every_nonabelian_group_of_order_16():
+    built = nonabelian_groups_of_order_16()
+    for name, g in built.items():
+        assert recognize(g) == name
+    names = list(built)
+    for i, first in enumerate(names):
+        for second in names[i + 1:]:
+            assert are_isomorphic(built[first], built[second]) is None, (first, second)
+    seen = set()
+    for factors in ([16], [2, 8], [4, 4]):
+        entries = classify_braces(enumerate_braces(abelian_group(factors))).entries
+        for e in entries:
+            assert e.circle_name != "unrecognized", factors
+            if not e.brace.mult.is_abelian():
+                assert are_isomorphic(e.brace.mult, built[e.circle_name]) is not None
+                seen.add(e.circle_name)
+    assert seen == set(built)
 
 
 def test_budget_reaches_the_automorphism_search():

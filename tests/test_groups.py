@@ -299,6 +299,18 @@ def test_generating_sequence_generates():
         assert len(subgroup_closure(g, gens)) == g.order
 
 
+def test_generating_sequence_is_cached_on_the_group(monkeypatch):
+    g = heisenberg_group(3)
+    first = generating_sequence(g)
+    first.append(5)
+
+    def fail(*args):
+        raise AssertionError("generating sequence searched again")
+
+    monkeypatch.setattr("bracelab.groups.subgroup_closure", fail)
+    assert generating_sequence(g) == first[:-1]
+
+
 def test_budget_exhaustion_raises():
     with pytest.raises(SearchLimitExceeded):
         automorphism_group(cyclic_group(59), budget=10)
