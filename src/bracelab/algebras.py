@@ -229,6 +229,12 @@ def make_algebra(
         raise BadPrime(p)
     if dim < 1:
         raise InvalidTableError(f"algebra dimension must be positive, got {dim}")
+    # p^dim >= 2^dim, so a larger dimension has too many elements at every
+    # prime; rejecting it here comes before the dim^4 associativity tensors
+    if dim > MAX_ORDER.bit_length() - 1:
+        raise InvalidTableError(
+            f"algebra dimension {dim} gives more than {MAX_ORDER} elements at every prime"
+        )
     consts = np.zeros((dim, dim, dim), dtype=np.int64)
     for (i, j), vec in products.items():
         if not (0 <= i < dim and 0 <= j < dim):
@@ -389,9 +395,9 @@ def circle_group(algebra: NilpotentAlgebra) -> FiniteGroup:
     return make_group(table @ powers)
 
 
-def to_brace(algebra: NilpotentAlgebra, check: str = "direct") -> SkewBrace:
+def to_brace(algebra: NilpotentAlgebra) -> SkewBrace:
     """The skew brace (addition, circle) of a nilpotent ring."""
-    return brace_from_groups(additive_group(algebra), circle_group(algebra), check=check)
+    return brace_from_groups(additive_group(algebra), circle_group(algebra))
 
 
 # ---------------------------------------------------------------------------

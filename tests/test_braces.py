@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bracelab.braces import (
+    SkewBrace,
     are_brace_isomorphic,
     brace_automorphism_group,
     brace_from_groups,
@@ -268,18 +269,10 @@ def test_law_kernel_matches_the_triple_scan():
             ]
         first = validate_direct(add, mult)
         assert _tuples([first] if first else []) == expected[:1]
-        brace = brace_from_groups(add, mult, check="none")
+        brace = SkewBrace(add, mult)
         assert is_biskew(brace) == (not law_failures(mult, add.table))
         assert is_two_sided(brace) == (not law_failures(add, mult.table.T))
     assert len(braces) <= holding < len(pairs)
-
-
-def test_brace_from_groups_holomorph_check():
-    b = mod4_ring_brace()
-    again = brace_from_groups(b.add, b.mult, check="holomorph")
-    assert validate_direct(again.add, again.mult) is None
-    with pytest.raises(BraceAxiomFailure):
-        brace_from_groups(cyclic_group(4), scrambled_c4(), check="holomorph")
 
 
 def test_trivial_brace_of_klein_aut_count():

@@ -4,7 +4,6 @@ import pytest
 from bracelab import census
 from bracelab.braces import brace_from_groups
 from bracelab.census import (
-    circle_table_from_regular,
     classify_braces,
     enumerate_braces,
     regular_subgroups_of_holomorph,
@@ -15,11 +14,15 @@ from bracelab.groups import (
     are_isomorphic,
     cyclic_group,
     dihedral_group,
+    make_group,
     recognize,
     symmetric_group,
 )
+from bracelab.perms import PermutationGroup
 from oracles import (
     _abstract_groups_of_order,
+    first_non_associative,
+    law_failures,
     nonabelian_groups_of_order_16,
     oracle_tables,
     pairwise_classes,
@@ -69,12 +72,26 @@ def test_search_finds_each_subgroup_once():
     assert len({frozenset(s.elements) for s in subs}) == len(subs) == 8
 
 
-def test_circle_table_rows_send_zero_home():
-    for sub in regular_subgroups_of_holomorph(abelian_group([2, 2])):
-        table = circle_table_from_regular(sub)
-        for x in range(4):
-            assert tuple(int(v) for v in table[x]) in sub
-            assert table[x][0] == x
+def test_braces_read_off_the_search_are_the_regular_subgroups():
+    # enumerate_braces trusts the search: pin that each circle table is the
+    # matching regular subgroup, a group with make_group's generating set,
+    # and a brace with g, each against an independent check
+    rng = np.random.default_rng(29)
+    bases = [g for n in range(4, 13) for g in _abstract_groups_of_order(n)]
+    bases += [cyclic_group(16), abelian_group([2, 8]), abelian_group([4, 4])]
+    for base in bases:
+        sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
+        for g in (base, relabel(base, sigma)):
+            braces = enumerate_braces(g)
+            subs = regular_subgroups_of_holomorph(g)
+            assert len(braces) == len(subs)
+            for b, sub in zip(braces, subs):
+                assert PermutationGroup(g.order, b.mult.table.tolist()) == sub
+                again = make_group(b.mult.table)
+                assert b.mult.generators == again.generators
+                assert np.array_equal(b.mult.inverses, again.inverses)
+                assert first_non_associative(b.mult.table) is None
+                assert not law_failures(g, b.mult.table)
 
 
 def test_oracle_agrees_with_holomorph_route_up_to_order_6():

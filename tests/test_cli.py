@@ -181,3 +181,17 @@ def test_usage_and_input_errors_exit_2(tmp_path, capsys):
     assert main(["construct", "catalog", "--name", "cyclic", "--p", "3",
                  "--r", "0"]) == 2
     assert main(["count", "--brace", str(tmp_path / "missing.brc")]) == 2
+
+
+def test_malformed_budget_variable_is_an_input_error(tmp_path, capsys, monkeypatch):
+    grp = tmp_path / "c4.grp"
+    write_group(grp, cyclic_group(4))
+    for bad in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("BRACELAB_BUDGET", bad)
+        assert main(["aut", "--group", str(grp)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "BRACELAB_BUDGET" in err and repr(bad) in err
+    monkeypatch.setenv("BRACELAB_BUDGET", "100")
+    assert main(["aut", "--group", str(grp), "--format", "kv"]) == 0
+    assert kv(capsys)["aut_order"] == "2"
