@@ -211,6 +211,19 @@ def cubes_vanish(algebra: NilpotentAlgebra) -> bool:
     return len(dims) <= 3 or dims[2] == 0
 
 
+def _check_dimension(dim: int) -> None:
+    """Reject a dimension with more than MAX_ORDER elements at every prime.
+
+    p^dim >= 2^dim, so this holds for any dim past log2(MAX_ORDER); callers
+    run it before building structure constants or the dim^4 associativity
+    tensors.
+    """
+    if dim > MAX_ORDER.bit_length() - 1:
+        raise InvalidTableError(
+            f"algebra dimension {dim} gives more than {MAX_ORDER} elements at every prime"
+        )
+
+
 def make_algebra(
     p: int,
     dim: int,
@@ -229,12 +242,7 @@ def make_algebra(
         raise BadPrime(p)
     if dim < 1:
         raise InvalidTableError(f"algebra dimension must be positive, got {dim}")
-    # p^dim >= 2^dim, so a larger dimension has too many elements at every
-    # prime; rejecting it here comes before the dim^4 associativity tensors
-    if dim > MAX_ORDER.bit_length() - 1:
-        raise InvalidTableError(
-            f"algebra dimension {dim} gives more than {MAX_ORDER} elements at every prime"
-        )
+    _check_dimension(dim)
     consts = np.zeros((dim, dim, dim), dtype=np.int64)
     for (i, j), vec in products.items():
         if not (0 <= i < dim and 0 <= j < dim):
@@ -439,6 +447,7 @@ def catalog(
             raise UnsupportedParameter("truncated_poly needs the degree parameter m")
         if m < 1:
             raise UnsupportedParameter(f"truncated_poly degree m = {m} is out of range")
+        _check_dimension(m)
         products = {}
         for i in range(m):
             for j in range(m):

@@ -21,8 +21,9 @@ from .errors import BraceAxiomFailure, IdentityMismatch, InvalidTableError
 from .groups import (
     FiniteGroup,
     PermRepresentation,
+    _HomSearch,
+    _aut_order,
     _find_identity,
-    _hom_search,
     _relabel,
     automorphism_group,
     make_group,
@@ -92,7 +93,8 @@ class SkewBrace:
 
     ``add`` holds the additive group, ``mult`` the multiplicative one.
     Validation verdicts for both orientations of the law are cached, and so
-    is the brace automorphism group, which both orientations share.
+    are the brace automorphism group and its order, which both orientations
+    share.
     """
 
     def __init__(self, add: FiniteGroup, mult: FiniteGroup) -> None:
@@ -106,6 +108,7 @@ class SkewBrace:
         self.order = add.order
         self._verdicts: dict[bool, Optional[CounterexampleTriple]] = {}
         self._auts: Optional[PermutationGroup] = None
+        self._aut_order: Optional[int] = None
 
     def _direct(self, swapped: bool) -> Optional[CounterexampleTriple]:
         if swapped not in self._verdicts:
@@ -121,6 +124,7 @@ class SkewBrace:
         for key, value in self._verdicts.items():
             other._verdicts[not key] = value
         other._auts = self._auts
+        other._aut_order = self._aut_order
         return other
 
     def __repr__(self) -> str:
@@ -347,6 +351,20 @@ def brace_automorphism_group(brace: SkewBrace) -> PermutationGroup:
     return brace._auts
 
 
+def _brace_aut_order(brace: SkewBrace, budget: Optional[int]) -> int:
+    """|Aut(add) ∩ Aut(mult)| by the orbit-stabiliser count of groups._aut_order.
+
+    Read off the listed group when brace_automorphism_group has run;
+    otherwise computed once per brace under the caller's budget.
+    """
+    if brace._auts is not None:
+        return len(brace._auts)
+    if brace._aut_order is None:
+        tables = [brace.add] if brace.mult is brace.add else [brace.add, brace.mult]
+        brace._aut_order = _aut_order(tables, budget, "brace automorphism order search")
+    return brace._aut_order
+
+
 def exponent_compare(brace: SkewBrace) -> ExponentReport:
     """Compare element orders under the two operations."""
     add_orders = brace.add.element_orders()
@@ -381,7 +399,5 @@ def are_brace_isomorphic(
     o1m, o2m = b1.mult.element_orders(), b2.mult.element_orders()
     if sorted(zip(o1a.tolist(), o1m.tolist())) != sorted(zip(o2a.tolist(), o2m.tolist())):
         return None
-    return next(
-        _hom_search([b1.add, b1.mult], [b2.add, b2.mult], budget, "brace isomorphism search"),
-        None,
-    )
+    search = _HomSearch([b1.add, b1.mult], [b2.add, b2.mult], budget, "brace isomorphism search")
+    return next(search.maps(), None)

@@ -61,7 +61,7 @@ from .formats import (
     read_group,
     write_brace,
 )
-from .groups import automorphism_group, recognize, subgroup_closure, symmetric_group
+from .groups import _aut_order, recognize, subgroup_closure, symmetric_group
 from .hgs import count_hgs, reciprocity_check
 from .perms import all_perms, parse_cycles
 
@@ -148,12 +148,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_aut(args: argparse.Namespace) -> int:
     g = read_group(args.group)
-    auts = automorphism_group(g, budget=args.budget)
+    aut_order = _aut_order([g], args.budget, "automorphism order search")
     _emit(
         [
             ("group", recognize(g)),
             ("order", str(g.order)),
-            ("aut_order", str(auts.order)),
+            ("aut_order", str(aut_order)),
         ],
         args.format,
     )

@@ -104,6 +104,7 @@ class FiniteGroup:
         self._abelian: Optional[bool] = None
         self._derived: Optional[int] = None
         self._auts: Optional[PermutationGroup] = None
+        self._aut_order: Optional[int] = None
         self._gens: Optional[tuple[int, ...]] = None
 
     # -- basic operations ---------------------------------------------------
@@ -519,104 +520,139 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def _hom_search(
-    src: Sequence[FiniteGroup],
-    dst: Sequence[FiniteGroup],
-    budget: Optional[int],
-    context: str,
-) -> Iterator[tuple[int, ...]]:
+class _HomSearch:
     """Bijections carrying every table src[k] to dst[k], lexicographically.
 
-    Images are assigned to ``generating_sequence(src[0])`` one generator at
-    a time, trying in ascending order the elements whose order matches the
-    generator's under every table.  Each partial assignment is extended
-    over the subgroup its generators span and abandoned at the first clash
-    with the dst[0] table or with injectivity; a clash rules out every
-    completion, so maps come out in lexicographic order of generator
-    images.  A full assignment is a bijective homomorphism for the first
-    pair of tables; further pairs are compared whole.  One node is one
-    candidate image tried, at any depth; past the budget the search raises
-    SearchLimitExceeded naming ``context``.
+    Images are assigned to ``gens = generating_sequence(src[0])`` one
+    generator at a time, trying in ascending order the elements whose order
+    matches the generator's under every table.  Each partial assignment is
+    closed under right multiplication by its generators in every pair of
+    tables and abandoned at the first clash with a dst table or with
+    injectivity; a clash rules out every completion, so maps come out in
+    lexicographic order of generator images.  A full assignment is a
+    bijective homomorphism for the first pair of tables; further pairs are
+    compared whole.  One node is one candidate image tried, at any depth and
+    by any call of :meth:`maps` on the same search; past the budget the
+    search raises SearchLimitExceeded naming ``context``.
     """
-    gens = generating_sequence(src[0])
-    n = src[0].order
-    s_rows = src[0].table.tolist()
-    d_rows = dst[0].table.tolist()
-    cands = [
-        np.flatnonzero(
-            np.logical_and.reduce(
-                [h.element_orders() == g.element_orders()[gen] for g, h in zip(src, dst)]
-            )
-        ).tolist()
-        for gen in gens
-    ]
-    limit = search_budget(budget)
-    img = [-1] * n
-    img[0] = 0
-    used = [False] * n
-    used[0] = True
-    domain = [0]  # elements with an image, in the order they got it
-    nodes = 0
 
-    def extend(depth: int, image: int) -> bool:
-        """Send gens[depth] to ``image`` and close the map over the new span.
+    def __init__(
+        self,
+        src: Sequence[FiniteGroup],
+        dst: Sequence[FiniteGroup],
+        budget: Optional[int],
+        context: str,
+    ) -> None:
+        self.src, self.dst = src, dst
+        self.gens = generating_sequence(src[0])
+        # cols[k][0][a][x] is x times a in src[k], cols[k][1] the same in dst[k]
+        self.cols: list[tuple[list[list[int]], list[list[int]]]] = []
+        for g, h in zip(src, dst):
+            s_cols = g.table.T.tolist()
+            self.cols.append((s_cols, s_cols if h is g else h.table.T.tolist()))
+        self.cands = [
+            np.flatnonzero(
+                np.logical_and.reduce(
+                    [h.element_orders() == g.element_orders()[gen] for g, h in zip(src, dst)]
+                )
+            ).tolist()
+            for gen in self.gens
+        ]
+        self.limit = search_budget(budget)
+        self.context = context
+        self.nodes = 0
 
-        Elements already mapped only need their product with the new
-        generator checked; newly mapped ones need every assigned generator.
-        """
-        assigned = [(gen, img[gen]) for gen in gens[:depth]] + [(gens[depth], image)]
-        newest = assigned[-1:]
-        old = len(domain)
-        pos = 0
-        while pos < len(domain):
-            x = domain[pos]
-            s_row, d_row = s_rows[x], d_rows[img[x]]
-            for gen, h in (newest if pos < old else assigned):
-                y, v = s_row[gen], d_row[h]
-                w = img[y]
-                if w < 0:
-                    if used[v]:
-                        return False
-                    img[y] = v
-                    used[v] = True
-                    domain.append(y)
-                elif w != v:
-                    return False
-            pos += 1
-        return True
+    def spend(self) -> None:
+        """Count one node; past the budget, raise SearchLimitExceeded."""
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise SearchLimitExceeded(self.limit, self.context)
 
-    if not gens:
-        yield tuple(img)
-        return
-    tried = [iter(cands[0])]  # candidate iterator of each assigned generator
-    starts: list[int] = []  # len(domain) before each current assignment
-    while tried:
-        depth = len(tried) - 1
-        if len(starts) > depth:  # retract the last image tried at this depth
-            old = starts.pop()
-            for y in domain[old:]:
-                used[img[y]] = False
-                img[y] = -1
-            del domain[old:]
-        image = next(tried[-1], None)
-        if image is None:
-            tried.pop()
-            continue
-        nodes += 1
-        if nodes > limit:
-            raise SearchLimitExceeded(limit, context)
-        starts.append(len(domain))
-        if not extend(depth, image):
-            continue
-        if depth + 1 < len(gens):
-            tried.append(iter(cands[depth + 1]))
-            continue
+    def _preserves_rest(self, img: list[int]) -> bool:
+        """Whether a full assignment carries every table past the first."""
         arr = np.asarray(img)
-        if all(
+        return all(
             np.array_equal(arr[g.table], h.table[np.ix_(arr, arr)])
-            for g, h in zip(src[1:], dst[1:])
-        ):
-            yield tuple(img)
+            for g, h in zip(self.src[1:], self.dst[1:])
+        )
+
+    def maps(self, fixed: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+        """The maps sending gens[i] to fixed[i] for each i < len(fixed).
+
+        The fixed images are not nodes; the search proper starts at the
+        first generator after them.
+        """
+        gens, cols, cands = self.gens, self.cols, self.cands
+        n = self.src[0].order
+        img = [-1] * n
+        img[0] = 0
+        used = [False] * n
+        used[0] = True
+        domain = [0]  # elements with an image, in the order they got it
+
+        def extend(depth: int, image: int) -> bool:
+            """Send gens[depth] to ``image`` and close the map over the new span.
+
+            Elements already mapped only need their products with the new
+            generator checked; newly mapped ones need every assigned
+            generator.
+            """
+            # right multiplication by the new generator and by every
+            # assigned one, in each table, as (source, image) column pairs
+            newest = [(s_cols[gens[depth]], d_cols[image]) for s_cols, d_cols in cols]
+            every = [
+                (s_cols[gen], d_cols[img[gen]]) for s_cols, d_cols in cols for gen in gens[:depth]
+            ] + newest
+            old = len(domain)
+            pos = 0
+            while pos < len(domain):
+                x = domain[pos]
+                ix = img[x]
+                for s_col, d_col in (newest if pos < old else every):
+                    y, v = s_col[x], d_col[ix]
+                    w = img[y]
+                    if w < 0:
+                        if used[v]:
+                            return False
+                        img[y] = v
+                        used[v] = True
+                        domain.append(y)
+                    elif w != v:
+                        return False
+                pos += 1
+            return True
+
+        for depth, image in enumerate(fixed):
+            if not extend(depth, image):
+                return
+        first = len(fixed)
+        single = len(cols) == 1
+        if first == len(gens):
+            if single or self._preserves_rest(img):
+                yield tuple(img)
+            return
+        tried = [iter(cands[first])]  # candidate iterator of each assigned generator
+        starts: list[int] = []  # len(domain) before each current assignment
+        while tried:
+            depth = first + len(tried) - 1
+            if len(starts) > depth - first:  # retract the last image tried at this depth
+                old = starts.pop()
+                for y in domain[old:]:
+                    used[img[y]] = False
+                    img[y] = -1
+                del domain[old:]
+            image = next(tried[-1], None)
+            if image is None:
+                tried.pop()
+                continue
+            self.spend()
+            starts.append(len(domain))
+            if not extend(depth, image):
+                continue
+            if depth + 1 < len(gens):
+                tried.append(iter(cands[depth + 1]))
+            elif single or self._preserves_rest(img):
+                yield tuple(img)
 
 
 def automorphism_group(g: FiniteGroup, budget: Optional[int] = None) -> PermutationGroup:
@@ -625,8 +661,43 @@ def automorphism_group(g: FiniteGroup, budget: Optional[int] = None) -> Permutat
     Raises SearchLimitExceeded when the search passes its node budget.
     """
     if g._auts is None:
-        g._auts = PermutationGroup(g.order, _hom_search([g], [g], budget, "automorphism search"))
+        search = _HomSearch([g], [g], budget, "automorphism search")
+        g._auts = PermutationGroup(g.order, search.maps())
     return g._auts
+
+
+def _aut_order(tables: Sequence[FiniteGroup], budget: Optional[int], context: str) -> int:
+    """Order of the group of bijections preserving every table, unlisted.
+
+    With g_1, ..., g_k the generating sequence of tables[0], the order is
+    the product over i of the number of images of g_i under the
+    automorphisms fixing g_1, ..., g_(i-1) (orbit-stabiliser down that
+    chain).  Each candidate image v other than g_i itself, which the
+    identity reaches, is one node and is settled by the first map of one
+    search started from the fixed images g_1, ..., g_(i-1), v; the nodes of
+    every such search count against one budget.  The order of a single
+    group is cached on it, and read off its listed automorphisms when it
+    has them.
+    """
+    g = tables[0]
+    single = len(tables) == 1
+    if single and g._auts is not None:
+        return len(g._auts)
+    if single and g._aut_order is not None:
+        return g._aut_order
+    search = _HomSearch(tables, tables, budget, context)
+    order = 1
+    for depth, gen in enumerate(search.gens):
+        fixed = search.gens[:depth]
+        orbit = 1
+        for v in search.cands[depth]:
+            if v != gen:
+                search.spend()
+                orbit += next(search.maps(fixed + [v]), None) is not None
+        order *= orbit
+    if single:
+        g._aut_order = order
+    return order
 
 
 def are_isomorphic(
@@ -648,7 +719,7 @@ def are_isomorphic(
         return None
     if g.derived_size() != h.derived_size():
         return None
-    images = next(_hom_search([g], [h], budget, "isomorphism search"), None)
+    images = next(_HomSearch([g], [h], budget, "isomorphism search").maps(), None)
     return None if images is None else GroupHom(g, h, images)
 
 

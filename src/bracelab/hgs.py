@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .braces import SkewBrace, brace_automorphism_group, is_biskew
+from .braces import SkewBrace, _brace_aut_order, is_biskew
 from .errors import NotBiskew
-from .groups import automorphism_group, recognize
+from .groups import _aut_order, recognize
 
 __all__ = ["HGSCountReport", "ReciprocityReport", "count_hgs", "reciprocity_check"]
 
@@ -75,12 +75,14 @@ class ReciprocityReport:
 def _aut_orders(brace: SkewBrace, budget: Optional[int]) -> tuple[int, int, int]:
     """|Aut| of the multiplicative group, the additive group and the brace.
 
-    Brace automorphisms form a subgroup of both group automorphism groups,
-    so their order must divide both; anything else means a broken search.
+    Each is an orbit-stabiliser count under the caller's budget, so no
+    automorphism is listed.  Brace automorphisms form a subgroup of both
+    group automorphism groups, so their order must divide both; anything
+    else means a broken search.
     """
-    aut_mult = automorphism_group(brace.mult, budget).order
-    aut_add = automorphism_group(brace.add, budget).order
-    aut_brace = brace_automorphism_group(brace).order
+    aut_mult = _aut_order([brace.mult], budget, "automorphism order search")
+    aut_add = _aut_order([brace.add], budget, "automorphism order search")
+    aut_brace = _brace_aut_order(brace, budget)
     if aut_mult % aut_brace or aut_add % aut_brace:
         raise AssertionError(
             f"brace automorphisms ({aut_brace}) do not divide Aut of the "

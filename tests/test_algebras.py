@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,18 @@ def test_make_algebra_rejects_a_dimension_past_the_table_cap_before_building():
         catalog("truncated_poly", 2, m=11)
     assert make_algebra(2, 10, {}).order == 1024
     assert catalog("truncated_poly", 2, m=10).order == 1024
+
+
+def test_catalog_rejects_a_large_truncated_poly_degree_before_building():
+    # building the m^2/2 structure constants first would take gigabytes here
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidTableError, match="dimension 10000"):
+            catalog("truncated_poly", 2, m=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_make_algebra_rejects_non_associative_constants():

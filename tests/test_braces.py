@@ -3,6 +3,7 @@ import pytest
 
 from bracelab.braces import (
     SkewBrace,
+    _brace_aut_order,
     are_brace_isomorphic,
     brace_automorphism_group,
     brace_from_groups,
@@ -94,7 +95,21 @@ def test_brace_automorphisms_match_the_table_filter():
         sigma = np.concatenate([[0], 1 + rng.permutation(b.order - 1)])
         braces.append(brace_from_groups(relabel(b.add, sigma), relabel(b.mult, sigma)))
     for b in braces:
+        # counted first: on a listed brace it reads the list's length
+        order = _brace_aut_order(b, None)
         assert brace_automorphism_group(b) == filtered_brace_automorphisms(b)
+        assert order == len(brace_automorphism_group(b))
+
+
+def test_brace_aut_order_is_shared_with_the_swapped_brace(monkeypatch):
+    b = mod4_ring_brace()
+    assert _brace_aut_order(b, None) == 2
+
+    def fail(*args):
+        raise AssertionError("brace automorphisms counted again")
+
+    monkeypatch.setattr("bracelab.braces._aut_order", fail)
+    assert _brace_aut_order(b, None) == _brace_aut_order(b.swapped(), None) == 2
 
 
 def test_opposite_brace_is_biskew_and_two_sided():

@@ -14,6 +14,7 @@ from bracelab.errors import (
     SearchLimitExceeded,
 )
 from bracelab.groups import (
+    _aut_order,
     abelian_group,
     are_isomorphic,
     automorphism_group,
@@ -37,7 +38,9 @@ from bracelab.perms import all_perms, parse_cycles
 from oracles import (
     brute_force_automorphisms,
     first_non_associative,
+    _abstract_groups_of_order,
     intercalate_swap,
+    nonabelian_groups_of_order_16,
     product_scan_isomorphism,
     quaternion_group,
     relabel,
@@ -291,6 +294,41 @@ def test_aut_search_agrees_with_brute_force_up_to_order_8():
     ]
     for g in groups:
         assert automorphism_group(g) == brute_force_automorphisms(g)
+
+
+def test_aut_order_matches_the_listed_group():
+    rng = np.random.default_rng(9)
+    bases = [g for n in range(1, 16) for g in _abstract_groups_of_order(n)]
+    bases += list(nonabelian_groups_of_order_16().values())
+    for g in bases:
+        sigma = [0] + list(1 + rng.permutation(g.order - 1))
+        for h in (make_group(g.table.copy()), relabel(g, sigma)):
+            # counted first: on a listed group it reads the list's length
+            order = _aut_order([h], None, "automorphism order search")
+            assert order == len(automorphism_group(h))
+
+
+def test_aut_order_is_cached_and_reads_a_listed_group(monkeypatch):
+    g, h = heisenberg_group(3), abelian_group([3, 3])
+    assert _aut_order([g], None, "count") == 432
+    auts = automorphism_group(h)
+
+    def fail(*args):
+        raise AssertionError("automorphisms searched again")
+
+    monkeypatch.setattr("bracelab.groups._HomSearch", fail)
+    assert _aut_order([g], None, "count") == 432
+    assert _aut_order([h], None, "count") == len(auts) == 48
+
+
+def test_aut_order_stops_at_its_budget():
+    # |Aut(C5^3)| = |GL(3, 5)| = 1,488,000 from 2554 nodes; one node fewer fails
+    p = 5
+    assert _aut_order([abelian_group([p] * 3)], 2554, "count") == math.prod(
+        p**3 - p**i for i in range(3)
+    )
+    with pytest.raises(SearchLimitExceeded, match="automorphism order search"):
+        _aut_order([abelian_group([p] * 3)], 2553, "automorphism order search")
 
 
 def test_generating_sequence_generates():

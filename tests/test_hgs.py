@@ -2,8 +2,8 @@ import pytest
 
 from bracelab.algebras import catalog, cyclic_ring, to_brace
 from bracelab.braces import make_brace, opposite_brace, trivial_brace
-from bracelab.errors import NotBiskew
-from bracelab.groups import symmetric_group
+from bracelab.errors import NotBiskew, SearchLimitExceeded
+from bracelab.groups import _aut_order, symmetric_group
 from bracelab.hgs import count_hgs, reciprocity_check
 
 
@@ -54,6 +54,33 @@ def test_reciprocity_degraaf_3():
     assert (r.count_forward, r.count_swapped) == (12, 312)
     assert r.count_forward * r.aut_add == r.count_swapped * r.aut_mult == 134784
     assert r.balanced
+
+
+def test_count_degraaf_5_within_a_small_budget():
+    # orbit-stabiliser counts need a few thousand nodes each here, where
+    # listing Aut(C5^3) = GL(3, 5) would need over a million maps
+    p = 5
+    b = to_brace(catalog("degraaf_A340", p))
+    r = count_hgs(b, budget=20_000)
+    assert (r.galois_name, r.type_name) == ("M(5)", "C5 x C5 x C5")
+    assert r.aut_add == (p**3 - 1) * (p**3 - p) * (p**3 - p**2) == 1_488_000
+    assert r.aut_mult == p**2 * (p**2 - 1) * (p**2 - p) == 12_000
+    assert (r.aut_brace, r.count) == (400, 30)
+    rec = reciprocity_check(b, budget=20_000)
+    assert (rec.count_forward, rec.count_swapped) == (30, 3720)
+    assert rec.balanced
+
+
+def test_brace_count_runs_under_the_caller_budget():
+    # the group counts need 318 (additive) and 135 (circle) nodes and the
+    # brace count 442, so a budget of 400 stops only the brace count
+    b = to_brace(catalog("degraaf_A340", 3))
+    assert _aut_order([b.add], 400, "additive") == 11232
+    assert _aut_order([b.mult], 400, "circle") == 432
+    with pytest.raises(SearchLimitExceeded, match="brace automorphism order search") as exc:
+        count_hgs(b, budget=400)
+    assert exc.value.budget == 400
+    assert count_hgs(b, budget=442).aut_brace == 36
 
 
 def test_count_cyclic_r2():
