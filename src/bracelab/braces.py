@@ -25,7 +25,6 @@ from .groups import (
     _aut_order,
     _find_identity,
     _relabel,
-    automorphism_group,
     make_group,
 )
 from .perms import Perm, PermutationGroup
@@ -338,21 +337,26 @@ def is_two_sided(brace: SkewBrace) -> bool:
     return next(_law_failures(brace.add, brace.mult.table.T), None) is None
 
 
+def _tables(brace: SkewBrace) -> list[FiniteGroup]:
+    """The tables a brace automorphism preserves, one if both are the same group."""
+    return [brace.add] if brace.mult is brace.add else [brace.add, brace.mult]
+
+
 def brace_automorphism_group(brace: SkewBrace) -> PermutationGroup:
     """Bijections fixing 0 that respect both operations at once.
 
-    That is Aut(add) ∩ Aut(mult): the members of the smaller automorphism
-    group found in the larger.  Computed once per brace.
+    Listed by one homomorphism search over both tables together, under the
+    default budget; computed once per brace.
     """
     if brace._auts is None:
-        auts = (automorphism_group(brace.add), automorphism_group(brace.mult))
-        small, large = sorted(auts, key=len)
-        brace._auts = PermutationGroup(brace.order, [alpha for alpha in small if alpha in large])
+        tables = _tables(brace)
+        search = _HomSearch(tables, tables, None, "brace automorphism search")
+        brace._auts = PermutationGroup(brace.order, search.maps())
     return brace._auts
 
 
 def _brace_aut_order(brace: SkewBrace, budget: Optional[int]) -> int:
-    """|Aut(add) ∩ Aut(mult)| by the orbit-stabiliser count of groups._aut_order.
+    """|Aut of the brace| by the orbit-stabiliser count of groups._aut_order.
 
     Read off the listed group when brace_automorphism_group has run;
     otherwise computed once per brace under the caller's budget.
@@ -360,8 +364,7 @@ def _brace_aut_order(brace: SkewBrace, budget: Optional[int]) -> int:
     if brace._auts is not None:
         return len(brace._auts)
     if brace._aut_order is None:
-        tables = [brace.add] if brace.mult is brace.add else [brace.add, brace.mult]
-        brace._aut_order = _aut_order(tables, budget, "brace automorphism order search")
+        brace._aut_order = _aut_order(_tables(brace), budget, "brace automorphism order search")
     return brace._aut_order
 
 

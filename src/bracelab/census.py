@@ -15,14 +15,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .braces import SkewBrace
-from .errors import CapExceeded, SearchLimitExceeded
+from .errors import CapExceeded
 from .groups import (
     FiniteGroup,
+    _Budget,
     _relabel,
     are_isomorphic,
     automorphism_group,
     recognize,
-    search_budget,
 )
 from .perms import PermutationGroup, compose, identity_perm
 
@@ -117,8 +117,7 @@ def _circle_tables(
     # k * m + l -> index of alpha_k alpha_l; a full table would be m^2
     products: dict[int, int] = {}
 
-    limit = search_budget(budget)
-    nodes = 0
+    spend = _Budget(budget, "regular subgroup search").spend
     found: list[tuple[np.ndarray, tuple[int, ...]]] = []
 
     def closure(base: dict[int, int], gens: list[tuple[int, int]]) -> Optional[dict[int, int]]:
@@ -151,7 +150,6 @@ def _circle_tables(
         return elems
 
     def grow(elems: dict[int, int], gens: list[tuple[int, int]]) -> None:
-        nonlocal nodes
         if len(elems) == n:
             table = g.table[idx[:, None], alphas[[elems[x] for x in range(n)]]]
             found.append((table, tuple(t for t, _ in gens)))
@@ -161,9 +159,7 @@ def _circle_tables(
         # branch on the smallest point not yet hit from 0
         target = next(x for x in range(n) if x not in elems)
         for k in by_start[target]:
-            nodes += 1
-            if nodes > limit:
-                raise SearchLimitExceeded(limit, "regular subgroup search")
+            spend()
             grown = closure(elems, gens + [(target, k)])
             if grown is not None:
                 grow(grown, gens + [(target, k)])

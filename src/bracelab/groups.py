@@ -56,28 +56,34 @@ __all__ = [
     "holomorph",
     "group_from_permutations",
     "recognize",
-    "search_budget",
 ]
 
 MAX_ORDER = 1024
 _DEFAULT_BUDGET = 2_000_000
 
 
-def search_budget(override: Optional[int] = None) -> int:
-    """Node budget for backtracking searches.
+class _Budget:
+    """The node budget of one search, and the nodes it has spent.
 
-    Priority: explicit argument, then the BRACELAB_BUDGET environment
-    variable, then a built-in default.  A variable that is set but not a
-    positive integer raises BraceLabError.
+    The limit is the caller's argument, else the BRACELAB_BUDGET
+    environment variable, else a built-in default; a value that is given
+    but is not a positive integer raises BraceLabError.  Spending past the
+    limit raises SearchLimitExceeded naming ``context``.
     """
-    if override is not None:
-        return int(override)
-    env = os.environ.get("BRACELAB_BUDGET")
-    if env:
-        if not env.strip().isdecimal() or int(env) < 1:
-            raise BraceLabError(f"BRACELAB_BUDGET must be a positive integer, got {env!r}")
-        return int(env)
-    return _DEFAULT_BUDGET
+
+    def __init__(self, override: Optional[int], context: str) -> None:
+        given, name = override, "the budget= argument or --budget"
+        if override is None:
+            given, name = os.environ.get("BRACELAB_BUDGET") or _DEFAULT_BUDGET, "BRACELAB_BUDGET"
+        if not str(given).strip().isdecimal() or int(given) < 1:
+            raise BraceLabError(f"{name} must be a positive integer, got {given!r}")
+        self.limit, self.context, self.nodes = int(given), context, 0
+
+    def spend(self) -> None:
+        """Count one node; past the limit, raise SearchLimitExceeded."""
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise SearchLimitExceeded(self.limit, self.context)
 
 
 class FiniteGroup:
@@ -532,8 +538,8 @@ class _HomSearch:
     lexicographic order of generator images.  A full assignment is a
     bijective homomorphism for the first pair of tables; further pairs are
     compared whole.  One node is one candidate image tried, at any depth and
-    by any call of :meth:`maps` on the same search; past the budget the
-    search raises SearchLimitExceeded naming ``context``.
+    by any call of :meth:`maps` on the same search, and is spent from the
+    search's one ``budget``.
     """
 
     def __init__(
@@ -558,15 +564,7 @@ class _HomSearch:
             ).tolist()
             for gen in self.gens
         ]
-        self.limit = search_budget(budget)
-        self.context = context
-        self.nodes = 0
-
-    def spend(self) -> None:
-        """Count one node; past the budget, raise SearchLimitExceeded."""
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise SearchLimitExceeded(self.limit, self.context)
+        self.budget = _Budget(budget, context)
 
     def _preserves_rest(self, img: list[int]) -> bool:
         """Whether a full assignment carries every table past the first."""
@@ -582,7 +580,7 @@ class _HomSearch:
         The fixed images are not nodes; the search proper starts at the
         first generator after them.
         """
-        gens, cols, cands = self.gens, self.cols, self.cands
+        gens, cols, cands, spend = self.gens, self.cols, self.cands, self.budget.spend
         n = self.src[0].order
         img = [-1] * n
         img[0] = 0
@@ -645,7 +643,7 @@ class _HomSearch:
             if image is None:
                 tried.pop()
                 continue
-            self.spend()
+            spend()
             starts.append(len(domain))
             if not extend(depth, image):
                 continue
@@ -692,7 +690,7 @@ def _aut_order(tables: Sequence[FiniteGroup], budget: Optional[int], context: st
         orbit = 1
         for v in search.cands[depth]:
             if v != gen:
-                search.spend()
+                search.budget.spend()
                 orbit += next(search.maps(fixed + [v]), None) is not None
         order *= orbit
     if single:
@@ -886,11 +884,14 @@ def recognize(g: FiniteGroup) -> str:
     """A human-readable structure name, or "unrecognized".
 
     Abelian groups always resolve (invariant factor form, e.g. "C2 x C6").
-    Beyond that only a handful of named families are attempted: S3, S4,
-    dihedral groups, the two nonabelian groups of odd prime-cubed order,
-    and every nonabelian group of order 8 (D4, Q8) or 12 (D6, A4, Dic3),
-    which their numbers of involutions tell apart, or of order 16, which
-    their numbers of elements of orders 2 and 4 and of squares tell apart.
+    Beyond that a handful of nonabelian families are named from element
+    counts, with no isomorphism search: S3; D4 and Q8, and D6, A4 and
+    Dic3, by their involutions; the nine of order 16 by their elements of
+    orders 2 and 4 and their squares; S4, the one with 9 involutions of
+    the groups of order 24 with 8 elements of order 3 (S4, SL(2,3) and
+    C2 x A4); M(p) of exponent p and M3(p) for odd order p^3; and D_m of
+    order 2m, where an element r of order m and m + [m even] involutions
+    leave every element outside <r> an involution.
     """
     n = g.order
     if n == 1:
@@ -899,23 +900,21 @@ def recognize(g: FiniteGroup) -> str:
         return " x ".join(f"C{d}" for d in _abelian_invariant_factors(g))
     if n == 6:
         return "S3"
-    involutions = int(np.count_nonzero(g.element_orders() == 2))
+    orders = g.element_orders()
+    involutions = int(np.count_nonzero(orders == 2))
     if n == 8:
         return {1: "Q8", 5: "D4"}[involutions]
     if n == 12:
         return {1: "Dic3", 3: "A4", 7: "D6"}[involutions]
     if n == 16:
-        fours = int(np.count_nonzero(g.element_orders() == 4))
+        fours = int(np.count_nonzero(orders == 4))
         squares = len(set(np.diagonal(g.table).tolist()))
         return _ORDER_16[involutions, fours, squares]
-    if n == 24 and are_isomorphic(g, symmetric_group(4)) is not None:
+    if n == 24 and involutions == 9 and np.count_nonzero(orders == 3) == 8:
         return "S4"
     p = _prime_cube_root(n)
     if p is not None and p % 2 == 1:
-        if g.exponent() == p and are_isomorphic(g, heisenberg_group(p)) is not None:
-            return f"M({p})"
-        if g.exponent() == p * p and are_isomorphic(g, m3_group(p)) is not None:
-            return f"M3({p})"
-    if n % 2 == 0 and n >= 8 and are_isomorphic(g, dihedral_group(n // 2)) is not None:
+        return f"M({p})" if g.exponent() == p else f"M3({p})"
+    if n % 2 == 0 and n >= 8 and involutions == n // 2 + (n % 4 == 0) and (orders == n // 2).any():
         return f"D{n // 2}"
     return "unrecognized"

@@ -3,17 +3,18 @@
 Each one answers a question the library answers too, by a different
 route: trying every bijection, transporting every abstract group,
 testing each automorphism of one brace operation against the other's
-table where the library intersects two automorphism groups,
+table where the library searches both tables at once,
 scanning every tuple of generator images without pruning (only the
 choice of generators is shared, so the scan's first map is comparable
 with the library's), evaluating a law on every triple of elements where
 the library checks generators only, comparing braces pairwise where
 the library compares orbits of circle tables, or closing candidate
 subgroups of the holomorph as permutation tuples where the library
-multiplies (translation, automorphism) codes.  It also lists one group
-of each isomorphism type up to order 15, among them the quaternion
-group, whose table no library constructor builds, and the nine
-nonabelian groups of order 16.
+multiplies (translation, automorphism) codes, or naming a group by
+isomorphism search where the library counts elements.  It also lists
+one group of each isomorphism type up to order 15, among them the
+quaternion group, whose table no library constructor builds, and the
+nine nonabelian groups of order 16.
 """
 import itertools
 from typing import Optional, Sequence
@@ -23,14 +24,19 @@ import numpy as np
 from bracelab.braces import SkewBrace, are_brace_isomorphic, validate_direct
 from bracelab.groups import (
     FiniteGroup,
+    _prime_cube_root,
     abelian_group,
+    are_isomorphic,
     automorphism_group,
     cyclic_group,
     dihedral_group,
     direct_product,
     generating_sequence,
+    heisenberg_group,
     holomorph,
+    m3_group,
     make_group,
+    recognize,
     semidirect_product,
     symmetric_group,
 )
@@ -110,6 +116,29 @@ def filtered_brace_automorphisms(brace: SkewBrace) -> PermutationGroup:
         if np.array_equal(img[t], t[np.ix_(img, img)]):
             keep.append(alpha)
     return PermutationGroup(brace.order, keep)
+
+
+def searched_name(g: FiniteGroup) -> str:
+    """The name ``recognize`` gives, with S4, M(p), M3(p) and D_m found by search.
+
+    Each of those families is tried with ``are_isomorphic`` against a
+    group built from its definition; abelian groups and the nonabelian
+    groups of order 6, 8, 12 and 16 are named by ``recognize`` itself.
+    """
+    n = g.order
+    if g.is_abelian() or n in (6, 8, 12, 16):
+        return recognize(g)
+    if n == 24 and are_isomorphic(g, symmetric_group(4)) is not None:
+        return "S4"
+    p = _prime_cube_root(n)
+    if p is not None and p % 2 == 1:
+        if g.exponent() == p and are_isomorphic(g, heisenberg_group(p)) is not None:
+            return f"M({p})"
+        if g.exponent() == p * p and are_isomorphic(g, m3_group(p)) is not None:
+            return f"M3({p})"
+    if n % 2 == 0 and n >= 8 and are_isomorphic(g, dihedral_group(n // 2)) is not None:
+        return f"D{n // 2}"
+    return "unrecognized"
 
 
 def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:

@@ -20,7 +20,7 @@ from bracelab.braces import (
     validate_via_holomorph,
 )
 from bracelab.census import enumerate_braces
-from bracelab.errors import BraceAxiomFailure, IdentityMismatch
+from bracelab.errors import BraceAxiomFailure, IdentityMismatch, SearchLimitExceeded
 from bracelab.algebras import catalog, to_brace
 from bracelab.groups import (
     abelian_group,
@@ -99,6 +99,24 @@ def test_brace_automorphisms_match_the_table_filter():
         order = _brace_aut_order(b, None)
         assert brace_automorphism_group(b) == filtered_brace_automorphisms(b)
         assert order == len(brace_automorphism_group(b))
+
+
+def test_brace_automorphism_group_lists_inside_a_small_budget(monkeypatch):
+    # one search over both tables lists the 36 maps in 1326 nodes, where
+    # listing Aut(C3^3) = GL(3,3) alone would need far more
+    def listed():
+        return brace_automorphism_group(to_brace(catalog("degraaf_A340", 3)))
+
+    monkeypatch.setenv("BRACELAB_BUDGET", "2000")
+    auts = listed()
+    monkeypatch.setenv("BRACELAB_BUDGET", "1326")
+    assert listed() == auts
+    monkeypatch.setenv("BRACELAB_BUDGET", "1325")
+    with pytest.raises(SearchLimitExceeded, match="brace automorphism search"):
+        listed()
+    monkeypatch.delenv("BRACELAB_BUDGET")
+    assert len(auts) == 36
+    assert auts == filtered_brace_automorphisms(to_brace(catalog("degraaf_A340", 3)))
 
 
 def test_brace_aut_order_is_shared_with_the_swapped_brace(monkeypatch):

@@ -4,7 +4,8 @@ import pytest
 from bracelab.cli import main
 from bracelab.formats import write_algebra, write_group
 from bracelab.algebras import catalog
-from bracelab.groups import abelian_group, cyclic_group, symmetric_group
+from bracelab.errors import BraceLabError, SearchLimitExceeded
+from bracelab.groups import abelian_group, automorphism_group, cyclic_group, symmetric_group
 
 
 def kv(capsys) -> dict[str, str]:
@@ -195,3 +196,15 @@ def test_malformed_budget_variable_is_an_input_error(tmp_path, capsys, monkeypat
     monkeypatch.setenv("BRACELAB_BUDGET", "100")
     assert main(["aut", "--group", str(grp), "--format", "kv"]) == 0
     assert kv(capsys)["aut_order"] == "2"
+
+
+def test_non_positive_budget_is_an_input_error(tmp_path, capsys):
+    for bad in (0, -3):
+        with pytest.raises(BraceLabError, match=f"must be a positive integer, got {bad}$") as exc:
+            automorphism_group(cyclic_group(5), budget=bad)
+        assert not isinstance(exc.value, SearchLimitExceeded)
+    grp = tmp_path / "k4.grp"
+    write_group(grp, abelian_group([2, 2]))
+    assert main(["aut", "--group", str(grp), "--budget", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the budget= argument or --budget must be a positive integer, got -3\n"

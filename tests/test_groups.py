@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from bracelab.algebras import catalog, to_brace
 from bracelab.errors import (
     ActionNotAutomorphism,
     InvalidTableError,
@@ -44,6 +45,7 @@ from oracles import (
     product_scan_isomorphism,
     quaternion_group,
     relabel,
+    searched_name,
 )
 
 
@@ -440,3 +442,50 @@ def test_recognize_names():
     assert recognize(a4) == "A4"
     dic3 = semidirect_product(c3, cyclic_group(4), [[0, 1, 2], [0, 2, 1]] * 2)
     assert recognize(dic3) == "Dic3"
+
+
+def test_recognize_matches_the_isomorphism_search(monkeypatch):
+    c2, c3 = cyclic_group(2), cyclic_group(3)
+    a4 = semidirect_product(
+        abelian_group([2, 2]), c3, [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+    )
+    groups = [g for n in range(1, 16) for g in _abstract_groups_of_order(n)]
+    groups += nonabelian_groups_of_order_16().values()
+    for m in range(3, 41):
+        # C_m x|_r C2, the involution acting as multiplication by r
+        identity = list(range(m))
+        for r in range(m):
+            if r * r % m == 1:
+                times_r = [r * x % m for x in range(m)]
+                groups.append(semidirect_product(cyclic_group(m), c2, [identity, times_r]))
+    for m in range(3, 13):
+        inversion = [-x % m for x in range(m)]
+        action = [list(range(m)), inversion] * 2
+        groups.append(semidirect_product(cyclic_group(m), cyclic_group(4), action))
+    for k in range(3, 13):
+        groups += [direct_product(c2, dihedral_group(k)), direct_product(c3, dihedral_group(k))]
+    # SL(2,3), the third group of order 24 with 4 Sylow 3-subgroups
+    sl23 = [
+        (a, b, c, d)
+        for a, b, c, d in itertools.product(range(3), repeat=4)
+        if (a * d - b * c) % 3 == 1
+    ]
+    index = {x: i for i, x in enumerate(sl23)}
+    sl23_table = [
+        [
+            index[(a * e + b * g) % 3, (a * f + b * h) % 3, (c * e + d * g) % 3, (c * f + d * h) % 3]
+            for e, f, g, h in sl23
+        ]
+        for a, b, c, d in sl23
+    ]
+    groups += [symmetric_group(4), direct_product(c2, a4), make_group(sl23_table)]
+    for p in (3, 5, 7):
+        groups += [heisenberg_group(p), m3_group(p), to_brace(catalog("degraaf_A340", p)).mult]
+    expected = [searched_name(g) for g in groups]
+    assert {"S4", "M(7)", "M3(7)", "D40", "D12", "unrecognized"} <= set(expected)
+
+    def fail(*args):
+        raise AssertionError("recognize ran a homomorphism search")
+
+    monkeypatch.setattr("bracelab.groups._HomSearch", fail)
+    assert [recognize(g) for g in groups] == expected
