@@ -2,7 +2,10 @@
 
 Two carrier shapes are supported: vector algebras over Z/p given by
 structure constants on a basis, and the cyclic carrier Z/p^3 with the
-scaled product x . y = p^r x y.  Every validated algebra yields a skew
+scaled product x . y = p^r x y.  Both are held the same way, as
+coordinate vectors over Z/q with structure constants: q = p with one
+coordinate per basis vector, or q = p^3 with one coordinate and the
+constant p^r.  Every validated algebra yields a skew
 brace whose addition is the ring addition and whose multiplication is
 the circle operation a o b = a + b + a.b; the inverse for o is the
 alternating geometric series -a + a^2 - a^3 + ..., which terminates by
@@ -10,7 +13,6 @@ nilpotency.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +27,7 @@ from .errors import (
     UnknownName,
     UnsupportedParameter,
 )
-from .groups import MAX_ORDER, FiniteGroup, _prime_factors, make_group
+from .groups import MAX_ORDER, FiniteGroup, _coordinate_group, _prime_factors
 
 __all__ = [
     "NilpotentAlgebra",
@@ -61,8 +63,12 @@ class NilpotentAlgebra:
 
     ``kind`` is "modp" (coefficient vectors over Z/p, product given by
     structure constants) or "cyclic" (integers mod p^3, product scaled by
-    p^r).  Elements are numpy coefficient vectors for "modp" and plain
-    ints for "cyclic".
+    p^r).  Both are held as coordinate vectors over Z/``modulus`` with
+    ``consts[i, j]`` the coordinates of e_i . e_j: one coordinate per basis
+    vector and modulus p for "modp"; one coordinate, modulus p^3 and the
+    constant p^r mod p^3 for "cyclic".  ``dim`` is the length over Z/p, so
+    ``order`` is p^dim either way.  Elements are numpy coefficient vectors
+    for "modp" and plain ints for "cyclic".
     """
 
     def __init__(
@@ -70,7 +76,7 @@ class NilpotentAlgebra:
         kind: str,
         p: int,
         dim: int,
-        consts: Optional[np.ndarray] = None,
+        consts: np.ndarray,
         r: Optional[int] = None,
     ) -> None:
         self.kind = kind
@@ -78,67 +84,50 @@ class NilpotentAlgebra:
         self.dim = dim
         self.consts = consts
         self.r = r
-        self.order = p**dim if kind == "modp" else p**3
+        self.order = p**dim
+        self.modulus = p ** (dim // len(consts))
+        self._radices = (self.modulus,) * len(consts)
+        self._place = self.modulus ** np.arange(len(consts) - 1, -1, -1)
         self._dims: Optional[list[int]] = None
+
+    def _element(self, coords: np.ndarray) -> Element:
+        """The public form of a coordinate vector: an int for the cyclic kind."""
+        return int(coords[0]) if self.kind == "cyclic" else coords
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, u: Element, v: Element) -> Element:
-        if self.kind == "cyclic":
-            return (int(u) + int(v)) % self.order
-        return (np.asarray(u) + np.asarray(v)) % self.p
+        return self._element((np.atleast_1d(u) + np.atleast_1d(v)) % self.modulus)
 
     def neg(self, u: Element) -> Element:
-        if self.kind == "cyclic":
-            return (-int(u)) % self.order
-        return (-np.asarray(u)) % self.p
+        return self._element(-np.atleast_1d(u) % self.modulus)
 
     def multiply(self, u: Element, v: Element) -> Element:
-        if self.kind == "cyclic":
-            return (self.p**self.r * int(u) * int(v)) % self.order
-        uu, vv = np.asarray(u), np.asarray(v)
-        return np.einsum("i,j,ijl->l", uu, vv, self.consts) % self.p
+        uu, vv = np.atleast_1d(u), np.atleast_1d(v)
+        return self._element(np.einsum("i,j,ijl->l", uu, vv, self.consts) % self.modulus)
 
     def circle(self, u: Element, v: Element) -> Element:
         return self.add(self.add(u, v), self.multiply(u, v))
 
     def zero(self) -> Element:
-        if self.kind == "cyclic":
-            return 0
-        return np.zeros(self.dim, dtype=np.int64)
+        return self._element(np.zeros(len(self.consts), dtype=np.int64))
 
     def is_zero(self, u: Element) -> bool:
-        if self.kind == "cyclic":
-            return int(u) == 0
         return not np.asarray(u).any()
 
     # -- element <-> index codecs ------------------------------------------
 
     def decode(self, index: int) -> Element:
-        """Element for a carrier index (big-endian base-p digits)."""
-        if self.kind == "cyclic":
-            return index
-        digits = []
-        x = index
-        for _ in range(self.dim):
-            digits.append(x % self.p)
-            x //= self.p
-        return np.array(digits[::-1], dtype=np.int64)
+        """Element for a carrier index (big-endian base-q digits)."""
+        return self._element(index // self._place % self.modulus)
 
     def encode(self, u: Element) -> int:
-        if self.kind == "cyclic":
-            return int(u) % self.order
-        out = 0
-        for d in np.asarray(u):
-            out = out * self.p + int(d) % self.p
-        return out
+        return int(np.atleast_1d(u) % self.modulus @ self._place)
 
     def elements(self) -> np.ndarray:
         """All elements; a (order, dim) digit matrix for "modp" kind."""
-        if self.kind == "cyclic":
-            return np.arange(self.order)
-        cols = list(itertools.product(range(self.p), repeat=self.dim))
-        return np.array(cols, dtype=np.int64)
+        digits = np.stack(np.unravel_index(np.arange(self.order), self._radices), axis=1)
+        return digits[:, 0] if self.kind == "cyclic" else digits
 
     def __repr__(self) -> str:
         if self.kind == "cyclic":
@@ -253,7 +242,7 @@ def make_algebra(
                 f"structure constant for ({i}, {j}) must have length {dim}"
             )
         consts[i, j] = arr % p
-    algebra = NilpotentAlgebra("modp", p, dim, consts=consts)
+    algebra = NilpotentAlgebra("modp", p, dim, consts)
     if validate:
         left = np.einsum("ijm,mkl->ijkl", consts, consts) % p
         right = np.einsum("jkm,iml->ijkl", consts, consts) % p
@@ -278,7 +267,7 @@ def cyclic_ring(p: int, r: int, validate: bool = True) -> NilpotentAlgebra:
         raise InvalidTableError(f"p^3 = {p**3} exceeds the cap of {MAX_ORDER}")
     if r < 0:
         raise UnsupportedParameter(f"product scale exponent must be >= 0, got {r}")
-    algebra = NilpotentAlgebra("cyclic", p, 3, r=r)
+    algebra = NilpotentAlgebra("cyclic", p, 3, np.full((1, 1, 1), pow(p, r, p**3)), r=r)
     if validate:
         power_ideal_dims(algebra)
     return algebra
@@ -288,17 +277,9 @@ def cyclic_ring(p: int, r: int, validate: bool = True) -> NilpotentAlgebra:
 # circle structure
 
 
-def _modulus(algebra: NilpotentAlgebra) -> int:
-    """The modulus of every digit of an element."""
-    return algebra.order if algebra.kind == "cyclic" else algebra.p
-
-
 def _times(algebra: NilpotentAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise products x[k] . y[k] of two batches of reduced digit rows."""
-    if algebra.kind == "cyclic":
-        scale = pow(algebra.p, algebra.r, algebra.order)
-        return scale * x % algebra.order * y % algebra.order
-    return np.einsum("xi,xj,ijl->xl", x, y, algebra.consts) % algebra.p
+    """Row-wise products x[k] . y[k] of two batches of reduced coordinate rows."""
+    return np.einsum("xi,xj,ijl->xl", x, y, algebra.consts) % algebra.modulus
 
 
 def _series_inverses(
@@ -306,13 +287,13 @@ def _series_inverses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-inverses of a batch of elements, and a mask of the missing ones.
 
-    ``elems`` holds one element per row (a single digit for the cyclic
-    kind).  Sums -u + u^2 - u^3 + ... with left-normed powers
-    u^(k+1) = u^k . u for every row at once.  A series ends at its first
-    zero power, which stays zero, so later terms add nothing; a row is
-    missing when none of its first ``limit`` products is zero.
+    ``elems`` holds the coordinates of one element per row.  Sums
+    -u + u^2 - u^3 + ... with left-normed powers u^(k+1) = u^k . u for
+    every row at once.  A series ends at its first zero power, which stays
+    zero, so later terms add nothing; a row is missing when none of its
+    first ``limit`` products is zero.
     """
-    mod = _modulus(algebra)
+    mod = algebra.modulus
     u = np.asarray(elems, dtype=np.int64) % mod
     acc = -u % mod
     power = u
@@ -334,12 +315,11 @@ def quasi_inverse(algebra: NilpotentAlgebra, u: Element, cap: Optional[int] = No
     built with validate=False fail.
     """
     limit = cap if cap is not None else algebra.dim + 2
-    mod = _modulus(algebra)
     digits = [int(x) for x in np.reshape(u, -1)]
-    acc, missing = _series_inverses(algebra, [[x % mod for x in digits]], limit)
+    acc, missing = _series_inverses(algebra, [digits], limit)
     if missing[0]:
         raise QuasiInverseMissing(tuple(digits))
-    return int(acc[0, 0]) if algebra.kind == "cyclic" else acc[0]
+    return algebra._element(acc[0])
 
 
 def _check_series_inverses(algebra: NilpotentAlgebra) -> None:
@@ -350,7 +330,7 @@ def _check_series_inverses(algebra: NilpotentAlgebra) -> None:
     """
     elems = algebra.elements().reshape(algebra.order, -1)
     inverses, missing = _series_inverses(algebra, elems, algebra.dim + 2)
-    circled = (elems + inverses + _times(algebra, elems, inverses)) % _modulus(algebra)
+    circled = (elems + inverses + _times(algebra, elems, inverses)) % algebra.modulus
     bad = np.flatnonzero(missing | circled.any(axis=1))
     if bad.size:
         index = int(bad[0])
@@ -369,14 +349,7 @@ def _check_table_cap(algebra: NilpotentAlgebra) -> None:
 def additive_group(algebra: NilpotentAlgebra) -> FiniteGroup:
     """The underlying addition as a table group."""
     _check_table_cap(algebra)
-    if algebra.kind == "cyclic":
-        idx = np.arange(algebra.order)
-        return make_group((idx[:, None] + idx[None, :]) % algebra.order)
-    digits = algebra.elements()
-    powers = algebra.p ** np.arange(algebra.dim - 1, -1, -1)
-    sums = digits[:, None, :] + digits[None, :, :]
-    sums %= algebra.p
-    return make_group(sums @ powers)
+    return _coordinate_group(algebra._radices, lambda x, y: x + y)
 
 
 def circle_group(algebra: NilpotentAlgebra) -> FiniteGroup:
@@ -388,19 +361,17 @@ def circle_group(algebra: NilpotentAlgebra) -> FiniteGroup:
     """
     _check_table_cap(algebra)
     _check_series_inverses(algebra)
-    if algebra.kind == "cyclic":
-        idx = np.arange(algebra.order)
-        scale = pow(algebra.p, algebra.r, algebra.order)
-        table = (idx[:, None] + idx[None, :] + scale * idx[:, None] * idx[None, :]) % algebra.order
-        return make_group(table)
-    digits = algebra.elements()
-    powers = algebra.p ** np.arange(algebra.dim - 1, -1, -1)
-    half = np.einsum("xi,ijl->xjl", digits, algebra.consts)
-    table = np.einsum("xjl,yj->xyl", half, digits)     # [x, y] -> x . y
-    table += digits[:, None, :]
-    table += digits[None, :, :]
-    table %= algebra.p
-    return make_group(table @ powers)
+    # int32 suffices: at order <= MAX_ORDER each sum of x_i y_j c_ijl stays below 2^31
+    consts = algebra.consts.astype(np.int32)
+
+    def rule(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        half = np.einsum("ix,ijl->jlx", x[:, :, 0], consts)     # [j, l, x] -> (x . e_j)_l
+        out = np.einsum("jlx,jy->lxy", half, y[:, 0, :])        # [l, x, y] -> (x . y)_l
+        out += x
+        out += y
+        return out
+
+    return _coordinate_group(algebra._radices, rule)
 
 
 def to_brace(algebra: NilpotentAlgebra) -> SkewBrace:

@@ -169,7 +169,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_reciprocity(args: argparse.Namespace) -> int:
     brace = read_brace(args.brace)
-    witness = validate_direct(brace.mult, brace.add)
+    witness = brace._direct(True)  # cached, so reciprocity_check does not scan again
     if witness is not None:
         _emit([("biskew", "false")] + _witness_pairs(witness), args.format)
         return 1

@@ -16,8 +16,8 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from math import factorial, lcm, prod
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -226,8 +226,7 @@ def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
     n = arr.shape[0]
     if n == 0:
         raise InvalidTableError("table must have at least one element")
-    if n > MAX_ORDER:
-        raise InvalidTableError(f"order {n} exceeds the supported cap of {MAX_ORDER}")
+    _check_order(n)
     if arr.min() < 0 or arr.max() >= n:
         raise InvalidTableError(f"table entries must lie in 0..{n - 1}")
     arr = arr.astype(np.int32)
@@ -286,20 +285,42 @@ def _first_non_associative(arr: np.ndarray) -> tuple[int, int, int]:
     raise AssertionError("Light's test failed on an associative table")
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise InvalidTableError(f"order {n} exceeds the supported cap of {MAX_ORDER}")
+
+
+def _coordinate_group(radices: Sequence[int], rule: Callable) -> FiniteGroup:
+    """The group on the coordinate box ``radices``, labelled big-endian.
+
+    Element k has the mixed-radix digits of k as coordinates.  ``rule(x, y)``
+    gets int32 coordinate arrays of shape (len(radices), n, 1) and
+    (len(radices), 1, n), so ``x[i]`` and ``y[i]`` broadcast over every pair,
+    and returns the product's coordinates unreduced; they are taken modulo
+    their radices here.  The radices and the order are checked before
+    anything is built.
+    """
+    if min(radices) < 1:
+        raise InvalidTableError(f"every coordinate radix must be positive, got {list(radices)}")
+    n = prod(radices)
+    _check_order(n)
+    coords = np.array(np.unravel_index(np.arange(n), radices), dtype=np.int32)
+    x, y = coords[:, :, None], coords[:, None, :]
+    return make_group(np.ravel_multi_index(tuple(rule(x, y)), radices, mode="wrap"))
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     """The integers mod n under addition."""
     if n < 1 or n > MAX_ORDER:
         raise InvalidTableError(f"cyclic group order must be in 1..{MAX_ORDER}, got {n}")
-    idx = np.arange(n)
-    return make_group((idx[:, None] + idx[None, :]) % n)
+    return _coordinate_group((n,), lambda x, y: x + y)
 
 
 def abelian_group(factors: Sequence[int]) -> FiniteGroup:
-    """Direct product of cyclic groups of the given orders."""
-    g = cyclic_group(int(factors[0]))
-    for m in factors[1:]:
-        g = direct_product(g, cyclic_group(int(m)))
-    return g
+    """Direct product of cyclic groups of the given orders, labelled big-endian."""
+    if not len(factors):
+        raise InvalidTableError("an abelian group needs at least one cyclic factor")
+    return _coordinate_group([int(m) for m in factors], lambda x, y: x + y)
 
 
 def symmetric_group(m: int) -> FiniteGroup:
@@ -308,69 +329,51 @@ def symmetric_group(m: int) -> FiniteGroup:
     ``table[i, j]`` is "apply permutation i, then permutation j", so that
     products read left to right.  Element 0 is the identity.
     """
-    perms = all_perms(m)
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[compose(q, p)]
-    return make_group(table)
+    # m! passes the cap exactly when min(m, MAX_ORDER)! does, which is cheap
+    if factorial(min(max(m, 0), MAX_ORDER)) > MAX_ORDER:
+        raise InvalidTableError(f"order {m}! exceeds the supported cap of {MAX_ORDER}")
+    perms = np.array(all_perms(m), dtype=np.int64)
+    place = m ** np.arange(m - 1, -1, -1)  # base-m codes rise in lexicographic order
+    # perms[:, perms][j, i] applies permutation i, then permutation j
+    return make_group(np.searchsorted(perms @ place, (perms[:, perms] @ place).T))
 
 
 def dihedral_group(m: int) -> FiniteGroup:
     """Symmetries of an m-gon, order 2m; index = rotation + m * flip."""
     if m < 1:
         raise InvalidTableError("dihedral parameter must be positive")
-    n = 2 * m
-    table = np.empty((n, n), dtype=np.int32)
-    for r1 in range(m):
-        for s1 in range(2):
-            for r2 in range(m):
-                for s2 in range(2):
-                    r = (r1 + (r2 if s1 == 0 else -r2)) % m
-                    s = s1 ^ s2
-                    table[r1 + m * s1, r2 + m * s2] = r + m * s
-    return make_group(table)
+    # coordinates (flip, rotation); a flip reverses the rotation after it
+    return _coordinate_group((2, m), lambda x, y: (x[0] + y[0], x[1] + y[1] - 2 * x[0] * y[1]))
 
 
 def heisenberg_group(p: int) -> FiniteGroup:
-    """Unitriangular 3x3 matrices over Z/p; order p^3, exponent p for odd p."""
-    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    index = {t: i for i, t in enumerate(triples)}
-    n = p**3
-    table = np.empty((n, n), dtype=np.int32)
-    for i, (a1, b1, c1) in enumerate(triples):
-        for j, (a2, b2, c2) in enumerate(triples):
-            table[i, j] = index[((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p)]
-    return make_group(table)
+    """Unitriangular 3x3 matrices over Z/p; order p^3, exponent p for odd p.
+
+    Index a p^2 + b p + c holds the matrix with entries a, b above the
+    diagonal and c in the corner.
+    """
+    return _coordinate_group(
+        (p, p, p), lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
+    )
 
 
 def m3_group(p: int) -> FiniteGroup:
     """The nonabelian group of order p^3 and exponent p^2 (p odd).
 
     Presented as Z/p^2 extended by Z/p, with the outer generator acting as
-    multiplication by 1 + p.
+    multiplication by 1 + p, whose y-th power is 1 + y p mod p^2; index
+    x p + y.
     """
     if p % 2 == 0:
         raise InvalidTableError("the exponent-p^2 construction needs an odd prime")
-    p2 = p * p
-    pairs = [(x, y) for x in range(p2) for y in range(p)]
-    index = {t: i for i, t in enumerate(pairs)}
-    n = p2 * p
-    table = np.empty((n, n), dtype=np.int32)
-    for i, (x1, y1) in enumerate(pairs):
-        for j, (x2, y2) in enumerate(pairs):
-            table[i, j] = index[((x1 + x2 * pow(1 + p, y1, p2)) % p2, (y1 + y2) % p)]
-    return make_group(table)
+    return _coordinate_group((p * p, p), lambda x, y: (x[0] + y[0] * (1 + p * x[1]), x[1] + y[1]))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; index = a * |h| + b."""
-    nh = h.order
-    blocks = np.add.outer(g.table * nh, h.table)
-    table = blocks.transpose(0, 2, 1, 3).reshape(g.order * nh, g.order * nh)
-    return make_group(table)
+    return _coordinate_group(
+        (g.order, h.order), lambda x, y: (g.table[x[0], y[0]], h.table[x[1], y[1]])
+    )
 
 
 def semidirect_product(
@@ -382,8 +385,10 @@ def semidirect_product(
     j, and j -> action[j] a homomorphism into the automorphism group (with
     automorphisms composing as functions).  The product rule is
     (a1, j1)(a2, j2) = (a1 * action[j1](a2), j1 j2); index = a * |actor| + j.
+    The order is checked against the cap before the action.
     """
     nb, nj = base.order, actor.order
+    _check_order(nb * nj)
     act = np.asarray(action, dtype=np.int32)
     if act.shape != (nj, nb):
         raise ActionNotHomomorphism(
@@ -403,11 +408,10 @@ def semidirect_product(
                 raise ActionNotHomomorphism(
                     f"action of product {j1}*{j2} differs from composed actions"
                 )
-    moved = act[:, :]                       # [j1, h2] -> action_{j1}(h2)
-    hpart = base.table[:, moved]            # [h1, j1, h2] -> h1 * action_{j1}(h2)
-    flat = hpart[:, :, :, None] * nj + actor.table[None, :, None, :]
-    table = flat.reshape(nb * nj, nb * nj)
-    return make_group(table)
+    return _coordinate_group(
+        (nb, nj),
+        lambda x, y: (base.table[x[0], act[x[1], y[0]]], actor.table[x[1], y[1]]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ the library checks generators only, comparing braces pairwise where
 the library compares orbits of circle tables, or closing candidate
 subgroups of the holomorph as permutation tuples where the library
 multiplies (translation, automorphism) codes, or naming a group by
-isomorphism search where the library counts elements.  It also lists
+isomorphism search where the library counts elements, or building the
+stock group and ring tables entry by entry or by each ring kind's own
+formula where the library broadcasts one coordinate rule.  It also lists
 one group of each isomorphism type up to order 15, among them the
 quaternion group, whose table no library constructor builds, and the
 nine nonabelian groups of order 16.
@@ -21,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from bracelab.algebras import NilpotentAlgebra
 from bracelab.braces import SkewBrace, are_brace_isomorphic, validate_direct
 from bracelab.groups import (
     FiniteGroup,
@@ -379,3 +382,89 @@ def intercalate_swap(table: np.ndarray, rng: np.random.Generator) -> Optional[np
             t[r1, c1], t[r1, c2], t[r2, c1], t[r2, c2] = y, x, x, y
             return t
     return None
+
+
+def looped_symmetric_table(m: int) -> np.ndarray:
+    """S_m entry by entry: "apply i, then j" looked up among the image tuples."""
+    perms = [tuple(p) for p in itertools.permutations(range(m))]
+    index = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+    table = np.empty((n, n), dtype=np.int32)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = index[compose(q, p)]
+    return table
+
+
+def looped_dihedral_table(m: int) -> np.ndarray:
+    """D_m entry by entry; index = rotation + m * flip."""
+    n = 2 * m
+    table = np.empty((n, n), dtype=np.int32)
+    for r1 in range(m):
+        for s1 in range(2):
+            for r2 in range(m):
+                for s2 in range(2):
+                    r = (r1 + (r2 if s1 == 0 else -r2)) % m
+                    table[r1 + m * s1, r2 + m * s2] = r + m * (s1 ^ s2)
+    return table
+
+
+def looped_heisenberg_table(p: int) -> np.ndarray:
+    """Unitriangular 3x3 matrices over Z/p entry by entry, triples in order."""
+    triples = list(itertools.product(range(p), repeat=3))
+    index = {t: i for i, t in enumerate(triples)}
+    n = p**3
+    table = np.empty((n, n), dtype=np.int32)
+    for i, (a1, b1, c1) in enumerate(triples):
+        for j, (a2, b2, c2) in enumerate(triples):
+            table[i, j] = index[((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p)]
+    return table
+
+
+def looped_m3_table(p: int) -> np.ndarray:
+    """Z/p^2 extended by Z/p acting through powers of 1 + p, entry by entry."""
+    p2 = p * p
+    pairs = list(itertools.product(range(p2), range(p)))
+    index = {t: i for i, t in enumerate(pairs)}
+    n = p2 * p
+    table = np.empty((n, n), dtype=np.int32)
+    for i, (x1, y1) in enumerate(pairs):
+        for j, (x2, y2) in enumerate(pairs):
+            table[i, j] = index[((x1 + x2 * pow(1 + p, y1, p2)) % p2, (y1 + y2) % p)]
+    return table
+
+
+def looped_semidirect_table(
+    base: FiniteGroup, actor: FiniteGroup, action: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """(a1, j1)(a2, j2) = (a1 * action[j1](a2), j1 j2) entry by entry; index a |actor| + j.
+
+    The identity action gives the direct product.
+    """
+    nb, nj = base.order, actor.order
+    n = nb * nj
+    table = np.empty((n, n), dtype=np.int32)
+    for a1, j1, a2, j2 in itertools.product(range(nb), range(nj), range(nb), range(nj)):
+        a = base.table[a1, action[j1][a2]]
+        table[a1 * nj + j1, a2 * nj + j2] = a * nj + actor.table[j1, j2]
+    return table
+
+
+def ring_tables(algebra: NilpotentAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """Additive and circle tables of a ring from its own kind's formula.
+
+    The cyclic kind adds and multiplies integers mod p^3 with the product
+    scaled by p^r; the modp kind adds digit rows of every coefficient
+    vector and multiplies them through the structure constants.
+    """
+    p = algebra.p
+    if algebra.kind == "cyclic":
+        q = p**3
+        idx = np.arange(q, dtype=np.int64)
+        x, y = idx[:, None], idx[None, :]
+        return (x + y) % q, (x + y + p**algebra.r % q * x * y) % q
+    digits = np.array(list(itertools.product(range(p), repeat=algebra.dim)), dtype=np.int64)
+    powers = p ** np.arange(algebra.dim - 1, -1, -1)
+    sums = digits[:, None, :] + digits[None, :, :]
+    prods = np.einsum("xi,yj,ijl->xyl", digits, digits, algebra.consts)
+    return sums % p @ powers, (sums + prods) % p @ powers

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bracelab.algebras import (
+    _CATALOG_PRIMES,
     additive_group,
     catalog,
     circle_group,
@@ -24,7 +25,8 @@ from bracelab.errors import (
     UnknownName,
     UnsupportedParameter,
 )
-from bracelab.groups import are_isomorphic, heisenberg_group, recognize
+from bracelab.groups import MAX_ORDER, are_isomorphic, heisenberg_group, recognize
+from oracles import ring_tables
 
 
 def test_make_algebra_rejects_bad_prime():
@@ -110,6 +112,26 @@ def test_codec_roundtrip():
         assert a.encode(a.decode(index)) == index
     assert list(a.decode(1)) == [0, 0, 1]
     assert list(a.decode(9)) == [1, 0, 0]
+
+
+def test_ring_tables_match_the_per_kind_formulas():
+    cases = [("degraaf_A340", {}), ("sixdim_wedge", {})]
+    cases += [("truncated_poly", {"m": m}) for m in (1, 2, 3)]
+    cases += [("cyclic", {"r": r}) for r in (1, 2, 3, 4)]
+    for name, params in cases:
+        for p in _CATALOG_PRIMES[name]:
+            a = catalog(name, p, **params)
+            if a.order > MAX_ORDER:
+                with pytest.raises(InvalidTableError, match="above the table cap"):
+                    additive_group(a)
+                continue
+            add_table, circle_table = ring_tables(a)
+            assert np.array_equal(additive_group(a).table, add_table)
+            assert np.array_equal(circle_group(a).table, circle_table)
+            if name == "cyclic":
+                assert type(a.decode(5)) is int and a.decode(5) == 5
+                assert type(quasi_inverse(a, 5)) is int
+                assert a.circle(5, quasi_inverse(a, 5)) == 0
 
 
 def test_degraaf_circle_is_heisenberg():

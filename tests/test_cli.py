@@ -1,9 +1,10 @@
 """End-to-end exercises of the command line, via main(argv)."""
 import pytest
 
+from bracelab.braces import validate_direct
 from bracelab.cli import main
-from bracelab.formats import write_algebra, write_group
-from bracelab.algebras import catalog
+from bracelab.formats import write_algebra, write_brace, write_group
+from bracelab.algebras import catalog, to_brace
 from bracelab.errors import BraceLabError, SearchLimitExceeded
 from bracelab.groups import abelian_group, automorphism_group, cyclic_group, symmetric_group
 
@@ -147,6 +148,35 @@ def test_factorization_cycle_notation(tmp_path, capsys):
     assert got["circle"] == "C6"
     assert got["biskew"] == "true"
     assert main(["validate", "--brace", str(brc)]) == 0
+
+
+def test_factorization_past_the_cap_exits_2_before_building(monkeypatch, capsys):
+    def refuse(table):
+        raise AssertionError(f"built a {len(table)}-element table")
+
+    monkeypatch.setattr("bracelab.groups.make_group", refuse)
+    assert main(
+        ["construct", "factorization", "--sym", "7",
+         "--left-gens", "(123)", "--right-gens", "(1234)"]
+    ) == 2
+    assert "exceeds the supported cap" in capsys.readouterr().err
+
+
+def test_reciprocity_checks_the_swapped_law_once(tmp_path, capsys, monkeypatch):
+    brc = tmp_path / "degraaf.brc"
+    write_brace(brc, to_brace(catalog("degraaf_A340", 3)))
+    calls = []
+
+    def counted(add, mult):
+        calls.append((add, mult))
+        return validate_direct(add, mult)
+
+    monkeypatch.setattr("bracelab.braces.validate_direct", counted)
+    monkeypatch.setattr("bracelab.cli.validate_direct", counted)
+    assert main(["reciprocity", "--brace", str(brc), "--format", "kv"]) == 0
+    assert kv(capsys)["balanced"] == "true"
+    # one forward check when the file is read, one swapped check
+    assert len(calls) == 2
 
 
 def test_construct_radical_from_file(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from bracelab.algebras import catalog, to_brace
 from bracelab.errors import (
     ActionNotAutomorphism,
+    BraceLabError,
     InvalidTableError,
     NoIdentityError,
     NotAssociativeError,
@@ -41,6 +42,11 @@ from oracles import (
     first_non_associative,
     _abstract_groups_of_order,
     intercalate_swap,
+    looped_dihedral_table,
+    looped_heisenberg_table,
+    looped_m3_table,
+    looped_semidirect_table,
+    looped_symmetric_table,
     nonabelian_groups_of_order_16,
     product_scan_isomorphism,
     quaternion_group,
@@ -209,6 +215,58 @@ def test_semidirect_product_rejects_non_automorphism():
     c3, c2 = cyclic_group(3), cyclic_group(2)
     with pytest.raises(ActionNotAutomorphism):
         semidirect_product(c3, c2, [[0, 1, 2], [0, 0, 1]])
+
+
+def test_stock_constructors_match_the_per_entry_loops():
+    s3, c4, c6 = symmetric_group(3), cyclic_group(4), abelian_group([2, 3])
+    klein = abelian_group([2, 2])
+    a4_action = [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+
+    def direct(g, h):  # the direct product as a semidirect one with trivial action
+        return looped_semidirect_table(g, h, [list(range(g.order))] * h.order)
+
+    cases = (
+        [(heisenberg_group(p), looped_heisenberg_table(p)) for p in range(1, 11)]
+        + [(m3_group(p), looped_m3_table(p)) for p in (3, 5, 7, 9)]
+        + [(dihedral_group(m), looped_dihedral_table(m)) for m in range(1, 41)]
+        + [(symmetric_group(m), looped_symmetric_table(m)) for m in range(7)]
+        + [
+            (direct_product(s3, c4), direct(s3, c4)),
+            (direct_product(c4, s3), direct(c4, s3)),
+            (abelian_group([2, 3, 4]), direct(c6, c4)),
+            (semidirect_product(klein, cyclic_group(3), a4_action),
+             looped_semidirect_table(klein, cyclic_group(3), a4_action)),
+            (semidirect_product(cyclic_group(3), c4, [[0, 1, 2], [0, 2, 1]] * 2),
+             looped_semidirect_table(cyclic_group(3), c4, [[0, 1, 2], [0, 2, 1]] * 2)),
+        ]
+    )
+    for g, table in cases:
+        assert np.array_equal(g.table, table)
+        assert g.generators == make_group(table).generators
+
+
+def test_stock_constructors_reject_before_building(monkeypatch):
+    c64, c32 = cyclic_group(64), cyclic_group(32)
+
+    def refuse(table):
+        raise AssertionError(f"built a {len(table)}-element table")
+
+    monkeypatch.setattr("bracelab.groups.make_group", refuse)
+    too_large = [
+        lambda: heisenberg_group(13),
+        lambda: m3_group(11),
+        lambda: dihedral_group(600),
+        lambda: symmetric_group(7),
+        lambda: abelian_group([64, 32]),
+        lambda: direct_product(c64, c32),
+        lambda: semidirect_product(c64, c32, [[0]]),
+    ]
+    for build in too_large:
+        with pytest.raises(InvalidTableError, match="exceeds the supported cap"):
+            build()
+    for build in (lambda: heisenberg_group(-1), lambda: m3_group(-3), lambda: abelian_group([])):
+        with pytest.raises(BraceLabError):
+            build()
 
 
 # ---------------------------------------------------------------------------
