@@ -213,6 +213,18 @@ def _check_dimension(dim: int) -> None:
         )
 
 
+def _check_products_fit(p: int, dim: int) -> None:
+    """Reject a prime whose coordinate products could overflow int64.
+
+    A coordinate of a product sums dim^2 terms u_i v_j c_ijl, each below
+    (p - 1)^3, in int64 (``multiply``, ``_times`` and so ``quasi_inverse``).
+    Checked before primality, whose trial division takes time growing
+    with the square root of p.
+    """
+    if dim * dim * (p - 1) ** 3 >= 2**63:
+        raise BadPrime(p)
+
+
 def make_algebra(
     p: int,
     dim: int,
@@ -222,16 +234,19 @@ def make_algebra(
     """Build a vector algebra over Z/p from sparse structure constants.
 
     ``products[(i, j)]`` is the coefficient vector of (basis i) . (basis j);
-    omitted pairs multiply to zero.  Validation checks associativity on all
+    omitted pairs multiply to zero.  p must be a prime with
+    dim^2 (p - 1)^3 < 2^63, so that every product fits 64-bit integers
+    (BadPrime otherwise).  Validation checks associativity on all
     basis triples (NotAssociativeError) and nilpotency of the power-ideal
     chain (NotNilpotent); skip it only for constructions whose failure modes
     you want to observe downstream.
     """
-    if not _is_prime(p):
-        raise BadPrime(p)
     if dim < 1:
         raise InvalidTableError(f"algebra dimension must be positive, got {dim}")
     _check_dimension(dim)
+    _check_products_fit(p, dim)
+    if not _is_prime(p):
+        raise BadPrime(p)
     consts = np.zeros((dim, dim, dim), dtype=np.int64)
     for (i, j), vec in products.items():
         if not (0 <= i < dim and 0 <= j < dim):
@@ -261,10 +276,10 @@ def cyclic_ring(p: int, r: int, validate: bool = True) -> NilpotentAlgebra:
     rejects it via NotNilpotent.  With validate=False the object is built
     anyway and the failure surfaces later as QuasiInverseMissing.
     """
-    if not _is_prime(p):
-        raise BadPrime(p)
     if p**3 > MAX_ORDER:
         raise InvalidTableError(f"p^3 = {p**3} exceeds the cap of {MAX_ORDER}")
+    if not _is_prime(p):
+        raise BadPrime(p)
     if r < 0:
         raise UnsupportedParameter(f"product scale exponent must be >= 0, got {r}")
     algebra = NilpotentAlgebra("cyclic", p, 3, np.full((1, 1, 1), pow(p, r, p**3)), r=r)

@@ -178,25 +178,37 @@ def validate_direct(add: FiniteGroup, mult: FiniteGroup) -> Optional[Counterexam
 def validate_via_holomorph(
     add: FiniteGroup, mult: FiniteGroup
 ) -> Optional[HolomorphWitness]:
-    """Equivalent check through displacement maps.
+    """Equivalent check through the holomorph of the additive group.
 
-    For each a, the map x -> inv(a) * (a @ x) measures how far the two
-    operations differ; the pair is a skew brace exactly when every such map
-    respects addition.  The failing ``element`` here always equals the
-    failing outer ``a`` of validate_direct, and the first (x, y) matches its
-    (b, c).
+    The pair is a skew brace exactly when every left translation
+    phi_a(x) = a @ x lies in Hol(G, *), that is, when every displacement
+    map x -> inv(a) * (a @ x) respects addition.  By associativity
+    phi_(a @ b) = phi_a phi_b, and Hol(G, *) is a group, so the elements
+    whose translation lies in it form a subgroup of (G, @): it is enough
+    that the maps of ``mult.generators`` respect addition, each checked on
+    all pairs (x, y).  Only when one of them fails are the maps scanned in
+    increasing ``a``, which reaches a failure by that generator at the
+    latest.  The failing ``element`` always equals the failing outer ``a``
+    of validate_direct, and the first (x, y) matches its (b, c).
     """
     a_t, m_t = add.table, mult.table
     inv = add.inverses
-    for a in range(add.order):
+
+    def first_clash(a: int) -> Optional[tuple[int, int]]:
         disp = a_t[inv[a]][m_t[a]]          # [x] -> inv(a) * (a @ x)
         lhs = disp[a_t]                     # [x, y] -> disp(x * y)
         rhs = a_t[np.ix_(disp, disp)]       # [x, y] -> disp(x) * disp(y)
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)
-            x, y = (int(v) for v in bad[0])
-            return HolomorphWitness(a, x, y)
-    return None
+        bad = np.argwhere(lhs != rhs)
+        return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
+
+    failing = next((g for g in mult.generators if first_clash(g) is not None), None)
+    if failing is None:
+        return None
+    for a in range(failing + 1):
+        clash = first_clash(a)
+        if clash is not None:
+            return HolomorphWitness(a, *clash)
+    raise AssertionError(f"generator {failing} failed but the scan found no failure")
 
 
 def find_axiom_failures(

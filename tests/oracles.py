@@ -7,7 +7,8 @@ table where the library searches both tables at once,
 scanning every tuple of generator images without pruning (only the
 choice of generators is shared, so the scan's first map is comparable
 with the library's), evaluating a law on every triple of elements where
-the library checks generators only, comparing braces pairwise where
+the library checks generators only, checking every displacement map
+where the library checks those of the circle generators, comparing braces pairwise where
 the library compares orbits of circle tables, or closing candidate
 subgroups of the holomorph as permutation tuples where the library
 multiplies (translation, automorphism) codes, or naming a group by
@@ -24,7 +25,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from bracelab.algebras import NilpotentAlgebra
-from bracelab.braces import SkewBrace, are_brace_isomorphic, validate_direct
+from bracelab.braces import (
+    HolomorphWitness,
+    SkewBrace,
+    are_brace_isomorphic,
+    validate_direct,
+)
 from bracelab.groups import (
     FiniteGroup,
     _prime_cube_root,
@@ -362,6 +368,27 @@ def law_failures(add: FiniteGroup, m_t: np.ndarray) -> list[tuple[int, int, int,
             np.argwhere(bad).tolist(), lhs[bad].tolist(), rhs[bad].tolist()
         )
     ]
+
+
+def holomorph_scan(add: FiniteGroup, mult: FiniteGroup) -> Optional[HolomorphWitness]:
+    """First failure of the holomorph route, by checking every displacement map.
+
+    For a = 0, 1, ... in turn, the map x -> inv(a) * (a @ x) is checked on
+    all pairs (x, y); the first pair where it does not respect addition is
+    returned, where the library checks only the maps of the circle
+    generators unless one of them fails.
+    """
+    a_t, m_t = add.table, mult.table
+    inv = add.inverses
+    for a in range(add.order):
+        disp = a_t[inv[a]][m_t[a]]          # [x] -> inv(a) * (a @ x)
+        lhs = disp[a_t]                     # [x, y] -> disp(x * y)
+        rhs = a_t[np.ix_(disp, disp)]       # [x, y] -> disp(x) * disp(y)
+        if not np.array_equal(lhs, rhs):
+            bad = np.argwhere(lhs != rhs)
+            x, y = (int(v) for v in bad[0])
+            return HolomorphWitness(a, x, y)
+    return None
 
 
 def intercalate_swap(table: np.ndarray, rng: np.random.Generator) -> Optional[np.ndarray]:

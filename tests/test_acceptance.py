@@ -123,6 +123,46 @@ def mod4_ring_brace():
     return make_brace(star, circ)
 
 
+# the catalog algebras whose braces test_03 checks, as (name, p, keywords)
+CATALOG_SWEEP = [
+    ("degraaf_A340", 3, {}), ("degraaf_A340", 5, {}), ("degraaf_A340", 7, {}),
+    ("truncated_poly", 2, {"m": 2}), ("truncated_poly", 2, {"m": 3}),
+    ("truncated_poly", 2, {"m": 4}), ("truncated_poly", 3, {"m": 2}),
+    ("truncated_poly", 3, {"m": 3}), ("truncated_poly", 3, {"m": 4}),
+    ("truncated_poly", 5, {"m": 2}), ("truncated_poly", 5, {"m": 3}),
+    ("cyclic", 3, {"r": 1}), ("cyclic", 3, {"r": 2}),
+    ("cyclic", 5, {"r": 1}), ("cyclic", 5, {"r": 2}),
+    ("cyclic", 7, {"r": 1}), ("cyclic", 7, {"r": 2}),
+]
+
+
+def seeded_pairs():
+    """1000 pairs of independently relabeled groups of one order from 2 to 6."""
+    by_order = {
+        2: [cyclic_group(2)], 3: [cyclic_group(3)],
+        4: [cyclic_group(4), abelian_group([2, 2])], 5: [cyclic_group(5)],
+        6: [cyclic_group(6), symmetric_group(3)],
+    }
+
+    def relabeled(table, rng):
+        n = len(table)
+        sigma = np.array([0] + rng.sample(range(1, n), n - 1), dtype=np.int64)
+        inv = np.argsort(sigma)
+        return make_group(sigma[np.asarray(table)[inv][:, inv]])
+
+    rng = random.Random(424242)
+    pairs = []
+    for _ in range(1000):
+        n = rng.choice([2, 3, 4, 5, 6])
+        pairs.append(
+            (
+                relabeled(rng.choice(by_order[n]).table, rng),
+                relabeled(rng.choice(by_order[n]).table, rng),
+            )
+        )
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -166,17 +206,7 @@ def test_02_heisenberg_circle(capsys):
 
 def test_03_cube_criterion(sixdim_brace):
     with verdict(3, "cube-vanishing-iff-biskew"):
-        sweep = [
-            ("degraaf_A340", 3, {}), ("degraaf_A340", 5, {}), ("degraaf_A340", 7, {}),
-            ("truncated_poly", 2, {"m": 2}), ("truncated_poly", 2, {"m": 3}),
-            ("truncated_poly", 2, {"m": 4}), ("truncated_poly", 3, {"m": 2}),
-            ("truncated_poly", 3, {"m": 3}), ("truncated_poly", 3, {"m": 4}),
-            ("truncated_poly", 5, {"m": 2}), ("truncated_poly", 5, {"m": 3}),
-            ("cyclic", 3, {"r": 1}), ("cyclic", 3, {"r": 2}),
-            ("cyclic", 5, {"r": 1}), ("cyclic", 5, {"r": 2}),
-            ("cyclic", 7, {"r": 1}), ("cyclic", 7, {"r": 2}),
-        ]
-        for name, p, kw in sweep:
+        for name, p, kw in CATALOG_SWEEP:
             algebra = catalog(name, p, **kw)
             assert cubes_vanish(algebra) == is_biskew(to_brace(algebra)), (name, p, kw)
         assert cubes_vanish(catalog("sixdim_wedge", 3))
@@ -276,27 +306,7 @@ def test_06_validator_equivalence(sixdim_brace):
             tasks.append((brace.add, brace.mult))
             tasks.append((brace.mult, brace.add))  # swapped orientation too
 
-        by_order = {
-            2: [cyclic_group(2)], 3: [cyclic_group(3)],
-            4: [cyclic_group(4), abelian_group([2, 2])], 5: [cyclic_group(5)],
-            6: [cyclic_group(6), symmetric_group(3)],
-        }
-
-        def relabeled(table, rng):
-            n = len(table)
-            sigma = np.array([0] + rng.sample(range(1, n), n - 1), dtype=np.int64)
-            inv = np.argsort(sigma)
-            return make_group(sigma[np.asarray(table)[inv][:, inv]])
-
-        rng = random.Random(424242)
-        for _ in range(1000):
-            n = rng.choice([2, 3, 4, 5, 6])
-            tasks.append(
-                (
-                    relabeled(rng.choice(by_order[n]).table, rng),
-                    relabeled(rng.choice(by_order[n]).table, rng),
-                )
-            )
+        tasks += seeded_pairs()
 
         valid = invalid = 0
         for add, mult in tasks:

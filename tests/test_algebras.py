@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,30 @@ from oracles import ring_tables
 def test_make_algebra_rejects_bad_prime():
     with pytest.raises(BadPrime):
         make_algebra(4, 2, {})
+
+
+def test_primes_whose_products_could_overflow_are_rejected_before_primality():
+    # 2^61 - 1 is prime, and trial division up to its square root takes minutes
+    start = time.process_time()
+    with pytest.raises(BadPrime):
+        make_algebra(2**61 - 1, 2, {(0, 0): [0, 1]})
+    with pytest.raises(InvalidTableError, match="exceeds the cap"):
+        cyclic_ring(2**61 - 1, 1)
+    # 10^14 + 31 is prime; its int64 products wrapped into wrong values
+    with pytest.raises(BadPrime):
+        make_algebra(10**14 + 31, 2, {(0, 0): [0, 1]})
+    assert time.process_time() - start < 0.5
+    # 1321109 is the largest prime with 4 (p - 1)^3 < 2^63, so the largest
+    # accepted at dimension 2, and the next prime is rejected; every product
+    # at the accepted one is exact
+    p = 1321109
+    with pytest.raises(BadPrime):
+        make_algebra(1321139, 2, {})
+    full = {(i, j): [p - 1, p - 1] for i in range(2) for j in range(2)}
+    dense = make_algebra(p, 2, full, validate=False)
+    assert dense.multiply([p - 1, p - 1], [p - 1, p - 1]).tolist() == [4 * (p - 1) ** 3 % p] * 2
+    nil = make_algebra(p, 2, {(0, 0): [0, 1]})
+    assert quasi_inverse(nil, [p - 2, 0]).tolist() == [2, 4]
 
 
 def test_make_algebra_rejects_a_dimension_past_the_table_cap_before_building():

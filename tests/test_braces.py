@@ -23,6 +23,7 @@ from bracelab.census import enumerate_braces
 from bracelab.errors import BraceAxiomFailure, IdentityMismatch, SearchLimitExceeded
 from bracelab.algebras import catalog, to_brace
 from bracelab.groups import (
+    FiniteGroup,
     abelian_group,
     cyclic_group,
     dihedral_group,
@@ -36,10 +37,17 @@ from bracelab.groups import (
 from oracles import (
     _abstract_groups_of_order,
     filtered_brace_automorphisms,
+    holomorph_scan,
     law_failures,
     product_scan_isomorphism,
     quaternion_group,
     relabel,
+)
+from test_acceptance import (
+    CATALOG_SWEEP,
+    order36_factorization_brace,
+    s3_factorization_brace,
+    seeded_pairs,
 )
 
 
@@ -155,6 +163,52 @@ def test_validators_agree_on_first_failure():
     rhs = c4.mul(c4.mul(bad.mul(ct.a, ct.b), c4.inv(ct.a)), bad.mul(ct.a, ct.c))
     assert (ct.left, ct.right) == (lhs, rhs)
     assert ct.left != ct.right
+
+
+def test_holomorph_route_matches_the_full_scan():
+    pairs = seeded_pairs()
+    seeded = len(pairs)
+    braces = [to_brace(catalog(name, p, **kw)) for name, p, kw in CATALOG_SWEEP]
+    braces += [s3_factorization_brace(), order36_factorization_brace()]
+    for b in braces:
+        pairs += [(b.add, b.mult), (b.mult, b.add)]
+    verdicts = [validate_via_holomorph(add, mult) for add, mult in pairs]
+    assert verdicts == [holomorph_scan(add, mult) for add, mult in pairs]
+    # both outcomes among the seeded pairs and among the braces
+    for part in (verdicts[:seeded], verdicts[seeded:]):
+        assert None in part and any(part)
+
+
+def _respects_addition(add, mult, a):
+    disp = add.table[add.inverses[a]][mult.table[a]]
+    return np.array_equal(disp[add.table], add.table[np.ix_(disp, disp)])
+
+
+def test_holomorph_route_falls_back_to_the_first_failing_element():
+    fallbacks = 0
+    for add, mult in seeded_pairs():
+        expected = holomorph_scan(add, mult)
+        if expected is None:
+            continue
+        # the maps of the generators alone decide the verdict
+        assert not all(_respects_addition(add, mult, g) for g in mult.generators)
+        # make_group's generators are picked greedily, each the smallest
+        # element the earlier ones do not generate, so the first failing
+        # element is itself a generator; the same table with every other
+        # nonidentity element as its generating set, which still generates
+        # from order 3 on, puts it outside
+        assert expected.element in mult.generators
+        if mult.order < 3:
+            continue
+        others = tuple(a for a in range(1, mult.order) if a != expected.element)
+        rewrapped = FiniteGroup(mult.table, others)
+        first_failing_generator = next(
+            g for g in others if not _respects_addition(add, mult, g)
+        )
+        assert first_failing_generator > expected.element
+        assert validate_via_holomorph(add, rewrapped) == expected
+        fallbacks += 1
+    assert fallbacks >= 300
 
 
 def test_find_axiom_failures_matches_first_witness():
