@@ -96,14 +96,18 @@ class NilpotentAlgebra:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _coords(self, u: Element) -> np.ndarray:
+        """u's coordinates reduced mod ``modulus``, so int64 arithmetic on them cannot wrap."""
+        return (np.atleast_1d(np.asarray(u, dtype=object)) % self.modulus).astype(np.int64)
+
     def add(self, u: Element, v: Element) -> Element:
-        return self._element((np.atleast_1d(u) + np.atleast_1d(v)) % self.modulus)
+        return self._element((self._coords(u) + self._coords(v)) % self.modulus)
 
     def neg(self, u: Element) -> Element:
-        return self._element(-np.atleast_1d(u) % self.modulus)
+        return self._element(-self._coords(u) % self.modulus)
 
     def multiply(self, u: Element, v: Element) -> Element:
-        uu, vv = np.atleast_1d(u), np.atleast_1d(v)
+        uu, vv = self._coords(u), self._coords(v)
         return self._element(np.einsum("i,j,ijl->l", uu, vv, self.consts) % self.modulus)
 
     def circle(self, u: Element, v: Element) -> Element:
@@ -251,12 +255,12 @@ def make_algebra(
     for (i, j), vec in products.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise InvalidTableError(f"structure constant index ({i}, {j}) out of range")
-        arr = np.asarray(vec, dtype=np.int64)
+        arr = np.asarray(vec, dtype=object)
         if arr.shape != (dim,):
             raise InvalidTableError(
                 f"structure constant for ({i}, {j}) must have length {dim}"
             )
-        consts[i, j] = arr % p
+        consts[i, j] = [int(c) % p for c in arr]  # reduced before int64 can wrap
     algebra = NilpotentAlgebra("modp", p, dim, consts)
     if validate:
         left = np.einsum("ijm,mkl->ijkl", consts, consts) % p

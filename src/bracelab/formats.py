@@ -7,12 +7,20 @@ Three headers are understood:
     algebra <p> <dim>   lines "i j -> c0 c1 ... c_dim-1" for nonzero products
     cyclicring <p> <r>  a one-line description of the scaled-product ring
 
+A table row is n entries, each an unsigned ASCII decimal integer of at
+most 18 digits (leading zeros allowed), separated by spaces or tabs;
+lines may end in LF or CRLF.  Tokens that Python's int() would also take,
+such as "-1", "+1", "1_0" or non-ASCII digits, are rejected, and so is
+any entry of 10^18 or more.  The order in a group or brace header is
+checked against the supported cap before any row is read.
+
 Parsing problems raise FileFormatError carrying the 1-based line number;
-semantic problems (a table that is not a group, a pair violating the
-brace law) surface as the usual validation errors.
+semantic problems (an order past the cap, a table that is not a group, a
+pair violating the brace law) surface as the usual validation errors.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Union
 
@@ -21,7 +29,7 @@ import numpy as np
 from .algebras import NilpotentAlgebra, cyclic_ring, make_algebra
 from .braces import SkewBrace, make_brace
 from .errors import FileFormatError
-from .groups import FiniteGroup, make_group
+from .groups import FiniteGroup, _check_order, make_group
 
 __all__ = [
     "read_group",
@@ -37,6 +45,10 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+
+# 10^18 - 1 < 2^63, so every accepted entry fits int64
+_MAX_DIGITS = 18
+_TOKEN = re.compile(r"[^ \t]+")
 
 
 def _lines(path: PathLike) -> list[str]:
@@ -59,22 +71,75 @@ def _parse_int(token: str, line: int, what: str) -> int:
         raise FileFormatError(line, f"{what} must be an integer, got {token!r}") from None
 
 
+def _row_error(row: str, line_no: int, n: int) -> FileFormatError:
+    """The error for a row the kernel flagged, found from the row's own tokens."""
+    tokens = _TOKEN.findall(row)
+    if len(tokens) != n:
+        return FileFormatError(line_no, f"expected {n} entries in table row, got {len(tokens)}")
+    bad = next(
+        t for t in tokens if not (t.isascii() and t.isdigit() and len(t) <= _MAX_DIGITS)
+    )
+    try:
+        int(bad)
+    except ValueError:
+        return FileFormatError(line_no, f"table entry must be an integer, got {bad!r}")
+    return FileFormatError(
+        line_no,
+        f"table entry must be an unsigned decimal integer of at most {_MAX_DIGITS} "
+        f"digits, got {bad!r}",
+    )
+
+
 def _parse_rows(lines: list[str], start: int, n: int) -> np.ndarray:
-    rows = []
-    for offset in range(n):
-        line_no = start + offset
-        if line_no > len(lines):
-            raise FileFormatError(line_no, f"expected {n} table rows, file ended early")
-        tokens = lines[line_no - 1].split()
-        if len(tokens) != n:
-            raise FileFormatError(
-                line_no, f"expected {n} entries in table row, got {len(tokens)}"
-            )
-        try:
-            rows.append([int(t) for t in tokens])
-        except ValueError:  # name the first bad token
-            rows.append([_parse_int(t, line_no, "table entry") for t in tokens])
-    return np.asarray(rows, dtype=np.int64)
+    """The n-by-n table on lines start..start+n-1, decoded in one pass.
+
+    The rows are joined into one ASCII buffer; tokens start where a digit
+    follows a non-digit, each row's token count comes from where its line
+    break falls among the token starts, and the values accumulate digit by
+    digit over all tokens at once.  The first row with a wrong count, a
+    byte outside the grammar or an over-long token is re-split to name
+    the problem, so errors match a row-by-row reading.
+    """
+    rows = lines[start - 1 : start - 1 + n]
+    text = "\n".join(rows + [""]).encode("ascii", "replace")
+    buf = np.frombuffer(text, dtype=np.uint8)
+    offset = np.int32 if len(buf) < 2**31 else np.intp
+    digit = buf - np.uint8(ord("0"))  # a non-digit byte reads as 10 or more
+    ok = buf == ord("\n")
+    breaks = np.flatnonzero(ok).astype(offset)  # row r ends at breaks[r]
+    ok |= digit < 10
+    ok |= buf == ord(" ")
+    ok |= buf == ord("\t")
+    first_bad_byte = None if ok.all() else np.argmin(ok)
+    del ok, buf, text  # freed as soon as done with, to keep the peak memory down
+    edge = digit < 10
+    edge[1:] &= digit[:-1] >= 10
+    at = np.flatnonzero(edge).astype(offset)  # the token starts
+    del edge
+    counts = np.diff(np.searchsorted(at, breaks), prepend=0)
+
+    values = np.zeros(len(at), dtype=np.int64)
+    live = np.ones(len(at), dtype=bool)
+    for step in range(_MAX_DIGITS + 1):
+        d = digit[at]
+        live &= d < 10
+        if step == _MAX_DIGITS or not live.any():
+            break  # tokens still live have more than _MAX_DIGITS digits
+        np.multiply(values, 10, out=values, where=live)
+        np.add(values, d, out=values, where=live)
+        at += live  # a finished token stays on the non-digit after it
+
+    bad_rows = counts != n
+    if first_bad_byte is not None:
+        bad_rows[np.searchsorted(breaks, first_bad_byte)] = True
+    if live.any():
+        bad_rows[np.searchsorted(breaks, at[np.argmax(live)])] = True
+    if bad_rows.any():
+        r = int(np.argmax(bad_rows))
+        raise _row_error(rows[r], start + r, n)
+    if len(rows) < n:
+        raise FileFormatError(start + len(rows), f"expected {n} table rows, file ended early")
+    return values.reshape(n, n)
 
 
 def read_group(path: PathLike) -> FiniteGroup:
@@ -85,11 +150,13 @@ def read_group(path: PathLike) -> FiniteGroup:
     n = _parse_int(tokens[1], 1, "group order")
     if n < 1:
         raise FileFormatError(1, f"group order must be positive, got {n}")
+    _check_order(n)
     return make_group(_parse_rows(lines, 2, n))
 
 
 def _rows_text(table: np.ndarray) -> str:
-    return "\n".join(" ".join(map(str, row)) for row in table.tolist())
+    names = np.array([str(v) for v in range(int(table.max()) + 1)], dtype=object)
+    return "\n".join(map(" ".join, names[table].tolist()))
 
 
 def group_text(g: FiniteGroup) -> str:
@@ -113,6 +180,7 @@ def read_brace_tables(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
     n = _parse_int(tokens[1], 1, "brace order")
     if n < 1:
         raise FileFormatError(1, f"brace order must be positive, got {n}")
+    _check_order(n)
     add = _parse_rows(lines, 2, n)
     sep = 2 + n
     if sep > len(lines) or lines[sep - 1].strip():

@@ -14,7 +14,9 @@ subgroups of the holomorph as permutation tuples where the library
 multiplies (translation, automorphism) codes, or naming a group by
 isomorphism search where the library counts elements, or building the
 stock group and ring tables entry by entry or by each ring kind's own
-formula where the library broadcasts one coordinate rule.  It also lists
+formula where the library broadcasts one coordinate rule, or reading
+and writing table rows one line and one token at a time where the
+library decodes and prints the whole table as arrays.  It also lists
 one group of each isomorphism type up to order 15, among them the
 quaternion group, whose table no library constructor builds, and the
 nine nonabelian groups of order 16.
@@ -31,6 +33,7 @@ from bracelab.braces import (
     are_brace_isomorphic,
     validate_direct,
 )
+from bracelab.errors import FileFormatError
 from bracelab.groups import (
     FiniteGroup,
     _prime_cube_root,
@@ -495,3 +498,32 @@ def ring_tables(algebra: NilpotentAlgebra) -> tuple[np.ndarray, np.ndarray]:
     sums = digits[:, None, :] + digits[None, :, :]
     prods = np.einsum("xi,yj,ijl->xyl", digits, digits, algebra.consts)
     return sums % p @ powers, (sums + prods) % p @ powers
+
+
+def parse_rows_by_line(lines: list[str], start: int, n: int) -> np.ndarray:
+    """The n table rows on lines start..start+n-1, one line and one int() at a time."""
+    rows = []
+    for offset in range(n):
+        line_no = start + offset
+        if line_no > len(lines):
+            raise FileFormatError(line_no, f"expected {n} table rows, file ended early")
+        tokens = lines[line_no - 1].split()
+        if len(tokens) != n:
+            raise FileFormatError(
+                line_no, f"expected {n} entries in table row, got {len(tokens)}"
+            )
+        row = []
+        for t in tokens:
+            try:
+                row.append(int(t))
+            except ValueError:
+                raise FileFormatError(
+                    line_no, f"table entry must be an integer, got {t!r}"
+                ) from None
+        rows.append(row)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def rows_text_by_row(table: np.ndarray) -> str:
+    """A table's rows as text, each row joined entry by entry."""
+    return "\n".join(" ".join(map(str, row)) for row in table.tolist())

@@ -59,6 +59,25 @@ def test_primes_whose_products_could_overflow_are_rejected_before_primality():
     assert quasi_inverse(nil, [p - 2, 0]).tolist() == [2, 4]
 
 
+def test_arithmetic_reduces_unreduced_coordinates_before_int64():
+    # 2^62 = 1 mod 3; unreduced, 2^62 * 2^62 and 2^62 + 2^62 wrap int64
+    a = make_algebra(3, 2, {(0, 0): [0, 1]})
+    big = [2**62, 0]
+    assert a.multiply(big, big).tolist() == [0, 1]
+    assert a.add(big, big).tolist() == [2, 0]
+    assert a.circle(big, big).tolist() == [2, 1]
+    assert a.neg([-(2**63), 0]).tolist() == [2, 0]
+    # a coordinate past int64 is reduced as a Python int
+    assert a.multiply([2**70, 0], [1, 0]).tolist() == [0, 2**70 % 3]
+    ring = cyclic_ring(3, 1)
+    assert ring.multiply(2**62, 2**62) == 3 * pow(2, 124, 27) % 27
+
+
+def test_make_algebra_reduces_structure_constants_past_int64():
+    a = make_algebra(3, 2, {(0, 0): [3 * 10**29, -(10**29)]})
+    assert a.consts[0, 0].tolist() == [0, 2]
+
+
 def test_make_algebra_rejects_a_dimension_past_the_table_cap_before_building():
     # 2^11 > MAX_ORDER = 1024, and p^dim only grows with p: dimension 11 and
     # up is rejected at once, before the dim^4 associativity tensors

@@ -192,6 +192,16 @@ def test_construct_radical_from_file(tmp_path, capsys):
     assert main(["validate", "--brace", str(brc)]) == 0
 
 
+def test_construct_radical_reduces_a_coefficient_past_int64(tmp_path, capsys):
+    alg = tmp_path / "big.alg"
+    alg.write_text("algebra 3 2\n0 0 -> 0 100000000000000000000000000000\n")
+    brc = tmp_path / "big.brc"
+    assert main(
+        ["construct", "radical", "--algebra", str(alg), "--out", str(brc), "--format", "kv"]
+    ) == 0
+    assert kv(capsys)["order"] == "9"
+
+
 def test_aut_command(tmp_path, capsys):
     grp = tmp_path / "c8.grp"
     write_group(grp, abelian_group([2, 2, 2]))
@@ -209,6 +219,10 @@ def test_usage_and_input_errors_exit_2(tmp_path, capsys):
     assert main(["validate", "--brace", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+    # an entry past int64 is a format error, not an overflow
+    bad.write_text(f"brace 1\n{2**63}\n\n0\n")
+    assert main(["validate", "--brace", str(bad)]) == 2
+    assert "line 2: table entry must be an unsigned decimal integer" in capsys.readouterr().err
     assert main(["construct", "catalog", "--name", "cyclic", "--p", "3",
                  "--r", "0"]) == 2
     assert main(["count", "--brace", str(tmp_path / "missing.brc")]) == 2
