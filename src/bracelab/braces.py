@@ -354,15 +354,16 @@ def _tables(brace: SkewBrace) -> list[FiniteGroup]:
     return [brace.add] if brace.mult is brace.add else [brace.add, brace.mult]
 
 
-def brace_automorphism_group(brace: SkewBrace) -> PermutationGroup:
+def brace_automorphism_group(brace: SkewBrace, budget: Optional[int] = None) -> PermutationGroup:
     """Bijections fixing 0 that respect both operations at once.
 
     Listed by one homomorphism search over both tables together, under the
-    default budget; computed once per brace.
+    caller's budget; computed once per brace.  Raises SearchLimitExceeded
+    when the search passes its node budget.
     """
     if brace._auts is None:
         tables = _tables(brace)
-        search = _HomSearch(tables, tables, None, "brace automorphism search")
+        search = _HomSearch(tables, tables, budget, "brace automorphism search")
         brace._auts = PermutationGroup(brace.order, search.maps())
     return brace._auts
 

@@ -188,6 +188,8 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
         raise ValueError("cannot classify an empty brace list")
     adds: list[FiniteGroup] = []  # one labelling per additive isomorphism type
     orbits: list[dict[bytes, int]] = []  # per entry of adds: circle table -> class
+    # per entry of adds: its automorphisms as rows of images, and their inverses
+    auts: list[tuple[np.ndarray, np.ndarray]] = []
     classes: list[list[SkewBrace]] = []
     # additive table digest -> (entry of adds, relabelling into it or None)
     placed: dict[bytes, tuple[int, Optional[np.ndarray]]] = {}
@@ -205,12 +207,14 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
                 placed[b.add.digest] = (len(adds), None)
                 adds.append(b.add)
                 orbits.append({})
+                images = np.array(automorphism_group(b.add).elements, dtype=np.int32)
+                auts.append((images, np.argsort(images, axis=1)))
         k, sigma = placed[b.add.digest]
         table = b.mult.table if sigma is None else _relabel(b.mult.table, sigma)
         cls = orbits[k].get(table.tobytes())
         if cls is None:
             cls = len(classes)
-            for moved in _transports(table, automorphism_group(adds[k])):
+            for moved in _transports(table, *auts[k]):
                 orbits[k][moved.tobytes()] = cls
             classes.append([])
         classes[cls].append(b)
@@ -220,13 +224,12 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
     return BraceCensus(adds[0], len(braces), entries)
 
 
-def _transports(table: np.ndarray, aut: PermutationGroup) -> np.ndarray:
+def _transports(table: np.ndarray, sigma: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Row j is the table relabelled by automorphism j, flattened.
 
-    One gather for the whole group: row j equals
-    ``_relabel(table, alpha_j).ravel()`` and has the same bytes.
+    ``sigma[j]`` lists the images of automorphism j and ``inv[j]`` its
+    inverse.  One gather for the whole group: row j equals
+    ``_relabel(table, sigma[j]).ravel()`` and has the same bytes.
     """
-    sigma = np.array(aut.elements, dtype=np.int32)
-    inv = np.argsort(sigma, axis=1)
     moved = table[inv[:, :, None], inv[:, None, :]].reshape(len(sigma), -1)
     return np.take_along_axis(sigma, moved, axis=1)

@@ -14,7 +14,8 @@ such as "-1", "+1", "1_0" or non-ASCII digits, are rejected, and so is
 any entry of 10^18 or more.  The order in a group or brace header is
 checked against the supported cap before any row is read.
 
-Parsing problems raise FileFormatError carrying the 1-based line number;
+Parsing problems, bytes that are not valid text among them, raise
+FileFormatError carrying the 1-based line number;
 semantic problems (an order past the cap, a table that is not a group, a
 pair violating the brace law) surface as the usual validation errors.
 """
@@ -52,7 +53,17 @@ _TOKEN = re.compile(r"[^ \t]+")
 
 
 def _lines(path: PathLike) -> list[str]:
-    return Path(path).read_text().splitlines()
+    """The file's lines; bytes that are not valid text raise FileFormatError.
+
+    ``read_text`` decodes the whole file in one call, so the error's offset
+    is the offset of the first bad byte in the file.
+    """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(line, f"byte {exc.object[exc.start]:#04x} is not valid text") from None
+    return text.splitlines()
 
 
 def _parse_header(lines: list[str], expected: str) -> list[str]:

@@ -102,8 +102,9 @@ class FiniteGroup:
         table.flags.writeable = False
         self.inverses.flags.writeable = False
         # the generating set of make_group's associativity test, which the
-        # census passes too; searches use generating_sequence, whose greedy
-        # order they depend on
+        # census passes too; the listing and isomorphism searches use
+        # generating_sequence, whose greedy order they depend on, and the
+        # order searches _base
         self.generators = generators
         self._digest: Optional[bytes] = None
         self._orders: Optional[np.ndarray] = None
@@ -112,6 +113,7 @@ class FiniteGroup:
         self._auts: Optional[PermutationGroup] = None
         self._aut_order: Optional[int] = None
         self._gens: Optional[tuple[int, ...]] = None
+        self._base: Optional[tuple[int, ...]] = None
 
     # -- basic operations ---------------------------------------------------
 
@@ -512,13 +514,38 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     minimum-length sequence.  The sequence is cached on the group; each
     call returns a fresh list.
     """
-    if g._gens is not None:
-        return list(g._gens)
+    if g._gens is None:
+        g._gens = _greedy_generators(g, range(1, g.order))
+    return list(g._gens)
+
+
+def _base(g: FiniteGroup) -> list[int]:
+    """The base of the order searches: a greedy generating sequence.
+
+    As :func:`generating_sequence`, but ties go to the element with the
+    smallest centraliser, then to the smallest index.  A central element
+    first in the base would make every non-central candidate for it a
+    whole subtree to refute; on Heis(3) this base is two generators where
+    the plain sequence is three.  Cached on the group; each call returns a
+    fresh list.
+    """
+    if g._base is None:
+        centraliser = (g.table == g.table.T).sum(1)
+        ranked = np.argsort(centraliser[1:], kind="stable") + 1
+        g._base = _greedy_generators(g, ranked.tolist())
+    return list(g._base)
+
+
+def _greedy_generators(g: FiniteGroup, candidates: Sequence[int]) -> tuple[int, ...]:
+    """Generators picked one at a time, each growing the span the most.
+
+    Among elements that grow it equally, the first in ``candidates`` wins.
+    """
     gens: list[int] = []
     size = 1
     while size < g.order:
         best_g, best_size = -1, size
-        for cand in range(1, g.order):
+        for cand in candidates:
             grown = len(subgroup_closure(g, gens + [cand]))
             if grown > best_size:
                 best_g, best_size = cand, grown
@@ -526,14 +553,14 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
                     break
         gens.append(best_g)
         size = best_size
-    g._gens = tuple(gens)
-    return gens
+    return tuple(gens)
 
 
 class _HomSearch:
     """Bijections carrying every table src[k] to dst[k], lexicographically.
 
-    Images are assigned to ``gens = generating_sequence(src[0])`` one
+    Images are assigned to ``gens``, by default
+    ``generating_sequence(src[0])``, which must generate src[0], one
     generator at a time, trying in ascending order the elements whose order
     matches the generator's under every table.  Each partial assignment is
     closed under right multiplication by its generators in every pair of
@@ -552,9 +579,10 @@ class _HomSearch:
         dst: Sequence[FiniteGroup],
         budget: Optional[int],
         context: str,
+        gens: Optional[Sequence[int]] = None,
     ) -> None:
         self.src, self.dst = src, dst
-        self.gens = generating_sequence(src[0])
+        self.gens = generating_sequence(src[0]) if gens is None else list(gens)
         # cols[k][0][a][x] is x times a in src[k], cols[k][1] the same in dst[k]
         self.cols: list[tuple[list[list[int]], list[list[int]]]] = []
         for g, h in zip(src, dst):
@@ -671,15 +699,20 @@ def automorphism_group(g: FiniteGroup, budget: Optional[int] = None) -> Permutat
 def _aut_order(tables: Sequence[FiniteGroup], budget: Optional[int], context: str) -> int:
     """Order of the group of bijections preserving every table, unlisted.
 
-    With g_1, ..., g_k the generating sequence of tables[0], the order is
-    the product over i of the number of images of g_i under the
-    automorphisms fixing g_1, ..., g_(i-1) (orbit-stabiliser down that
-    chain).  Each candidate image v other than g_i itself, which the
-    identity reaches, is one node and is settled by the first map of one
-    search started from the fixed images g_1, ..., g_(i-1), v; the nodes of
-    every such search count against one budget.  The order of a single
-    group is cached on it, and read off its listed automorphisms when it
-    has them.
+    The table with the shortest :func:`_base` goes first (the first given
+    among equals) and its base b_1, ..., b_k is searched.  The order is the product over i of the
+    orbit of b_i under the maps fixing b_1, ..., b_(i-1) (orbit-stabiliser
+    down that chain), and the levels are walked from i = k up.  Every map
+    found is kept: one found at level j fixes b_1, ..., b_(j-1), so it
+    lies in the stabiliser of every level i <= j.  At each level the orbit
+    of b_i is closed under the maps kept so far, and each candidate image
+    outside it that is not yet ruled out is one node, settled by the first
+    map of one search started from the fixed images b_1, ..., b_(i-1), v.
+    A hit keeps the map and closes the orbit again; a miss rules out v's
+    whole orbit under the kept maps, as they all fix b_1, ..., b_(i-1).
+    So every orbit is settled exactly.  The nodes of every such search
+    count against one budget.  The order of a single group is cached on
+    it, and read off its listed automorphisms when it has them.
     """
     g = tables[0]
     single = len(tables) == 1
@@ -687,19 +720,40 @@ def _aut_order(tables: Sequence[FiniteGroup], budget: Optional[int], context: st
         return len(g._auts)
     if single and g._aut_order is not None:
         return g._aut_order
-    search = _HomSearch(tables, tables, budget, context)
+    tables = sorted(tables, key=lambda t: len(_base(t)))
+    search = _HomSearch(tables, tables, budget, context, _base(tables[0]))
+    kept: list[tuple[int, ...]] = []
     order = 1
-    for depth, gen in enumerate(search.gens):
-        fixed = search.gens[:depth]
-        orbit = 1
+    for depth in reversed(range(len(search.gens))):
+        fixed, point = search.gens[:depth], search.gens[depth]
+        orbit = _orbit(point, kept)
+        ruled_out: set[int] = set()
         for v in search.cands[depth]:
-            if v != gen:
-                search.budget.spend()
-                orbit += next(search.maps(fixed + [v]), None) is not None
-        order *= orbit
+            if v in orbit or v in ruled_out:
+                continue
+            search.budget.spend()
+            found = next(search.maps(fixed + [v]), None)
+            if found is None:
+                ruled_out |= _orbit(v, kept)
+            else:
+                kept.append(found)
+                orbit = _orbit(point, kept)
+        order *= len(orbit)
     if single:
         g._aut_order = order
     return order
+
+
+def _orbit(point: int, maps: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of ``point`` under the group the maps generate."""
+    orbit, todo = {point}, [point]
+    for x in todo:
+        for m in maps:
+            y = m[x]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 def are_isomorphic(

@@ -6,7 +6,9 @@ testing each automorphism of one brace operation against the other's
 table where the library searches both tables at once,
 scanning every tuple of generator images without pruning (only the
 choice of generators is shared, so the scan's first map is comparable
-with the library's), evaluating a law on every triple of elements where
+with the library's), settling every candidate image of an automorphism
+order count by its own search where the library closes orbits under the
+maps it has found, evaluating a law on every triple of elements where
 the library checks generators only, checking every displacement map
 where the library checks those of the circle generators, comparing braces pairwise where
 the library compares orbits of circle tables, or closing candidate
@@ -36,6 +38,7 @@ from bracelab.braces import (
 from bracelab.errors import FileFormatError
 from bracelab.groups import (
     FiniteGroup,
+    _HomSearch,
     _prime_cube_root,
     abelian_group,
     are_isomorphic,
@@ -151,6 +154,27 @@ def searched_name(g: FiniteGroup) -> str:
     if n % 2 == 0 and n >= 8 and are_isomorphic(g, dihedral_group(n // 2)) is not None:
         return f"D{n // 2}"
     return "unrecognized"
+
+
+def aut_order_by_candidates(tables: Sequence[FiniteGroup]) -> int:
+    """|Aut| of the tables with every candidate image settled on its own.
+
+    Down the chain of g_1, ..., g_k = generating_sequence(tables[0]), the
+    order is the product over i of the images v of g_i that some map fixing
+    g_1, ..., g_(i-1) reaches; each candidate v other than g_i is settled by
+    the first map of its own search from g_1, ..., g_(i-1), v, with no orbit
+    closed under the maps already found.
+    """
+    search = _HomSearch(tables, tables, None, "per-candidate order search")
+    order = 1
+    for depth, gen in enumerate(search.gens):
+        fixed = search.gens[:depth]
+        order *= 1 + sum(
+            next(search.maps(fixed + [v]), None) is not None
+            for v in search.cands[depth]
+            if v != gen
+        )
+    return order
 
 
 def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:

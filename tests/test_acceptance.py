@@ -5,6 +5,7 @@ independent route exists (brute-force bijection search, transported-table
 oracles, closed-form formulas), cross-checked against it before being
 written down.  Randomized sweeps use fixed seeds so runs are repeatable.
 """
+import math
 import random
 from contextlib import contextmanager
 
@@ -37,7 +38,6 @@ from bracelab.errors import (
     BraceLabError,
     NotNilpotent,
     QuasiInverseMissing,
-    SearchLimitExceeded,
 )
 from bracelab.factorizations import (
     circle_from_factorization,
@@ -341,13 +341,32 @@ def test_07_reciprocity(sixdim_brace):
         assert (reports["s3 factorization"].count_forward,
                 reports["s3 factorization"].count_swapped) == (1, 3)
         assert (reports["order 36"].count_forward, reports["order 36"].count_swapped) == (12, 12)
-        # the 729-element brace is bi-skew, but its additive automorphism
-        # group has order ~8.4e16, far past any node budget: the count must
-        # stop at the budget instead of pretending to finish
+        # The 729-element brace is bi-skew.  Its additive group is C3^6, so
+        # |Aut(+)| = |GL(6, 3)|.  Its circle group is the free 3-generator
+        # class-2 group of exponent 3 (exponent 3, derived subgroup = centre
+        # of order 27), so |Aut(o)| = |GL(3, 3)| * 3^9: any images of the
+        # three generators modulo the centre that span, each lifted freely.
+        # The brace comes from the ring A, a o b = a + b + ab, so a brace
+        # automorphism is additive, hence F_3-linear, and keeps
+        # ab = a o b - a - b: it is a ring automorphism.  With U = <e0, e1,
+        # e2> and A^2 = <e3, e4, e5> (A^3 = 0), a ring automorphism is a
+        # g in GL(U) with g (x) g keeping the kernel K of the product
+        # U (x) U -> A^2, plus any linear map U -> A^2 (3^9 of them), and
+        # each such pair is one.  x.x = 0 in U exactly when x has at most
+        # one nonzero coordinate, and x (x) x lies in K for those x alone,
+        # so g permutes the three lines <e_i>: it is monomial.  A
+        # transposition of two lines sends a product e_j (x) e_i in K to a
+        # multiple of e_i (x) e_j outside it (e1 (x) e0 to e0 (x) e1, say),
+        # so the permutation is a power of e0 -> e1 -> e2 -> e0, and every
+        # such monomial g keeps K: 3 * 2^3 = 24 choices of g, and
+        # |Aut of the brace| = 24 * 3^9.
         assert is_biskew(sixdim_brace)
-        with pytest.raises(SearchLimitExceeded):
-            reciprocity_check(sixdim_brace, budget=20_000)
-        print("acceptance 07 note: 729-element reciprocity skipped (search budget)")
+        report = reciprocity_check(sixdim_brace, budget=20_000)
+        assert report.aut_add == math.prod(3**6 - 3**i for i in range(6))
+        assert report.aut_mult == math.prod(3**3 - 3**i for i in range(3)) * 3**9 == 221_079_456
+        assert report.aut_brace == 24 * 3**9 == 472_392
+        assert (report.count_forward, report.count_swapped) == (468, 178_092_794_880)
+        assert report.balanced
 
 
 def test_08_enumeration_oracles():

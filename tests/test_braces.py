@@ -127,6 +127,17 @@ def test_brace_automorphism_group_lists_inside_a_small_budget(monkeypatch):
     assert auts == filtered_brace_automorphisms(to_brace(catalog("degraaf_A340", 3)))
 
 
+def test_brace_automorphism_group_runs_under_the_caller_budget(monkeypatch):
+    # the caller's budget= overrides the variable, as in every other search
+    monkeypatch.setenv("BRACELAB_BUDGET", "2000")
+    b = to_brace(catalog("degraaf_A340", 3))
+    with pytest.raises(SearchLimitExceeded, match="brace automorphism search") as exc:
+        brace_automorphism_group(b, budget=1325)
+    assert exc.value.budget == 1325
+    monkeypatch.setenv("BRACELAB_BUDGET", "1")
+    assert len(brace_automorphism_group(b, budget=1326)) == 36
+
+
 def test_brace_aut_order_is_shared_with_the_swapped_brace(monkeypatch):
     b = mod4_ring_brace()
     assert _brace_aut_order(b, None) == 2

@@ -223,6 +223,11 @@ def test_usage_and_input_errors_exit_2(tmp_path, capsys):
     bad.write_text(f"brace 1\n{2**63}\n\n0\n")
     assert main(["validate", "--brace", str(bad)]) == 2
     assert "line 2: table entry must be an unsigned decimal integer" in capsys.readouterr().err
+    # bytes that are not text are a format error on their line, not a decode error
+    grp = tmp_path / "bad.grp"
+    grp.write_bytes(b"group 1\n\xff\n")
+    assert main(["aut", "--group", str(grp)]) == 2
+    assert "line 2: byte 0xff is not valid text" in capsys.readouterr().err
     assert main(["construct", "catalog", "--name", "cyclic", "--p", "3",
                  "--r", "0"]) == 2
     assert main(["count", "--brace", str(tmp_path / "missing.brc")]) == 2

@@ -72,15 +72,15 @@ def test_count_degraaf_5_within_a_small_budget():
 
 
 def test_brace_count_runs_under_the_caller_budget():
-    # the group counts need 318 (additive) and 135 (circle) nodes and the
-    # brace count 442, so a budget of 400 stops only the brace count
+    # the group counts need 61 (additive) and 40 (circle) nodes and the
+    # brace count 76, so a budget of 75 stops only the brace count
     b = to_brace(catalog("degraaf_A340", 3))
-    assert _aut_order([b.add], 400, "additive") == 11232
-    assert _aut_order([b.mult], 400, "circle") == 432
+    assert _aut_order([b.add], 61, "additive") == 11232
+    assert _aut_order([b.mult], 40, "circle") == 432
     with pytest.raises(SearchLimitExceeded, match="brace automorphism order search") as exc:
-        count_hgs(b, budget=400)
-    assert exc.value.budget == 400
-    assert count_hgs(b, budget=442).aut_brace == 36
+        count_hgs(b, budget=75)
+    assert exc.value.budget == 75
+    assert count_hgs(b, budget=76).aut_brace == 36
 
 
 def test_count_cyclic_r2():
