@@ -5,12 +5,18 @@ holomorph of G: the subgroup element sending 0 to x becomes row x of the
 multiplicative table.  The search grows closed permutation sets one
 generator at a time, always branching on the smallest point of the
 carrier not yet hit from 0 — which visits each regular subgroup along
-exactly one path, so no deduplication is needed.
+exactly one path, so no deduplication is needed.  Two necessary
+conditions drop candidates before they are closed: every cycle of a
+candidate has one length, as in every semiregular group, and a candidate
+sends no point of the orbit of 0 under the group so far back into that
+orbit.  A candidate that either condition drops lies in no regular
+subgroup containing the group so far, so the search finds the same
+subgroups, in the same order, as one that closes every candidate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -97,6 +103,9 @@ def _circle_tables(
     element lists do.  The generating set is the branch targets on the
     search path: each is the smallest point the earlier ones do not
     reach, which is the set ``make_group`` would pick.
+
+    One node is one candidate that passes both filters of the module
+    docstring and is closed.
     """
     n = g.order
     aut = automorphism_group(g, budget)
@@ -105,70 +114,127 @@ def _circle_tables(
     rows = g.table.tolist()
     alphas = np.array(auts, dtype=np.int32)
     idx = np.arange(n)
-    fpf: list[list[bool]] = []  # fpf[a][k]: (a, k) moves every point
-    by_start: dict[int, list[int]] = {}  # a -> usable k, in tuple order
+    # uniform[a][k]: every cycle of (a, k) has one length, as in every
+    # semiregular group; for a != 0 this implies no fixed point
+    uniform: list[list[bool]] = []
+    by_start: dict[int, np.ndarray] = {}  # a -> usable k, in tuple order
+    rank = np.empty((n, m), dtype=np.int32)  # rank[a][k]: place of (a, k) in tuple order
     for a in range(n):
         moved = g.table[a][alphas]  # row k is the permutation (a, k)
-        free = (moved != idx).all(axis=1)
-        fpf.append(free.tolist())
-        if a:
-            order = np.lexsort(moved.T[::-1])
-            by_start[a] = order[free[order]].tolist()
+        ok = _equal_cycles(moved)
+        uniform.append(ok.tolist())
+        order = np.lexsort(moved.T[::-1])
+        rank[a, order] = np.arange(m)
+        by_start[a] = order[ok[order]]
     # k * m + l -> index of alpha_k alpha_l; a full table would be m^2
-    products: dict[int, int] = {}
+    products = _Products(aut)
+    inverses = g.inverses.tolist()
 
     spend = _Budget(budget, "regular subgroup search").spend
-    found: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    lambdas: list[list[int]] = []  # per subgroup found: k of its element with image x, by x
+    paths: list[tuple[int, ...]] = []  # per subgroup found: its branch targets
 
-    def closure(base: dict[int, int], gens: list[tuple[int, int]]) -> Optional[dict[int, int]]:
-        """The group ``gens`` generate, as image of 0 -> k, grown from ``base``.
+    def closure(base: dict[int, int], t: int, l: int) -> Optional[dict[int, int]]:
+        """The group ``base`` and (t, l) generate, as image of 0 -> k.
 
-        ``base`` is the group gens[:-1] generate, so its elements need only
-        the newest generator.  None at the first element with a fixed point
-        or an image of 0 already taken: the group is then not semiregular.
+        ``base`` is a group H, so the new group is a union of left cosets
+        of H.  Each product of an element with (t, l) that lies outside
+        them starts a new coset, added whole by right multiplication with
+        every element of H; the group is complete once every element's
+        product with (t, l) lies inside.  None at the first element with
+        cycles of different lengths or an image of 0 already taken: the
+        group is then not semiregular.
         """
         elems = dict(base)
-        frontier, step = list(base.items()), gens[-1:]
-        while frontier:
-            nxt = []
-            for a, k in frontier:
-                row, alpha = rows[a], auts[k]
-                for b, l in step:
-                    c = row[alpha[b]]
-                    kl = products.get(k * m + l)
-                    if kl is None:
-                        kl = products[k * m + l] = aut.index(compose(alpha, auts[l]))
-                    old = elems.get(c)
-                    if old is None:
-                        if not fpf[c][kl]:
-                            return None
-                        elems[c] = kl
-                        nxt.append((c, kl))
-                    elif old != kl:
+        coset = list(base.items())
+        todo = list(coset)
+        for a, k in todo:
+            c, kl = rows[a][auts[k][t]], products[k * m + l]
+            old = elems.get(c)
+            if old is None:
+                row, alpha, km = rows[c], auts[kl], kl * m
+                for b, j in coset:
+                    x, xj = row[alpha[b]], products[km + j]
+                    if x in elems or not uniform[x][xj]:
                         return None
-            frontier, step = nxt, gens
+                    elems[x] = xj
+                    todo.append((x, xj))
+            elif old != kl:
+                return None
         return elems
 
     def grow(elems: dict[int, int], gens: list[tuple[int, int]]) -> None:
         if len(elems) == n:
-            table = g.table[idx[:, None], alphas[[elems[x] for x in range(n)]]]
-            found.append((table, tuple(t for t, _ in gens)))
-            if len(found) > cap:
+            lambdas.append([elems[x] for x in range(n)])
+            paths.append(tuple(t for t, _ in gens))
+            if len(paths) > cap:
                 raise CapExceeded(cap, "regular subgroup enumeration")
             return
         # branch on the smallest point not yet hit from 0
         target = next(x for x in range(n) if x not in elems)
-        for k in by_start[target]:
+        ks = by_start[target]
+        # a candidate q = (target, k) sending a point h(0) of the orbit of 0
+        # back into it would put q∘h, and so q, in this group in any regular
+        # overgroup; it does so when alpha_k(h(0)) lies in target^-1 * orbit
+        orbit = list(elems)
+        back = np.zeros(n, dtype=bool)
+        back[g.table[inverses[target], orbit]] = True
+        for k in ks[~back[alphas[ks[:, None], orbit]].any(axis=1)].tolist():
             spend()
-            grown = closure(elems, gens + [(target, k)])
+            grown = closure(elems, target, k)
             if grown is not None:
                 grow(grown, gens + [(target, k)])
 
     grow({0: aut.index(identity_perm(n))}, [])
-    # fixed-width big-endian bytes sort as the entries' lists would, and
-    # hold all keys at once in a fraction of the memory
-    found.sort(key=lambda entry: entry[0].astype(">u4").tobytes())
-    return found
+    # grow refers to itself; unbinding it frees the search state on return
+    # rather than at the next garbage collection
+    del grow
+    # row x of a circle table is the permutation (x, k) for its k, so the
+    # tables sort as the tuple-order ranks of their rows do
+    found = np.array(lambdas, dtype=np.intp)
+    order = np.lexsort(rank[idx, found].T[::-1])
+    found = found[order]
+    tables = np.empty((len(found), n, n), dtype=g.table.dtype)
+    for x in range(n):
+        tables[:, x] = g.table[x][alphas[found[:, x]]]
+    return [(table, paths[j]) for table, j in zip(tables, order.tolist())]
+
+
+class _Products(dict):
+    """k * m + l -> index of alpha_k alpha_l in Aut(g), each found on first use.
+
+    A full table would hold m^2 entries; a search reads few of them.
+    """
+
+    def __init__(self, aut: PermutationGroup) -> None:
+        super().__init__()
+        self.aut = aut
+
+    def __missing__(self, key: int) -> int:
+        k, l = divmod(key, len(self.aut))
+        elements = self.aut.elements
+        value = self[key] = self.aut.index(compose(elements[k], elements[l]))
+        return value
+
+
+def _equal_cycles(perms: np.ndarray) -> np.ndarray:
+    """Whether each row, a permutation, has all its cycles of one length.
+
+    A point first returns after its cycle's length, so a row is settled at
+    the first power at which any of its points returns: all must return
+    there.  Only the unsettled rows are raised to the next power.
+    """
+    equal = np.zeros(len(perms), dtype=bool)
+    live = np.arange(len(perms))
+    base = power = perms
+    points = np.arange(perms.shape[1])
+    while live.size:
+        back = power == points
+        hit = back.any(axis=1)
+        equal[live[hit]] = back[hit].all(axis=1)
+        live, base, power = live[~hit], base[~hit], power[~hit]
+        power = np.take_along_axis(base, power, axis=1)
+    return equal
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +254,8 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
         raise ValueError("cannot classify an empty brace list")
     adds: list[FiniteGroup] = []  # one labelling per additive isomorphism type
     orbits: list[dict[bytes, int]] = []  # per entry of adds: circle table -> class
-    # per entry of adds: its automorphisms as rows of images, and their inverses
+    # per entry of adds: its automorphisms as rows of images, and the
+    # table positions each relabelled table reads (see _positions)
     auts: list[tuple[np.ndarray, np.ndarray]] = []
     classes: list[list[SkewBrace]] = []
     # additive table digest -> (entry of adds, relabelling into it or None)
@@ -208,7 +275,7 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
                 adds.append(b.add)
                 orbits.append({})
                 images = np.array(automorphism_group(b.add).elements, dtype=np.int32)
-                auts.append((images, np.argsort(images, axis=1)))
+                auts.append((images, _positions(images)))
         k, sigma = placed[b.add.digest]
         table = b.mult.table if sigma is None else _relabel(b.mult.table, sigma)
         cls = orbits[k].get(table.tobytes())
@@ -224,12 +291,32 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
     return BraceCensus(adds[0], len(braces), entries)
 
 
-def _transports(table: np.ndarray, sigma: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Row j is the table relabelled by automorphism j, flattened.
+def _positions(sigma: np.ndarray) -> np.ndarray:
+    """Row j: where entry (x, y) of a table relabelled by automorphism j is read.
 
-    ``sigma[j]`` lists the images of automorphism j and ``inv[j]`` its
-    inverse.  One gather for the whole group: row j equals
-    ``_relabel(table, sigma[j]).ravel()`` and has the same bytes.
+    ``sigma[j]`` lists the images of automorphism j.  The relabelled table
+    holds sigma[j] of the entry at (inverse x, inverse y), which lies at
+    flat position inverse(x) * n + inverse(y) of the original.
     """
-    moved = table[inv[:, :, None], inv[:, None, :]].reshape(len(sigma), -1)
-    return np.take_along_axis(sigma, moved, axis=1)
+    m, n = sigma.shape
+    inv = np.argsort(sigma, axis=1).astype(np.int32)
+    return (inv[:, :, None] * n + inv[:, None, :]).reshape(m, n * n)
+
+
+def _transports(
+    table: np.ndarray, sigma: np.ndarray, positions: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The table relabelled by each automorphism in turn, flattened.
+
+    Row j equals ``_relabel(table, sigma[j]).ravel()`` and has the same
+    bytes.  Each block of 256 automorphisms is two flat gathers: the
+    table entries at their positions, then their images under sigma[j],
+    read from the flattened sigma at offset j * n.  Blocks keep the
+    scratch arrays small when Aut(A) is large.
+    """
+    n, block = len(table), 256
+    entries, images = table.ravel(), sigma.ravel()
+    for start in range(0, len(sigma), block):
+        moved = entries.take(positions[start:start + block])
+        moved += np.arange(start, start + len(moved), dtype=np.int32)[:, None] * n
+        yield from images.take(moved)

@@ -530,10 +530,14 @@ def _base(g: FiniteGroup) -> list[int]:
     fresh list.
     """
     if g._base is None:
-        centraliser = (g.table == g.table.T).sum(1)
-        ranked = np.argsort(centraliser[1:], kind="stable") + 1
+        ranked = np.argsort(_centraliser_sizes(g)[1:], kind="stable") + 1
         g._base = _greedy_generators(g, ranked.tolist())
     return list(g._base)
+
+
+def _centraliser_sizes(g: FiniteGroup) -> np.ndarray:
+    """Entry x is the number of elements commuting with x."""
+    return (g.table == g.table.T).sum(axis=1)
 
 
 def _greedy_generators(g: FiniteGroup, candidates: Sequence[int]) -> tuple[int, ...]:
@@ -722,6 +726,12 @@ def _aut_order(tables: Sequence[FiniteGroup], budget: Optional[int], context: st
         return g._aut_order
     tables = sorted(tables, key=lambda t: len(_base(t)))
     search = _HomSearch(tables, tables, budget, context, _base(tables[0]))
+    # a map preserving a table keeps centraliser sizes in it
+    sizes = [_centraliser_sizes(t) for t in tables]
+    search.cands = [
+        [v for v in cands if all(c[v] == c[point] for c in sizes)]
+        for point, cands in zip(search.gens, search.cands)
+    ]
     kept: list[tuple[int, ...]] = []
     order = 1
     for depth in reversed(range(len(search.gens))):

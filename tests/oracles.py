@@ -12,8 +12,9 @@ maps it has found, evaluating a law on every triple of elements where
 the library checks generators only, checking every displacement map
 where the library checks those of the circle generators, comparing braces pairwise where
 the library compares orbits of circle tables, or closing candidate
-subgroups of the holomorph as permutation tuples where the library
-multiplies (translation, automorphism) codes, or naming a group by
+subgroups of the holomorph as permutation tuples, and filtering their
+candidates by tuple powers and products, where the library multiplies
+(translation, automorphism) codes and filters by array gathers, or naming a group by
 isomorphism search where the library counts elements, or building the
 stock group and ring tables entry by entry or by each ring kind's own
 formula where the library broadcasts one coordinate rule, or reading
@@ -238,22 +239,36 @@ def oracle_tables(g: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(keep)
 
 
-def tuple_closure_regular_subgroups(g: FiniteGroup) -> tuple[list[PermutationGroup], int]:
+def tuple_closure_regular_subgroups(
+    g: FiniteGroup,
+    filtered: bool = True,
+    dropped: Optional[list[tuple[Perm, frozenset[Perm]]]] = None,
+) -> tuple[list[PermutationGroup], int]:
     """Regular subgroups of the holomorph built as tuples, and the nodes used.
 
     The same search as ``census.regular_subgroups_of_holomorph`` with every
     holomorph element a permutation tuple: candidates are the sorted
-    fixed-point-free elements with the smallest point not yet hit from 0
-    as image of 0, and each is closed by composing tuples.  One node is one
-    candidate tried.
+    elements whose cycles all have one length, found by taking tuple
+    powers, with the smallest point not yet hit from 0 as image of 0; a
+    candidate q that sends a point h(0) of the orbit of 0 back into it
+    (``compose(q, h)[0]`` already hit, for some h in the group so far) is
+    dropped, and each other one is closed by composing tuples.  One node
+    is one candidate closed.  With ``filtered`` false the search is the
+    plain one, which closes every fixed-point-free candidate.  Each
+    candidate the filters drop is appended to ``dropped`` with the group
+    it was dropped at, empty for a candidate dropped by its cycles.
     """
     n = g.order
     hol = holomorph(g)
-    usable = {p for p in hol if is_fixed_point_free(p)}
+    usable = {p for p in hol if (equal_cycle_lengths if filtered else is_fixed_point_free)(p)}
     by_start: dict[int, list[Perm]] = {x: [] for x in range(1, n)}
     for p in hol:  # in sorted order, so each list is sorted
+        if not p[0]:
+            continue
         if p in usable:
             by_start[p[0]].append(p)
+        elif dropped is not None and is_fixed_point_free(p):
+            dropped.append((p, frozenset()))
     nodes = 0
     found: list[PermutationGroup] = []
 
@@ -283,6 +298,10 @@ def tuple_closure_regular_subgroups(g: FiniteGroup) -> tuple[list[PermutationGro
             return
         target = next(x for x in range(n) if x not in elems)
         for q in by_start[target]:
+            if filtered and any(compose(q, h)[0] in elems for h in elems.values()):
+                if dropped is not None:
+                    dropped.append((q, frozenset(elems.values())))
+                continue
             nodes += 1
             grown = closure(elems, gens + [q])
             if grown is not None:
@@ -291,6 +310,15 @@ def tuple_closure_regular_subgroups(g: FiniteGroup) -> tuple[list[PermutationGro
     grow({0: identity_perm(n)}, [])
     found.sort(key=lambda pg: pg.elements)
     return found, nodes
+
+
+def equal_cycle_lengths(p: Perm) -> bool:
+    """Whether all cycles of p have one length: at the first power of p
+    that fixes a point, every point is fixed."""
+    power = p
+    while not any(power[x] == x for x in range(len(p))):
+        power = compose(p, power)
+    return all(power[x] == x for x in range(len(p)))
 
 
 def relabel(g: FiniteGroup, sigma: Sequence[int]) -> FiniteGroup:

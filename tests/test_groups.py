@@ -400,7 +400,8 @@ def test_aut_order_is_cached_and_reads_a_listed_group(monkeypatch):
 
 
 def test_aut_order_stops_at_its_budget():
-    # |Aut(C5^3)| = |GL(3, 5)| = 1,488,000 from 147 nodes; one node fewer fails
+    # |Aut(C5^3)| = |GL(3, 5)| = 1,488,000 from 147 nodes; one node fewer
+    # fails (every element of an abelian group has the same centraliser)
     p = 5
     assert _aut_order([abelian_group([p] * 3)], 147, "count") == math.prod(
         p**3 - p**i for i in range(3)

@@ -72,15 +72,19 @@ def test_count_degraaf_5_within_a_small_budget():
 
 
 def test_brace_count_runs_under_the_caller_budget():
-    # the group counts need 61 (additive) and 40 (circle) nodes and the
-    # brace count 76, so a budget of 75 stops only the brace count
+    # the group counts need exactly 61 (additive) and 12 (circle) nodes and
+    # the brace count 46 (61, 40 and 76 before candidates were filtered by
+    # centraliser size); with the group counts cached on b, a budget of 45
+    # stops the brace count alone
     b = to_brace(catalog("degraaf_A340", 3))
-    assert _aut_order([b.add], 61, "additive") == 11232
-    assert _aut_order([b.mult], 40, "circle") == 432
+    for table, nodes, order in ((b.add, 61, 11232), (b.mult, 12, 432)):
+        with pytest.raises(SearchLimitExceeded, match="automorphism order search"):
+            _aut_order([table], nodes - 1, "automorphism order search")
+        assert _aut_order([table], nodes, "count") == order
     with pytest.raises(SearchLimitExceeded, match="brace automorphism order search") as exc:
-        count_hgs(b, budget=75)
-    assert exc.value.budget == 75
-    assert count_hgs(b, budget=76).aut_brace == 36
+        count_hgs(b, budget=45)
+    assert exc.value.budget == 45
+    assert count_hgs(b, budget=46).aut_brace == 36
 
 
 def test_count_cyclic_r2():
