@@ -3,9 +3,9 @@
 A skew brace is one finite set carrying two group operations tied
 together by a compatibility law.  This package builds them from
 multiplication tables, nilpotent algebras, and exact factorizations;
-validates the law two independent ways; counts the Hopf-Galois
-structures a brace induces; and enumerates all braces on a small
-additive group through regular subgroups of its holomorph.
+validates the law, read directly or through the holomorph; counts the
+Hopf-Galois structures a brace induces; and enumerates all braces on a
+small additive group through regular subgroups of its holomorph.
 
 The :mod:`bracelab.cli` module exposes the same operations as the
 ``bracelab`` command.

@@ -13,7 +13,7 @@ instead of refusing to construct anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -134,81 +134,89 @@ class SkewBrace:
 # validators
 
 
-def _law_failures(
-    add: FiniteGroup, m_t: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Both sides of the law at each outer element ``a`` where they differ.
+def _respects_addition(add: FiniteGroup, m_t: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Entry i: whether lam_a(x) = inv(a) * (a @ x) respects addition, a = rows[i].
 
-    Yields (a, lhs, rhs) in increasing ``a``, with ``lhs[b, c]`` and
-    ``rhs[b, c]`` the two sides at the triple (a, b, c); ``m_t[a, x]`` is
-    read as a @ x.
-
-    The law at (a, b, c) says that lam_a(x) = inv(a) * (a @ x) respects
-    addition at (b, c).  A map that respects addition on the right by each
-    of ``add.generators`` respects all of it, so one gather per generator
-    finds the outer elements that fail somewhere, and only those are
-    scanned in full.
+    The brace-law kernel; ``m_t[a, x]`` is read as a @ x.  The law at
+    (a, b, c) says exactly that lam_a respects addition at (b, c).  A map
+    that respects addition on the right by each of ``add.generators``
+    respects all of it, so one gather per generator decides each row, at
+    a cost of len(rows) * n * len(add.generators) lookups.
     """
     a_t, inv = add.table, add.inverses
-    lam = a_t[inv[:, None], m_t]            # [a, x] -> lam_a(x)
-    failing = np.zeros(add.order, dtype=bool)
+    rows = np.asarray(rows, dtype=np.intp)
+    lam = a_t[inv[rows, None], m_t[rows]]   # [i, x] -> lam_a(x), a = rows[i]
+    ok = np.ones(len(rows), dtype=bool)
     for s in add.generators:
-        failing |= (lam[:, a_t[:, s]] != a_t[lam, lam[:, s, None]]).any(axis=1)
-    for a in np.flatnonzero(failing).tolist():
-        row = m_t[a]
-        lhs = row[a_t]                      # [b, c] -> a @ (b * c)
-        u = a_t[row, inv[a]]                # [b]    -> (a @ b) * inv(a)
-        rhs = a_t[u][:, row]                # [b, c] -> u[b] * (a @ c)
-        if not np.array_equal(lhs, rhs):
-            yield a, lhs, rhs
+        ok &= (lam[:, a_t[:, s]] == a_t[lam, lam[:, s, None]]).all(axis=1)
+    return ok
+
+
+def _sides(add: FiniteGroup, m_t: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the law at every (a, b, c) for one outer ``a``, indexed [b, c]."""
+    a_t = add.table
+    row = m_t[a]
+    lhs = row[a_t]                          # [b, c] -> a @ (b * c)
+    u = a_t[row, add.inverses[a]]           # [b]    -> (a @ b) * inv(a)
+    return lhs, a_t[u][:, row]              # [b, c] -> u[b] * (a @ c)
+
+
+def _first_failure(
+    add: FiniteGroup, m_t: np.ndarray, gens: Sequence[int]
+) -> Optional[CounterexampleTriple]:
+    """The lexicographically first failing (a, b, c) with both sides, or None.
+
+    ``gens`` must generate the group of ``m_t``, read as a @ x.  The outer
+    elements whose maps lam_a respect addition form a subgroup of it (see
+    validate_via_holomorph), so the law holds when the rows of ``gens``
+    pass.  Otherwise the smallest failing generator bounds the first
+    failing ``a``, and the rows below it are checked to find that ``a``;
+    only its two sides are built in full.
+    """
+    ok = _respects_addition(add, m_t, gens)
+    if ok.all():
+        return None
+    bound = min(g for g, passed in zip(gens, ok.tolist()) if not passed)
+    a = int(np.argmin(_respects_addition(add, m_t, range(bound + 1))))
+    lhs, rhs = _sides(add, m_t, a)
+    b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
+    return CounterexampleTriple(a, b, c, int(lhs[b, c]), int(rhs[b, c]))
 
 
 def validate_direct(add: FiniteGroup, mult: FiniteGroup) -> Optional[CounterexampleTriple]:
-    """Scan the compatibility law; None if it holds, else the first failure.
+    """Check the compatibility law; None if it holds, else the first failure.
 
-    Triples are scanned in lexicographic order of (a, b, c) with ``a`` the
-    outer element, so the witness is deterministic.
+    The witness is the first failing triple in lexicographic order of
+    (a, b, c) with ``a`` the outer element, so it is deterministic.  The
+    law holds exactly when every displacement map respects addition, and
+    it is enough to check the maps of ``mult.generators`` (see
+    validate_via_holomorph): n * len(mult.generators) *
+    len(add.generators) lookups when the law holds.  When it fails, the
+    outer elements up to the smallest failing generator are checked, and
+    both sides are built in full for the first failing one only.
     """
-    for a, lhs, rhs in _law_failures(add, mult.table):
-        b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
-        return CounterexampleTriple(a, b, c, int(lhs[b, c]), int(rhs[b, c]))
-    return None
+    return _first_failure(add, mult.table, mult.generators)
 
 
 def validate_via_holomorph(
     add: FiniteGroup, mult: FiniteGroup
 ) -> Optional[HolomorphWitness]:
-    """Equivalent check through the holomorph of the additive group.
+    """The same verdict read through the holomorph of the additive group.
 
     The pair is a skew brace exactly when every left translation
     phi_a(x) = a @ x lies in Hol(G, *), that is, when every displacement
     map x -> inv(a) * (a @ x) respects addition.  By associativity
     phi_(a @ b) = phi_a phi_b, and Hol(G, *) is a group, so the elements
     whose translation lies in it form a subgroup of (G, @): it is enough
-    that the maps of ``mult.generators`` respect addition, each checked on
-    all pairs (x, y).  Only when one of them fails are the maps scanned in
-    increasing ``a``, which reaches a failure by that generator at the
-    latest.  The failing ``element`` always equals the failing outer ``a``
-    of validate_direct, and the first (x, y) matches its (b, c).
+    that the maps of ``mult.generators`` respect addition.  Each map is an
+    automorphism of (G, *) when the law holds at every (a, b, c) for its
+    ``a``, so both routes run the one kernel of validate_direct, and the
+    witness is its first failing triple: ``element`` is the outer ``a``
+    and (x, y) its (b, c).  The independent full scans live in the test
+    oracles.
     """
-    a_t, m_t = add.table, mult.table
-    inv = add.inverses
-
-    def first_clash(a: int) -> Optional[tuple[int, int]]:
-        disp = a_t[inv[a]][m_t[a]]          # [x] -> inv(a) * (a @ x)
-        lhs = disp[a_t]                     # [x, y] -> disp(x * y)
-        rhs = a_t[np.ix_(disp, disp)]       # [x, y] -> disp(x) * disp(y)
-        bad = np.argwhere(lhs != rhs)
-        return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
-
-    failing = next((g for g in mult.generators if first_clash(g) is not None), None)
-    if failing is None:
-        return None
-    for a in range(failing + 1):
-        clash = first_clash(a)
-        if clash is not None:
-            return HolomorphWitness(a, *clash)
-    raise AssertionError(f"generator {failing} failed but the scan found no failure")
+    first = _first_failure(add, mult.table, mult.generators)
+    return None if first is None else HolomorphWitness(first.a, first.b, first.c)
 
 
 def find_axiom_failures(
@@ -221,9 +229,13 @@ def find_axiom_failures(
 
     ``sides=(left, right)`` keeps only failures with exactly those two side
     values; ``limit`` stops early once that many failures are collected.
+    The kernel of validate_direct runs on every outer element, and both
+    sides are built in full only where it fails.
     """
     out: list[CounterexampleTriple] = []
-    for a, lhs, rhs in _law_failures(add, mult.table):
+    m_t = mult.table
+    for a in np.flatnonzero(~_respects_addition(add, m_t, range(add.order))).tolist():
+        lhs, rhs = _sides(add, m_t, a)
         mask = lhs != rhs
         if sides is not None:
             mask &= (lhs == sides[0]) & (rhs == sides[1])
@@ -344,9 +356,14 @@ def is_biskew(brace: SkewBrace) -> bool:
 def is_two_sided(brace: SkewBrace) -> bool:
     """Whether the mirrored law (b * c) @ a == (b @ a) * inv(a) * (c @ a) holds.
 
-    That is the direct law read against the transposed circle table.
+    That is the direct law read against the transposed circle table, the
+    table of the opposite group x @' y = y @ x, checked by the kernel of
+    validate_direct on the rows of ``mult.generators``.  They generate the
+    opposite group too, and the right translations x -> x @ a compose as
+    the opposite group multiplies, so the elements whose right translation
+    lies in Hol(G, *) again form a subgroup and its generators decide.
     """
-    return next(_law_failures(brace.add, brace.mult.table.T), None) is None
+    return _first_failure(brace.add, brace.mult.table.T, brace.mult.generators) is None
 
 
 def _tables(brace: SkewBrace) -> list[FiniteGroup]:

@@ -544,19 +544,26 @@ def _greedy_generators(g: FiniteGroup, candidates: Sequence[int]) -> tuple[int, 
     """Generators picked one at a time, each growing the span the most.
 
     Among elements that grow it equally, the first in ``candidates`` wins.
+    A candidate already in the span of an earlier one at the same step
+    spans no more than it did, so it cannot win and is not closed.
     """
     gens: list[int] = []
-    size = 1
-    while size < g.order:
-        best_g, best_size = -1, size
+    span = [0]
+    while len(span) < g.order:
+        best_g, best = -1, span
+        covered = np.zeros(g.order, dtype=bool)
+        covered[span] = True
         for cand in candidates:
-            grown = len(subgroup_closure(g, gens + [cand]))
-            if grown > best_size:
-                best_g, best_size = cand, grown
-                if grown == g.order:
+            if covered[cand]:
+                continue
+            grown = _closure(g.table, gens + [cand])
+            covered[grown] = True
+            if len(grown) > len(best):
+                best_g, best = cand, grown
+                if len(grown) == g.order:
                     break
         gens.append(best_g)
-        size = best_size
+        span = best
     return tuple(gens)
 
 

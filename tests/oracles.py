@@ -8,7 +8,9 @@ scanning every tuple of generator images without pruning (only the
 choice of generators is shared, so the scan's first map is comparable
 with the library's), settling every candidate image of an automorphism
 order count by its own search where the library closes orbits under the
-maps it has found, evaluating a law on every triple of elements where
+maps it has found, closing every candidate at every step of a greedy
+generating sequence where the library skips the ones an earlier
+closure covers, evaluating a law on every triple of elements where
 the library checks generators only, checking every displacement map
 where the library checks those of the circle generators, comparing braces pairwise where
 the library compares orbits of circle tables, or closing candidate
@@ -54,6 +56,7 @@ from bracelab.groups import (
     make_group,
     recognize,
     semidirect_product,
+    subgroup_closure,
     symmetric_group,
 )
 from bracelab.perms import Perm, PermutationGroup, compose, identity_perm, is_fixed_point_free
@@ -176,6 +179,28 @@ def aut_order_by_candidates(tables: Sequence[FiniteGroup]) -> int:
             if v != gen
         )
     return order
+
+
+def greedy_generators_by_closure(g: FiniteGroup, candidates: Sequence[int]) -> tuple[int, ...]:
+    """Generators picked one at a time, each growing the span the most.
+
+    Every candidate is closed with the generators so far at every step, and
+    among those that grow the span equally the first in ``candidates``
+    wins; the library skips candidates an earlier closure already covers.
+    """
+    gens: list[int] = []
+    size = 1
+    while size < g.order:
+        best_g, best_size = -1, size
+        for cand in candidates:
+            grown = len(subgroup_closure(g, gens + [cand]))
+            if grown > best_size:
+                best_g, best_size = cand, grown
+                if grown == g.order:
+                    break
+        gens.append(best_g)
+        size = best_size
+    return tuple(gens)
 
 
 def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:

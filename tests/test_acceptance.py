@@ -61,7 +61,7 @@ from bracelab.groups import (
 )
 from bracelab.hgs import reciprocity_check
 from bracelab.perms import all_perms, parse_cycles
-from oracles import brute_force_automorphisms, oracle_tables
+from oracles import brute_force_automorphisms, holomorph_scan, law_failures, oracle_tables
 
 
 @contextmanager
@@ -313,6 +313,12 @@ def test_06_validator_equivalence(sixdim_brace):
             direct = validate_direct(add, mult)
             holo = validate_via_holomorph(add, mult)
             assert (direct is None) == (holo is None)
+            # both routes share one kernel, so each is also held against its
+            # own independent full scan (the n^3 triple scan skips order 729)
+            if add.order < sixdim_brace.order:
+                first = [(direct.a, direct.b, direct.c, direct.left, direct.right)] if direct else []
+                assert first == law_failures(add, mult.table)[:1]
+                assert holo == holomorph_scan(add, mult)
             if direct is None:
                 valid += 1
             else:

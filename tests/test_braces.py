@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bracelab import braces
 from bracelab.braces import (
+    CounterexampleTriple,
     SkewBrace,
     _brace_aut_order,
     are_brace_isomorphic,
@@ -32,6 +34,7 @@ from bracelab.groups import (
     m3_group,
     make_group,
     recognize,
+    subgroup_closure,
     symmetric_group,
 )
 from oracles import (
@@ -47,6 +50,7 @@ from test_acceptance import (
     CATALOG_SWEEP,
     order36_factorization_brace,
     s3_factorization_brace,
+    s4_factorization_brace,
     seeded_pairs,
 )
 
@@ -331,9 +335,9 @@ def _tuples(witnesses):
     return [(w.a, w.b, w.c, w.left, w.right) for w in witnesses]
 
 
-def test_law_kernel_matches_the_triple_scan():
-    rng = np.random.default_rng(13)
-    by_order = [
+def _groups_by_order():
+    """Groups of order 8 to 27, one list per order."""
+    return [
         [cyclic_group(8), abelian_group([2, 4]), abelian_group([2, 2, 2]), dihedral_group(4),
          quaternion_group()],
         [cyclic_group(9), abelian_group([3, 3])],
@@ -342,8 +346,12 @@ def test_law_kernel_matches_the_triple_scan():
         [cyclic_group(18), direct_product(symmetric_group(3), cyclic_group(3))],
         [abelian_group([3, 3, 3]), heisenberg_group(3), m3_group(3), cyclic_group(27)],
     ]
+
+
+def test_law_kernel_matches_the_triple_scan():
+    rng = np.random.default_rng(13)
     pairs = []
-    for groups in by_order:
+    for groups in _groups_by_order():
         for add in groups:
             for j in rng.integers(len(groups), size=2):
                 sigma = [0] + list(1 + rng.permutation(add.order - 1))
@@ -376,3 +384,66 @@ def test_law_kernel_matches_the_triple_scan():
 def test_trivial_brace_of_klein_aut_count():
     b = trivial_brace(abelian_group([2, 2]))
     assert brace_automorphism_group(b).order == 6
+
+
+def test_first_failure_below_every_failing_generator():
+    # with make_group's generators the first failing element is always one
+    # of them; given only generators above it, the kernel's backward scan
+    # from the smallest failing generator must still find it
+    rng = np.random.default_rng(29)
+    pairs = seeded_pairs()[:200]
+    for groups in _groups_by_order():
+        for add in groups:
+            for mult in groups:
+                sigma = [0] + list(1 + rng.permutation(add.order - 1))
+                pairs.append((add, relabel(mult, sigma)))
+    backward = 0
+    for add, mult in pairs:
+        expected = law_failures(add, mult.table)
+        if not expected:
+            continue
+        a = expected[0][0]
+        above = tuple(range(a + 1, mult.order))
+        if len(subgroup_closure(mult, above)) < mult.order:
+            continue
+        rewrapped = FiniteGroup(mult.table, above)
+        assert min(g for g in above if not _respects_addition(add, mult, g)) > a
+        assert validate_direct(add, rewrapped) == CounterexampleTriple(*expected[0])
+        assert validate_via_holomorph(add, rewrapped) == holomorph_scan(add, mult)
+        backward += 1
+    assert backward >= 100
+
+
+def test_two_sided_on_factorization_braces():
+    # the circle groups are C3 x C2 (two-sided), S3 x S3 and S3 x C4
+    # (neither): the opposite group is a different table from the circle
+    # group only in the last two
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for b in (s3_factorization_brace(), order36_factorization_brace(), s4_factorization_brace()):
+        sigma = [0] + list(1 + rng.permutation(b.order - 1))
+        for add, mult in ((b.add, b.mult), (relabel(b.add, sigma), relabel(b.mult, sigma))):
+            verdict = is_two_sided(SkewBrace(add, mult))
+            assert verdict == (not law_failures(add, mult.table.T))
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_a_holding_verdict_checks_only_the_circle_generators(monkeypatch):
+    rows = []
+    kernel = braces._respects_addition
+
+    def spy(add, m_t, asked):
+        rows.append(len(asked))
+        return kernel(add, m_t, asked)
+
+    monkeypatch.setattr(braces, "_respects_addition", spy)
+    for b in (to_brace(catalog("degraaf_A340", 3)), s3_factorization_brace(), mod4_ring_brace()):
+        for check in (
+            lambda: validate_direct(b.add, b.mult) is None,
+            lambda: validate_via_holomorph(b.add, b.mult) is None,
+            lambda: is_two_sided(SkewBrace(b.add, b.mult)),
+        ):
+            rows.clear()
+            assert check()
+            assert rows == [len(b.mult.generators)]

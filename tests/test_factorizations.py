@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from bracelab.groups import (
     are_isomorphic,
     automorphism_group,
     cyclic_group,
+    dihedral_group,
     direct_product,
     group_from_permutations,
     heisenberg_group,
@@ -27,6 +30,7 @@ from bracelab.groups import (
     symmetric_group,
 )
 from bracelab.perms import all_perms, parse_cycles
+from oracles import _abstract_groups_of_order, nonabelian_groups_of_order_16
 
 
 def s3_factorization():
@@ -159,3 +163,56 @@ def test_s4_factorization_is_not_semidirect_either_side():
     brace = circle_from_factorization(f)
     assert not is_biskew(brace)
     assert validate_direct(brace.add, brace.mult) is None
+
+
+def _subgroups(g):
+    """Every subgroup of g as a sorted tuple, each grown from a smaller one by one element."""
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        grown = []
+        for h in frontier:
+            inside = set(h)
+            for x in range(g.order):
+                if x not in inside:
+                    k = tuple(subgroup_closure(g, h + (x,)))
+                    if k not in found:
+                        found.add(k)
+                        grown.append(k)
+        frontier = grown
+    return sorted(found, key=lambda h: (len(h), h))
+
+
+def test_semidirect_factorizations_give_biskew_braces():
+    # Every exact factorization G = LR with both factors proper, over one
+    # group of each type of order 2-15, the nine nonabelian groups of
+    # order 16, S4 and D9.  Convention: x = ab with a in L and b in R, and
+    # x o y = a y b.  When L is normal, G = L x| R and the brace is
+    # bi-skew; R normal alone is not enough.  The circle group is L x R.
+    groups = [g for n in range(2, 16) for g in _abstract_groups_of_order(n)]
+    groups += list(nonabelian_groups_of_order_16().values())
+    groups += [symmetric_group(4), dihedral_group(9)]
+    table = Counter()
+    for g in groups:
+        subgroups = [h for h in _subgroups(g) if 1 < len(h) < g.order]
+        for left in subgroups:
+            for right in subgroups:
+                if len(left) * len(right) != g.order or set(left) & set(right) != {0}:
+                    continue
+                f = validate_factorization(g, left, right)
+                brace = circle_from_factorization(f)
+                biskew = is_biskew(brace)
+                normal = (is_semidirect(f, "left"), is_semidirect(f, "right"))
+                if normal[0]:
+                    assert biskew
+                assert are_isomorphic(brace.mult, pair_group(f)) is not None
+                table[normal + (biskew,)] += 1
+    # (L normal, R normal, bi-skew) -> factorizations
+    assert dict(table) == {
+        (True, True, True): 142,
+        (True, False, True): 204,
+        (False, True, True): 124,
+        (False, True, False): 80,
+        (False, False, True): 40,
+        (False, False, False): 48,
+    }

@@ -17,6 +17,8 @@ from bracelab.errors import (
 )
 from bracelab.groups import (
     _aut_order,
+    _centraliser_sizes,
+    _greedy_generators,
     abelian_group,
     are_isomorphic,
     automorphism_group,
@@ -42,6 +44,7 @@ from oracles import (
     brute_force_automorphisms,
     first_non_associative,
     _abstract_groups_of_order,
+    greedy_generators_by_closure,
     intercalate_swap,
     looped_dihedral_table,
     looped_heisenberg_table,
@@ -384,6 +387,25 @@ def test_aut_order_matches_the_per_candidate_count():
         for tables in ([b.add], [b.mult], [b.add, b.mult]):
             fresh = [make_group(t.table.copy()) for t in tables]
             assert _aut_order(fresh, None, "count") == aut_order_by_candidates(tables)
+
+
+def test_greedy_generators_match_the_closure_of_every_candidate(sixdim_brace):
+    # skipping candidates an earlier closure covers leaves both candidate
+    # orders' picks unchanged: plain for generating_sequence, by
+    # centraliser size for the order searches' base
+    rng = np.random.default_rng(17)
+    groups = [g for n in range(1, 16) for g in _abstract_groups_of_order(n)]
+    groups += [abelian_group(f) for f in ([16], [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2])]
+    groups += list(nonabelian_groups_of_order_16().values())
+    tables = []
+    for g in groups:
+        sigma = [0] + list(1 + rng.permutation(g.order - 1))
+        tables += [g, relabel(g, sigma)]
+    tables += [sixdim_brace.add, sixdim_brace.mult]
+    for g in tables:
+        ranked = (np.argsort(_centraliser_sizes(g)[1:], kind="stable") + 1).tolist()
+        for candidates in (range(1, g.order), ranked):
+            assert _greedy_generators(g, candidates) == greedy_generators_by_closure(g, candidates)
 
 
 def test_aut_order_is_cached_and_reads_a_listed_group(monkeypatch):
