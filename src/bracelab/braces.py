@@ -21,8 +21,9 @@ from .errors import BraceAxiomFailure, IdentityMismatch, InvalidTableError
 from .groups import (
     FiniteGroup,
     PermRepresentation,
+    _Budget,
     _HomSearch,
-    _aut_order,
+    _aut_chain,
     _find_identity,
     _relabel,
     make_group,
@@ -92,8 +93,8 @@ class SkewBrace:
 
     ``add`` holds the additive group, ``mult`` the multiplicative one.
     Validation verdicts for both orientations of the law are cached, and so
-    are the brace automorphism group and its order, which both orientations
-    share.
+    are the brace automorphism group and the order and generators its
+    order search found, which both orientations share.
     """
 
     def __init__(self, add: FiniteGroup, mult: FiniteGroup) -> None:
@@ -107,7 +108,7 @@ class SkewBrace:
         self.order = add.order
         self._verdicts: dict[bool, Optional[CounterexampleTriple]] = {}
         self._auts: Optional[PermutationGroup] = None
-        self._aut_order: Optional[int] = None
+        self._chain: Optional[tuple[int, tuple[Perm, ...]]] = None
 
     def _direct(self, swapped: bool) -> Optional[CounterexampleTriple]:
         if swapped not in self._verdicts:
@@ -123,7 +124,7 @@ class SkewBrace:
         for key, value in self._verdicts.items():
             other._verdicts[not key] = value
         other._auts = self._auts
-        other._aut_order = self._aut_order
+        other._chain = self._chain
         return other
 
     def __repr__(self) -> str:
@@ -374,28 +375,24 @@ def _tables(brace: SkewBrace) -> list[FiniteGroup]:
 def brace_automorphism_group(brace: SkewBrace, budget: Optional[int] = None) -> PermutationGroup:
     """Bijections fixing 0 that respect both operations at once.
 
-    Listed by one homomorphism search over both tables together, under the
-    caller's budget; computed once per brace.  Raises SearchLimitExceeded
-    when the search passes its node budget.
+    Listed and paid for as :func:`groups.automorphism_group` is, from
+    the maps one order search over both tables keeps; computed once.
     """
     if brace._auts is None:
-        tables = _tables(brace)
-        search = _HomSearch(tables, tables, budget, "brace automorphism search")
-        brace._auts = PermutationGroup(brace.order, search.maps())
+        spent = _Budget(budget, "brace automorphism search")
+        order, kept = _brace_chain(brace, spent, spent.context)
+        spent.spend(order)
+        brace._auts = PermutationGroup.from_generators(brace.order, kept)
     return brace._auts
 
 
-def _brace_aut_order(brace: SkewBrace, budget: Optional[int]) -> int:
-    """|Aut of the brace| by the orbit-stabiliser count of groups._aut_order.
-
-    Read off the listed group when brace_automorphism_group has run;
-    otherwise computed once per brace under the caller's budget.
-    """
-    if brace._auts is not None:
-        return len(brace._auts)
-    if brace._aut_order is None:
-        brace._aut_order = _aut_order(_tables(brace), budget, "brace automorphism order search")
-    return brace._aut_order
+def _brace_chain(
+    brace: SkewBrace, budget: Optional[int] | _Budget, context: str
+) -> tuple[int, tuple[Perm, ...]]:
+    """groups._aut_chain over the brace's tables, computed once per brace."""
+    if brace._chain is None:
+        brace._chain = _aut_chain(_tables(brace), budget, context)
+    return brace._chain
 
 
 def exponent_compare(brace: SkewBrace) -> ExponentReport:

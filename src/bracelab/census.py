@@ -12,11 +12,13 @@ sends no point of the orbit of 0 under the group so far back into that
 orbit.  A candidate that either condition drops lies in no regular
 subgroup containing the group so far, so the search finds the same
 subgroups, in the same order, as one that closes every candidate.
+Braces are classified by walking each new class's orbit of circle
+tables under the generators of Aut(G) that its order search keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,12 +27,13 @@ from .errors import CapExceeded
 from .groups import (
     FiniteGroup,
     _Budget,
+    _aut_chain,
     _relabel,
     are_isomorphic,
     automorphism_group,
     recognize,
 )
-from .perms import PermutationGroup, compose, identity_perm
+from .perms import PermutationGroup, _reached, compose, identity_perm
 
 __all__ = [
     "CensusEntry",
@@ -246,17 +249,16 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
 
     Braces on one additive table are isomorphic exactly when an additive
     automorphism transports one circle table to the other, so each class
-    is an Aut(A)-orbit of circle tables.  A brace on another labelling of
-    an additive group already seen is first moved into that group's
-    labelling by a group isomorphism, found once per additive table.
+    is an Aut(A)-orbit of circle tables, walked under the generators its
+    order search keeps.  A brace on another labelling of an additive group
+    already seen is first moved into that group's labelling by a group
+    isomorphism, found once per additive table.
     """
     if not braces:
         raise ValueError("cannot classify an empty brace list")
     adds: list[FiniteGroup] = []  # one labelling per additive isomorphism type
     orbits: list[dict[bytes, int]] = []  # per entry of adds: circle table -> class
-    # per entry of adds: its automorphisms as rows of images, and the
-    # table positions each relabelled table reads (see _positions)
-    auts: list[tuple[np.ndarray, np.ndarray]] = []
+    gens: list[np.ndarray] = []  # per entry of adds: generators of Aut, as rows of images
     classes: list[list[SkewBrace]] = []
     # additive table digest -> (entry of adds, relabelling into it or None)
     placed: dict[bytes, tuple[int, Optional[np.ndarray]]] = {}
@@ -274,15 +276,14 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
                 placed[b.add.digest] = (len(adds), None)
                 adds.append(b.add)
                 orbits.append({})
-                images = np.array(automorphism_group(b.add).elements, dtype=np.int32)
-                auts.append((images, _positions(images)))
+                kept = _aut_chain([b.add], None, "automorphism search")[1]
+                gens.append(np.array(kept, dtype=np.int32).reshape(len(kept), b.order))
         k, sigma = placed[b.add.digest]
         table = b.mult.table if sigma is None else _relabel(b.mult.table, sigma)
         cls = orbits[k].get(table.tobytes())
         if cls is None:
             cls = len(classes)
-            for moved in _transports(table, *auts[k]):
-                orbits[k][moved.tobytes()] = cls
+            orbits[k].update(dict.fromkeys(_orbit_tables(table, gens[k]), cls))
             classes.append([])
         classes[cls].append(b)
     entries = tuple(
@@ -291,32 +292,16 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
     return BraceCensus(adds[0], len(braces), entries)
 
 
-def _positions(sigma: np.ndarray) -> np.ndarray:
-    """Row j: where entry (x, y) of a table relabelled by automorphism j is read.
+def _orbit_tables(table: np.ndarray, sigma: np.ndarray) -> set[bytes]:
+    """The bytes of every table the automorphisms ``sigma`` generate carry ``table`` to.
 
-    ``sigma[j]`` lists the images of automorphism j.  The relabelled table
-    holds sigma[j] of the entry at (inverse x, inverse y), which lies at
-    flat position inverse(x) * n + inverse(y) of the original.
+    A level relabels every new table t by every row of sigma at once:
+    ``_relabel(t, sigma[j])`` holds sigma[j] of the entry of t at (inverse
+    x, inverse y), read from the flattened sigma at offset j * n.
     """
     m, n = sigma.shape
-    inv = np.argsort(sigma, axis=1).astype(np.int32)
-    return (inv[:, :, None] * n + inv[:, None, :]).reshape(m, n * n)
-
-
-def _transports(
-    table: np.ndarray, sigma: np.ndarray, positions: np.ndarray
-) -> Iterator[np.ndarray]:
-    """The table relabelled by each automorphism in turn, flattened.
-
-    Row j equals ``_relabel(table, sigma[j]).ravel()`` and has the same
-    bytes.  Each block of 256 automorphisms is two flat gathers: the
-    table entries at their positions, then their images under sigma[j],
-    read from the flattened sigma at offset j * n.  Blocks keep the
-    scratch arrays small when Aut(A) is large.
-    """
-    n, block = len(table), 256
-    entries, images = table.ravel(), sigma.ravel()
-    for start in range(0, len(sigma), block):
-        moved = entries.take(positions[start:start + block])
-        moved += np.arange(start, start + len(moved), dtype=np.int32)[:, None] * n
-        yield from images.take(moved)
+    inv = np.argsort(sigma, axis=1).astype(table.dtype)
+    positions = (inv[:, :, None] * n + inv[:, None, :]).reshape(m, n * n)
+    offsets = np.arange(m, dtype=table.dtype)[:, None] * n
+    images = sigma.ravel()
+    return _reached(table.ravel(), lambda t: images.take(t.take(positions, axis=1) + offsets))

@@ -61,7 +61,7 @@ from .formats import (
     read_group,
     write_brace,
 )
-from .groups import _aut_order, recognize, subgroup_closure, symmetric_group
+from .groups import _aut_chain, recognize, subgroup_closure, symmetric_group
 from .hgs import count_hgs, reciprocity_check
 from .perms import all_perms, parse_cycles
 
@@ -148,7 +148,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_aut(args: argparse.Namespace) -> int:
     g = read_group(args.group)
-    aut_order = _aut_order([g], args.budget, "automorphism order search")
+    aut_order = _aut_chain([g], args.budget, "automorphism order search")[0]
     _emit(
         [
             ("group", recognize(g)),

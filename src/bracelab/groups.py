@@ -10,6 +10,10 @@ permutations written on the right.  Permutation-*valued* maps in this
 package (regular representations, automorphisms, holomorphs) compose as
 functions instead; the two conventions never mix because abstract tables
 and permutation tuples are distinct types.
+
+Automorphisms come from one stabiliser chain, :func:`_aut_chain`: its
+order serves the counts, and the maps it keeps generate the group, so a
+listing is their closure.
 """
 from __future__ import annotations
 
@@ -79,9 +83,9 @@ class _Budget:
             raise BraceLabError(f"{name} must be a positive integer, got {given!r}")
         self.limit, self.context, self.nodes = int(given), context, 0
 
-    def spend(self) -> None:
-        """Count one node; past the limit, raise SearchLimitExceeded."""
-        self.nodes += 1
+    def spend(self, nodes: int = 1) -> None:
+        """Count ``nodes`` nodes; past the limit, raise SearchLimitExceeded."""
+        self.nodes += nodes
         if self.nodes > self.limit:
             raise SearchLimitExceeded(self.limit, self.context)
 
@@ -102,16 +106,16 @@ class FiniteGroup:
         table.flags.writeable = False
         self.inverses.flags.writeable = False
         # the generating set of make_group's associativity test, which the
-        # census passes too; the listing and isomorphism searches use
+        # census passes too; the isomorphism searches use
         # generating_sequence, whose greedy order they depend on, and the
-        # order searches _base
+        # automorphism searches _base
         self.generators = generators
         self._digest: Optional[bytes] = None
         self._orders: Optional[np.ndarray] = None
         self._abelian: Optional[bool] = None
         self._derived: Optional[int] = None
         self._auts: Optional[PermutationGroup] = None
-        self._aut_order: Optional[int] = None
+        self._chain: Optional[tuple[int, tuple[Perm, ...]]] = None
         self._gens: Optional[tuple[int, ...]] = None
         self._base: Optional[tuple[int, ...]] = None
 
@@ -581,14 +585,14 @@ class _HomSearch:
     bijective homomorphism for the first pair of tables; further pairs are
     compared whole.  One node is one candidate image tried, at any depth and
     by any call of :meth:`maps` on the same search, and is spent from the
-    search's one ``budget``.
+    search's one ``budget`` (a limit, or a running :class:`_Budget`).
     """
 
     def __init__(
         self,
         src: Sequence[FiniteGroup],
         dst: Sequence[FiniteGroup],
-        budget: Optional[int],
+        budget: Optional[int] | _Budget,
         context: str,
         gens: Optional[Sequence[int]] = None,
     ) -> None:
@@ -607,7 +611,7 @@ class _HomSearch:
             ).tolist()
             for gen in self.gens
         ]
-        self.budget = _Budget(budget, context)
+        self.budget = budget if isinstance(budget, _Budget) else _Budget(budget, context)
 
     def _preserves_rest(self, img: list[int]) -> bool:
         """Whether a full assignment carries every table past the first."""
@@ -697,18 +701,24 @@ class _HomSearch:
 
 
 def automorphism_group(g: FiniteGroup, budget: Optional[int] = None) -> PermutationGroup:
-    """All automorphisms, by the generator-image search; cached on the group.
+    """All automorphisms, closed from the maps :func:`_aut_chain` keeps; cached on the group.
 
-    Raises SearchLimitExceeded when the search passes its node budget.
+    One budget pays for that search (unless it is cached) and for one node
+    per listed map, charged on the exact order: past the budget,
+    SearchLimitExceeded is raised before any map is composed.
     """
     if g._auts is None:
-        search = _HomSearch([g], [g], budget, "automorphism search")
-        g._auts = PermutationGroup(g.order, search.maps())
+        spent = _Budget(budget, "automorphism search")
+        order, kept = _aut_chain([g], spent, spent.context)
+        spent.spend(order)
+        g._auts = PermutationGroup.from_generators(g.order, kept)
     return g._auts
 
 
-def _aut_order(tables: Sequence[FiniteGroup], budget: Optional[int], context: str) -> int:
-    """Order of the group of bijections preserving every table, unlisted.
+def _aut_chain(
+    tables: Sequence[FiniteGroup], budget: Optional[int] | _Budget, context: str
+) -> tuple[int, tuple[Perm, ...]]:
+    """The order of the group of bijections preserving every table, and maps generating it.
 
     The table with the shortest :func:`_base` goes first (the first given
     among equals) and its base b_1, ..., b_k is searched.  The order is the product over i of the
@@ -721,16 +731,15 @@ def _aut_order(tables: Sequence[FiniteGroup], budget: Optional[int], context: st
     map of one search started from the fixed images b_1, ..., b_(i-1), v.
     A hit keeps the map and closes the orbit again; a miss rules out v's
     whole orbit under the kept maps, as they all fix b_1, ..., b_(i-1).
-    So every orbit is settled exactly.  The nodes of every such search
-    count against one budget.  The order of a single group is cached on
-    it, and read off its listed automorphisms when it has them.
+    So every orbit is settled exactly, and the kept maps generate the
+    group: by induction up the chain, those kept from level i down
+    generate the stabiliser of b_1, ..., b_(i-1).  The nodes of every such
+    search count against one budget.  The pair is cached on a single group.
     """
     g = tables[0]
     single = len(tables) == 1
-    if single and g._auts is not None:
-        return len(g._auts)
-    if single and g._aut_order is not None:
-        return g._aut_order
+    if single and g._chain is not None:
+        return g._chain
     tables = sorted(tables, key=lambda t: len(_base(t)))
     search = _HomSearch(tables, tables, budget, context, _base(tables[0]))
     # a map preserving a table keeps centraliser sizes in it
@@ -739,7 +748,7 @@ def _aut_order(tables: Sequence[FiniteGroup], budget: Optional[int], context: st
         [v for v in cands if all(c[v] == c[point] for c in sizes)]
         for point, cands in zip(search.gens, search.cands)
     ]
-    kept: list[tuple[int, ...]] = []
+    kept: list[Perm] = []
     order = 1
     for depth in reversed(range(len(search.gens))):
         fixed, point = search.gens[:depth], search.gens[depth]
@@ -756,9 +765,10 @@ def _aut_order(tables: Sequence[FiniteGroup], budget: Optional[int], context: st
                 kept.append(found)
                 orbit = _orbit(point, kept)
         order *= len(orbit)
+    chain = (order, tuple(kept))
     if single:
-        g._aut_order = order
-    return order
+        g._chain = chain
+    return chain
 
 
 def _orbit(point: int, maps: Sequence[Sequence[int]]) -> set[int]:

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "Perm",
@@ -133,6 +135,20 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(out)
 
 
+def _reached(start: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> set[bytes]:
+    """The bytes of every row reached from the row ``start``, breadth-first.
+
+    ``step`` maps the array of a level's new rows to an array of their images.
+    """
+    whole = np.dtype((np.void, start.nbytes))  # one row as one item
+    seen = frontier = {start.tobytes()}
+    while frontier:
+        rows = np.frombuffer(b"".join(frontier), dtype=start.dtype).reshape(len(frontier), -1)
+        frontier = set(step(rows).view(whole).ravel().tolist()) - seen
+        seen |= frontier
+    return seen
+
+
 class PermutationGroup:
     """A set of permutations of fixed degree, closed under composition.
 
@@ -156,19 +172,10 @@ class PermutationGroup:
 
     @classmethod
     def from_generators(cls, degree: int, generators: Iterable[Sequence[int]]) -> "PermutationGroup":
-        gens = [tuple(g) for g in generators]
-        seen = {identity_perm(degree)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = compose(p, g)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return cls(degree, seen)
+        """The group the permutations generate; p∘g reads p at the points of g."""
+        gens = np.array([tuple(g) for g in generators], dtype=np.int32).reshape(-1, degree)
+        found = _reached(np.arange(degree, dtype=np.int32), lambda p: p.take(gens, axis=1))
+        return cls(degree, np.frombuffer(b"".join(found), dtype=np.int32).reshape(-1, degree).tolist())
 
     @property
     def order(self) -> int:

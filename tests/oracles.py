@@ -6,7 +6,9 @@ testing each automorphism of one brace operation against the other's
 table where the library searches both tables at once,
 scanning every tuple of generator images without pruning (only the
 choice of generators is shared, so the scan's first map is comparable
-with the library's), settling every candidate image of an automorphism
+with the library's), listing automorphisms by exhausting the
+generator-image search where the library closes the maps its order
+search keeps, settling every candidate image of an automorphism
 order count by its own search where the library closes orbits under the
 maps it has found, closing every candidate at every step of a greedy
 generating sequence where the library skips the ones an earlier
@@ -158,6 +160,17 @@ def searched_name(g: FiniteGroup) -> str:
     if n % 2 == 0 and n >= 8 and are_isomorphic(g, dihedral_group(n // 2)) is not None:
         return f"D{n // 2}"
     return "unrecognized"
+
+
+def searched_automorphisms(tables: Sequence[FiniteGroup]) -> PermutationGroup:
+    """Every bijection preserving all the tables, by exhausting the search.
+
+    Each map of the generator-image search is listed, where the library
+    closes the maps its order search keeps.  Pass ``[g]`` for Aut(g) and
+    ``[brace.add, brace.mult]`` for the automorphisms of a brace.
+    """
+    search = _HomSearch(tables, tables, None, "automorphism listing search")
+    return PermutationGroup(tables[0].order, search.maps())
 
 
 def aut_order_by_candidates(tables: Sequence[FiniteGroup]) -> int:

@@ -5,7 +5,7 @@ from bracelab import braces
 from bracelab.braces import (
     CounterexampleTriple,
     SkewBrace,
-    _brace_aut_order,
+    _brace_chain,
     are_brace_isomorphic,
     brace_automorphism_group,
     brace_from_groups,
@@ -45,6 +45,7 @@ from oracles import (
     product_scan_isomorphism,
     quaternion_group,
     relabel,
+    searched_automorphisms,
 )
 from test_acceptance import (
     CATALOG_SWEEP,
@@ -107,23 +108,37 @@ def test_brace_automorphisms_match_the_table_filter():
         sigma = np.concatenate([[0], 1 + rng.permutation(b.order - 1)])
         braces.append(brace_from_groups(relabel(b.add, sigma), relabel(b.mult, sigma)))
     for b in braces:
-        # counted first: on a listed brace it reads the list's length
-        order = _brace_aut_order(b, None)
+        # counted first: the listing then closes the maps the count kept
+        order = _brace_chain(b, None, "count")[0]
         assert brace_automorphism_group(b) == filtered_brace_automorphisms(b)
         assert order == len(brace_automorphism_group(b))
 
 
+def test_brace_closure_listing_matches_the_search_listing():
+    # the degraaf_A340 brace at p = 7 is left out: its search listing
+    # alone takes about 5 s
+    braces = [
+        to_brace(catalog(name, p, **kw))
+        for name, p, kw in CATALOG_SWEEP
+        if (name, p) != ("degraaf_A340", 7)
+    ]
+    braces += [s3_factorization_brace(), order36_factorization_brace()]
+    for b in braces:
+        assert brace_automorphism_group(b) == searched_automorphisms([b.add, b.mult])
+
+
 def test_brace_automorphism_group_lists_inside_a_small_budget(monkeypatch):
-    # one search over both tables lists the 36 maps in 1326 nodes, where
-    # listing Aut(C3^3) = GL(3,3) alone would need far more
+    # one order search over both tables (46 nodes) and one node per listed
+    # map (36) list the brace automorphisms in 82 nodes, where listing
+    # Aut(C3^3) = GL(3,3) alone would need far more
     def listed():
         return brace_automorphism_group(to_brace(catalog("degraaf_A340", 3)))
 
     monkeypatch.setenv("BRACELAB_BUDGET", "2000")
     auts = listed()
-    monkeypatch.setenv("BRACELAB_BUDGET", "1326")
+    monkeypatch.setenv("BRACELAB_BUDGET", "82")
     assert listed() == auts
-    monkeypatch.setenv("BRACELAB_BUDGET", "1325")
+    monkeypatch.setenv("BRACELAB_BUDGET", "81")
     with pytest.raises(SearchLimitExceeded, match="brace automorphism search"):
         listed()
     monkeypatch.delenv("BRACELAB_BUDGET")
@@ -136,21 +151,21 @@ def test_brace_automorphism_group_runs_under_the_caller_budget(monkeypatch):
     monkeypatch.setenv("BRACELAB_BUDGET", "2000")
     b = to_brace(catalog("degraaf_A340", 3))
     with pytest.raises(SearchLimitExceeded, match="brace automorphism search") as exc:
-        brace_automorphism_group(b, budget=1325)
-    assert exc.value.budget == 1325
+        brace_automorphism_group(b, budget=81)
+    assert exc.value.budget == 81
     monkeypatch.setenv("BRACELAB_BUDGET", "1")
-    assert len(brace_automorphism_group(b, budget=1326)) == 36
+    assert len(brace_automorphism_group(b, budget=82)) == 36
 
 
 def test_brace_aut_order_is_shared_with_the_swapped_brace(monkeypatch):
     b = mod4_ring_brace()
-    assert _brace_aut_order(b, None) == 2
+    assert _brace_chain(b, None, "count")[0] == 2
 
     def fail(*args):
         raise AssertionError("brace automorphisms counted again")
 
-    monkeypatch.setattr("bracelab.braces._aut_order", fail)
-    assert _brace_aut_order(b, None) == _brace_aut_order(b.swapped(), None) == 2
+    monkeypatch.setattr("bracelab.braces._aut_chain", fail)
+    assert _brace_chain(b, None, "count")[0] == _brace_chain(b.swapped(), None, "count")[0] == 2
 
 
 def test_opposite_brace_is_biskew_and_two_sided():

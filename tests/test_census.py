@@ -307,15 +307,16 @@ def test_recognize_names_every_nonabelian_group_of_order_16():
 
 
 def test_budget_reaches_the_automorphism_search():
-    # a fresh group has no automorphisms cached, so the holomorph searches
+    # a fresh group has no automorphisms cached, so the holomorph searches;
+    # listing Aut(C5^2) takes 14 order-search nodes and 480 listed maps
     with pytest.raises(SearchLimitExceeded) as exc:
-        enumerate_braces(abelian_group([5, 5]), cap=10**6, budget=500)
+        enumerate_braces(abelian_group([5, 5]), cap=10**6, budget=493)
     assert "automorphism search" in str(exc.value)
 
 
 def test_budget_error_names_the_argument_that_set_it():
     with pytest.raises(SearchLimitExceeded) as exc:
-        enumerate_braces(abelian_group([5, 5]), cap=10**6, budget=500)
+        enumerate_braces(abelian_group([5, 5]), cap=10**6, budget=493)
     message = str(exc.value)
     assert "budget=" in message and "--budget" in message
     assert "when neither is given, the BRACELAB_BUDGET environment variable" in message

@@ -16,7 +16,8 @@ from bracelab.errors import (
     SearchLimitExceeded,
 )
 from bracelab.groups import (
-    _aut_order,
+    _Budget,
+    _aut_chain,
     _centraliser_sizes,
     _greedy_generators,
     abelian_group,
@@ -38,7 +39,7 @@ from bracelab.groups import (
     subgroup_group,
     symmetric_group,
 )
-from bracelab.perms import all_perms, parse_cycles
+from bracelab.perms import PermutationGroup, all_perms, parse_cycles
 from oracles import (
     aut_order_by_candidates,
     brute_force_automorphisms,
@@ -55,6 +56,7 @@ from oracles import (
     product_scan_isomorphism,
     quaternion_group,
     relabel,
+    searched_automorphisms,
     searched_name,
 )
 
@@ -367,8 +369,8 @@ def test_aut_order_matches_the_listed_group():
     for g in bases:
         sigma = [0] + list(1 + rng.permutation(g.order - 1))
         for h in (make_group(g.table.copy()), relabel(g, sigma)):
-            # counted first: on a listed group it reads the list's length
-            order = _aut_order([h], None, "automorphism order search")
+            # counted first: the listing then closes the maps the count kept
+            order = _aut_chain([h], None, "automorphism order search")[0]
             assert order == len(automorphism_group(h))
 
 
@@ -381,12 +383,47 @@ def test_aut_order_matches_the_per_candidate_count():
     for g in bases:
         sigma = [0] + list(1 + rng.permutation(g.order - 1))
         for h in (make_group(g.table.copy()), relabel(g, sigma)):
-            assert _aut_order([h], None, "count") == aut_order_by_candidates([h])
+            assert _aut_chain([h], None, "count")[0] == aut_order_by_candidates([h])
     for p in (3, 5):
         b = to_brace(catalog("degraaf_A340", p))
         for tables in ([b.add], [b.mult], [b.add, b.mult]):
             fresh = [make_group(t.table.copy()) for t in tables]
-            assert _aut_order(fresh, None, "count") == aut_order_by_candidates(tables)
+            assert _aut_chain(fresh, None, "count")[0] == aut_order_by_candidates(tables)
+
+
+def test_closure_listing_matches_the_search_listing():
+    # the maps the order search keeps generate Aut(g), so their closure
+    # lists every map that exhausting the generator-image search finds
+    rng = np.random.default_rng(31)
+    bases = [g for n in range(1, 16) for g in _abstract_groups_of_order(n)]
+    bases += list(nonabelian_groups_of_order_16().values())
+    bases += [abelian_group(f) for f in ([16], [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2])]
+    for g in bases:
+        sigma = [0] + list(1 + rng.permutation(g.order - 1))
+        for h in (make_group(g.table.copy()), relabel(g, sigma)):
+            assert automorphism_group(h) == searched_automorphisms([h])
+
+
+def test_listing_stops_at_its_budget(monkeypatch):
+    # a listing spends the order search's nodes (75 on C2^4) and one node
+    # per listed map, checked against the exact order before any map is
+    # composed
+    chain = _Budget(None, "automorphism search")
+    assert _aut_chain([abelian_group([2, 2, 2, 2])], chain, chain.context)[0] == 20160
+    assert chain.nodes == 75
+    budget = chain.nodes + 20160
+    assert len(automorphism_group(abelian_group([2, 2, 2, 2]), budget=budget)) == 20160
+
+    def fail(*args):
+        raise AssertionError("automorphisms composed past the budget")
+
+    monkeypatch.setattr(PermutationGroup, "from_generators", fail)
+    with pytest.raises(SearchLimitExceeded, match="automorphism search"):
+        automorphism_group(abelian_group([2, 2, 2, 2]), budget=budget - 1)
+    # the |GL(6, 3)| maps of C3^6 would never finish; the listing fails as
+    # soon as its order search does
+    with pytest.raises(SearchLimitExceeded, match="automorphism search"):
+        automorphism_group(abelian_group([3] * 6))
 
 
 def test_greedy_generators_match_the_closure_of_every_candidate(sixdim_brace):
@@ -410,26 +447,26 @@ def test_greedy_generators_match_the_closure_of_every_candidate(sixdim_brace):
 
 def test_aut_order_is_cached_and_reads_a_listed_group(monkeypatch):
     g, h = heisenberg_group(3), abelian_group([3, 3])
-    assert _aut_order([g], None, "count") == 432
+    assert _aut_chain([g], None, "count")[0] == 432
     auts = automorphism_group(h)
 
     def fail(*args):
         raise AssertionError("automorphisms searched again")
 
     monkeypatch.setattr("bracelab.groups._HomSearch", fail)
-    assert _aut_order([g], None, "count") == 432
-    assert _aut_order([h], None, "count") == len(auts) == 48
+    assert _aut_chain([g], None, "count")[0] == 432
+    assert _aut_chain([h], None, "count")[0] == len(auts) == 48
 
 
 def test_aut_order_stops_at_its_budget():
     # |Aut(C5^3)| = |GL(3, 5)| = 1,488,000 from 147 nodes; one node fewer
     # fails (every element of an abelian group has the same centraliser)
     p = 5
-    assert _aut_order([abelian_group([p] * 3)], 147, "count") == math.prod(
+    assert _aut_chain([abelian_group([p] * 3)], 147, "count")[0] == math.prod(
         p**3 - p**i for i in range(3)
     )
     with pytest.raises(SearchLimitExceeded, match="automorphism order search"):
-        _aut_order([abelian_group([p] * 3)], 146, "automorphism order search")
+        _aut_chain([abelian_group([p] * 3)], 146, "automorphism order search")
 
 
 def test_generating_sequence_generates():
