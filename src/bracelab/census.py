@@ -117,6 +117,8 @@ def _circle_tables(
     rows = g.table.tolist()
     alphas = np.array(auts, dtype=np.int32)
     idx = np.arange(n)
+    # automorphisms agreeing on g.generators are equal, so these columns sort ``moved``
+    width = max(g.generators, default=0) + 1
     # uniform[a][k]: every cycle of (a, k) has one length, as in every
     # semiregular group; for a != 0 this implies no fixed point
     uniform: list[list[bool]] = []
@@ -126,7 +128,7 @@ def _circle_tables(
         moved = g.table[a][alphas]  # row k is the permutation (a, k)
         ok = _equal_cycles(moved)
         uniform.append(ok.tolist())
-        order = np.lexsort(moved.T[::-1])
+        order = np.lexsort(moved[:, :width].T[::-1])
         rank[a, order] = np.arange(m)
         by_start[a] = order[ok[order]]
     # k * m + l -> index of alpha_k alpha_l; a full table would be m^2

@@ -45,7 +45,7 @@ from .braces import (
     validate_via_holomorph,
 )
 from .census import DEFAULT_CAP, classify_braces, enumerate_braces
-from .errors import BraceLabError, FileFormatError, NotBiskew
+from .errors import BraceLabError, NotBiskew
 from .factorizations import (
     circle_from_factorization,
     demo_s4,
@@ -491,9 +491,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NotBiskew as exc:
         print(f"not bi-skew: {exc}", file=sys.stderr)
         return 1
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (BraceLabError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from .errors import IntersectionNontrivial, NotSubgroup, OrderMismatch
 from .groups import (
     FiniteGroup,
     PermRepresentation,
+    _escaping_product,
     are_isomorphic,
     direct_product,
     is_normal,
@@ -68,10 +69,9 @@ class ExactFactorization:
 def _check_subgroup(g: FiniteGroup, elems: set[int], side: str) -> None:
     if 0 not in elems:
         raise NotSubgroup(side, "missing the identity")
-    for x in elems:
-        for y in elems:
-            if g.mul(x, y) not in elems:
-                raise NotSubgroup(side, f"{x} * {y} = {g.mul(x, y)} escapes")
+    escape = _escaping_product(g, sorted(elems))
+    if escape is not None:
+        raise NotSubgroup(side, "{} * {} = {} escapes".format(*escape))
 
 
 def validate_factorization(
@@ -79,9 +79,9 @@ def validate_factorization(
 ) -> ExactFactorization:
     """Check subgroup-ness, trivial intersection, and the order product.
 
-    Errors: NotSubgroup (with the failing side), IntersectionNontrivial,
-    OrderMismatch.  On success the unique decomposition of every element
-    is tabulated.
+    Errors: NotSubgroup (with the failing side, and the lexicographically
+    first product escaping it), IntersectionNontrivial, OrderMismatch.  On
+    success the unique decomposition of every element is tabulated.
     """
     lset = {int(x) for x in left}
     rset = {int(x) for x in right}

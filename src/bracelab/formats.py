@@ -153,16 +153,21 @@ def _parse_rows(lines: list[str], start: int, n: int) -> np.ndarray:
     return values.reshape(n, n)
 
 
+def _parse_order(lines: list[str], kind: str) -> int:
+    """The order n of a '<kind> <n>' header, checked against the cap."""
+    tokens = _parse_header(lines, kind)
+    if len(tokens) != 2:
+        raise FileFormatError(1, f"{kind} header must be '{kind} <n>'")
+    n = _parse_int(tokens[1], 1, f"{kind} order")
+    if n < 1:
+        raise FileFormatError(1, f"{kind} order must be positive, got {n}")
+    _check_order(n)
+    return n
+
+
 def read_group(path: PathLike) -> FiniteGroup:
     lines = _lines(path)
-    tokens = _parse_header(lines, "group")
-    if len(tokens) != 2:
-        raise FileFormatError(1, "group header must be 'group <n>'")
-    n = _parse_int(tokens[1], 1, "group order")
-    if n < 1:
-        raise FileFormatError(1, f"group order must be positive, got {n}")
-    _check_order(n)
-    return make_group(_parse_rows(lines, 2, n))
+    return make_group(_parse_rows(lines, 2, _parse_order(lines, "group")))
 
 
 def _rows_text(table: np.ndarray) -> str:
@@ -185,13 +190,7 @@ def read_brace_tables(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
     apply; group and law validation are left to the caller.
     """
     lines = _lines(path)
-    tokens = _parse_header(lines, "brace")
-    if len(tokens) != 2:
-        raise FileFormatError(1, "brace header must be 'brace <n>'")
-    n = _parse_int(tokens[1], 1, "brace order")
-    if n < 1:
-        raise FileFormatError(1, f"brace order must be positive, got {n}")
-    _check_order(n)
+    n = _parse_order(lines, "brace")
     add = _parse_rows(lines, 2, n)
     sep = 2 + n
     if sep > len(lines) or lines[sep - 1].strip():

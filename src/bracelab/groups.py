@@ -182,7 +182,7 @@ class FiniteGroup:
             t = self.table
             lefts = t[np.ix_(inv, inv)]
             comms = t[lefts, t]
-            self._derived = len(subgroup_closure(self, set(int(x) for x in comms.ravel())))
+            self._derived = len(subgroup_closure(self, np.unique(comms).tolist()))
         return self._derived
 
     # -- identity and comparison -------------------------------------------
@@ -462,22 +462,33 @@ def subgroup_group(g: FiniteGroup, elements: Iterable[int]) -> FiniteGroup:
     elems = sorted(set(int(x) for x in elements))
     if not elems or elems[0] != 0:
         raise ValueError("subgroup must contain the identity 0")
-    pos = {x: i for i, x in enumerate(elems)}
-    k = len(elems)
-    table = np.empty((k, k), dtype=np.int32)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            z = int(g.table[x, y])
-            if z not in pos:
-                raise ValueError(f"subset is not closed: {x} * {y} = {z} escapes")
-            table[i, j] = pos[z]
-    return make_group(table)
+    escape = _escaping_product(g, elems)
+    if escape is not None:
+        raise ValueError("subset is not closed: {} * {} = {} escapes".format(*escape))
+    arr = np.asarray(elems)
+    return make_group(np.searchsorted(arr, g.table[np.ix_(arr, arr)]))
+
+
+def _escaping_product(g: FiniteGroup, elems: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The lexicographically first (x, y, x * y) leaving the sorted ``elems``, if any."""
+    arr = np.asarray(elems)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[arr] = True
+    products = g.table[np.ix_(arr, arr)]
+    escapes = np.argwhere(~inside[products])
+    if not len(escapes):
+        return None
+    i, j = escapes[0]
+    return int(arr[i]), int(arr[j]), int(products[i, j])
 
 
 def is_normal(g: FiniteGroup, elements: Iterable[int]) -> bool:
     """Whether a subset is stable under conjugation by every group element."""
-    subset = set(int(x) for x in elements)
-    return all(g.conjugate(a, x) in subset for a in subset for x in range(g.order))
+    inside = np.zeros(g.order, dtype=bool)
+    inside[[int(a) for a in elements]] = True
+    t, xs = g.table, np.arange(g.order)[:, None]
+    # row x holds x^-1 * a * x for every member a
+    return bool(inside[t[t[g.inverses[xs], np.flatnonzero(inside)], xs]].all())
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +587,10 @@ class _HomSearch:
 
     Images are assigned to ``gens``, by default
     ``generating_sequence(src[0])``, which must generate src[0], one
-    generator at a time, trying in ascending order the elements whose order
-    matches the generator's under every table.  Each partial assignment is
+    generator at a time, trying in ascending order the elements whose key
+    matches the generator's: its order and centraliser size in every table,
+    which a bijection carrying each src[k] to dst[k] keeps.  If the sorted
+    keys differ, no map exists and no node is spent.  Each partial assignment is
     closed under right multiplication by its generators in every pair of
     tables and abandoned at the first clash with a dst table or with
     injectivity; a clash rules out every completion, so maps come out in
@@ -603,12 +616,15 @@ class _HomSearch:
         for g, h in zip(src, dst):
             s_cols = g.table.T.tolist()
             self.cols.append((s_cols, s_cols if h is g else h.table.T.tolist()))
+        # an automorphism search (dst is src) has one set of keys to compute
+        keys = [
+            np.stack([c for t in tables for c in (t.element_orders(), _centraliser_sizes(t))], 1)
+            for tables in ((src,) if dst is src else (src, dst))
+        ]
+        s_keys, d_keys = keys[0], keys[-1]
+        same = dst is src or np.array_equal(*(k[np.lexsort(k.T)] for k in keys))
         self.cands = [
-            np.flatnonzero(
-                np.logical_and.reduce(
-                    [h.element_orders() == g.element_orders()[gen] for g, h in zip(src, dst)]
-                )
-            ).tolist()
+            np.flatnonzero((d_keys == s_keys[gen]).all(axis=1)).tolist() if same else []
             for gen in self.gens
         ]
         self.budget = budget if isinstance(budget, _Budget) else _Budget(budget, context)
@@ -742,12 +758,6 @@ def _aut_chain(
         return g._chain
     tables = sorted(tables, key=lambda t: len(_base(t)))
     search = _HomSearch(tables, tables, budget, context, _base(tables[0]))
-    # a map preserving a table keeps centraliser sizes in it
-    sizes = [_centraliser_sizes(t) for t in tables]
-    search.cands = [
-        [v for v in cands if all(c[v] == c[point] for c in sizes)]
-        for point, cands in zip(search.gens, search.cands)
-    ]
     kept: list[Perm] = []
     order = 1
     for depth in reversed(range(len(search.gens))):
@@ -788,17 +798,11 @@ def are_isomorphic(
 ) -> Optional[GroupHom]:
     """An isomorphism g -> h if one exists, else None.
 
-    Cheap invariants (order, abelianness, element-order multiset, center,
-    derived subgroup) run first; then the generator-image search, whose
-    first map is returned.
+    The orders and derived subgroup orders are compared first; then the
+    generator-image search, whose first map is returned, compares element
+    orders and centraliser sizes, which an isomorphism keeps.
     """
     if g.order != h.order:
-        return None
-    if g.is_abelian() != h.is_abelian():
-        return None
-    if sorted(g.element_orders().tolist()) != sorted(h.element_orders().tolist()):
-        return None
-    if len(g.center()) != len(h.center()):
         return None
     if g.derived_size() != h.derived_size():
         return None

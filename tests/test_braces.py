@@ -338,8 +338,9 @@ def test_are_brace_isomorphic():
 
 def test_are_brace_isomorphic_returns_first_map_of_the_plain_scan():
     rng = np.random.default_rng(5)
-    for b in enumerate_braces(abelian_group([2, 2, 2]), cap=300):
-        sigma = [0] + list(1 + rng.permutation(7))
+    braces = enumerate_braces(abelian_group([2, 2, 2]), cap=300)
+    for b in braces + [to_brace(catalog("degraaf_A340", 3))]:
+        sigma = [0] + list(1 + rng.permutation(b.order - 1))
         other = brace_from_groups(relabel(b.add, sigma), relabel(b.mult, sigma))
         found = are_brace_isomorphic(b, other)
         assert found is not None

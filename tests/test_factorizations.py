@@ -51,6 +51,9 @@ def test_validate_factorization_errors():
     with pytest.raises(NotSubgroup) as exc:
         validate_factorization(s3, [0, rot], subgroup_closure(s3, [flip]))
     assert exc.value.side == "left"
+    # the first escaping product in (x, y) order, whatever order a set lists them in
+    with pytest.raises(NotSubgroup, match=r"\(2 \* 6 = 8 escapes\)"):
+        validate_factorization(symmetric_group(4), [0, 21, 2, 6], [0])
     cyc = subgroup_closure(s3, [rot])
     with pytest.raises(IntersectionNontrivial):
         validate_factorization(s3, cyc, cyc)

@@ -17,6 +17,7 @@ from bracelab.errors import (
 )
 from bracelab.groups import (
     _Budget,
+    _HomSearch,
     _aut_chain,
     _centraliser_sizes,
     _greedy_generators,
@@ -518,7 +519,7 @@ def test_are_isomorphic_returns_first_map_of_the_plain_scan():
         cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(4),
         abelian_group([2, 2]), cyclic_group(5), cyclic_group(6), symmetric_group(3),
         cyclic_group(7), cyclic_group(8), abelian_group([2, 4]), abelian_group([2, 2, 2]),
-        dihedral_group(4), quaternion_group(),
+        dihedral_group(4), quaternion_group(), heisenberg_group(3),
     ]
     for g in groups:
         for _ in range(3):
@@ -526,6 +527,26 @@ def test_are_isomorphic_returns_first_map_of_the_plain_scan():
             hom = are_isomorphic(g, h)
             assert hom is not None
             assert hom.images == product_scan_isomorphism([g], [h])
+
+
+def test_isomorphism_search_pairs_elements_by_centraliser_size():
+    # images must match in element order and centraliser size, so Heis(p)
+    # finds a relabelled copy in a few nodes; pairing by element order
+    # alone took over 100,000 nodes at p = 5
+    for p, nodes in ((5, 4), (7, 10)):
+        g = heisenberg_group(p)
+        h = relabel(g, [0] + list(1 + np.random.default_rng(3).permutation(g.order - 1)))
+        with pytest.raises(SearchLimitExceeded, match="isomorphism search"):
+            are_isomorphic(g, h, budget=nodes - 1)
+        assert are_isomorphic(g, h, budget=nodes) is not None
+
+
+def test_map_search_with_unequal_keys_spends_no_node():
+    # C3^3 and Heis(3) have the same element orders but not the same
+    # centraliser sizes, so no bijection carries one table to the other
+    search = _HomSearch([abelian_group([3, 3, 3])], [heisenberg_group(3)], 1, "isomorphism search")
+    assert list(search.maps()) == []
+    assert search.budget.nodes == 0
 
 
 # ---------------------------------------------------------------------------
