@@ -104,7 +104,7 @@ class SkewBrace:
             )
         self.add = add
         # equal tables share one group, and with it its cached automorphisms
-        self.mult = add if mult == add else mult
+        self.mult = add if np.array_equal(mult.table, add.table) else mult
         self.order = add.order
         self._verdicts: dict[bool, Optional[CounterexampleTriple]] = {}
         self._auts: Optional[PermutationGroup] = None

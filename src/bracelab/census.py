@@ -4,16 +4,22 @@ Braces with additive group G correspond to regular subgroups of the
 holomorph of G: the subgroup element sending 0 to x becomes row x of the
 multiplicative table.  The search grows closed permutation sets one
 generator at a time, always branching on the smallest point of the
-carrier not yet hit from 0 — which visits each regular subgroup along
-exactly one path, so no deduplication is needed.  Two necessary
-conditions drop candidates before they are closed: every cycle of a
-candidate has one length, as in every semiregular group, and a candidate
-sends no point of the orbit of 0 under the group so far back into that
-orbit.  A candidate that either condition drops lies in no regular
-subgroup containing the group so far, so the search finds the same
-subgroups, in the same order, as one that closes every candidate.
-Braces are classified by walking each new class's orbit of circle
-tables under the generators of Aut(G) that its order search keeps.
+carrier not yet hit from 0, which gives each regular subgroup exactly one
+path.  Two necessary conditions drop candidates before they are closed:
+every cycle of a candidate has one length, as in every semiregular group,
+and a candidate sends no point of the orbit of 0 under the group so far
+back into that orbit.  A candidate that either condition drops lies in no
+regular subgroup containing the group so far, so the search finds the
+same subgroups as one that closes every candidate.
+
+Conjugation by an automorphism of G carries regular subgroups to regular
+subgroups, and isomorphic braces are exactly such conjugates.  So the
+search closes one candidate per orbit of the automorphisms that fix its
+node (isomorph rejection, after McKay, J. Algorithms 26, 1998), and the
+subgroups it skips are recovered as the Aut(G)-classes of those it
+finds.  Braces are classified by walking each new class's orbit of
+circle tables under the generators of Aut(G) that its order search
+keeps.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ from .groups import (
     automorphism_group,
     recognize,
 )
-from .perms import PermutationGroup, _reached, compose, identity_perm
+from .perms import Perm, PermutationGroup, _reached, identity_perm
 
 __all__ = [
     "CensusEntry",
@@ -69,11 +75,11 @@ def regular_subgroups_of_holomorph(
 ) -> list[PermutationGroup]:
     """All regular subgroups of the holomorph, sorted deterministically.
 
-    Element x of each is the one sending 0 to x, read straight off the
-    search.  Raises CapExceeded when more than ``cap`` subgroups exist
-    and SearchLimitExceeded when the search outgrows its node budget.
+    Element x of each is the one sending 0 to x, read straight off its
+    circle table.  Raises CapExceeded when more than ``cap`` subgroups
+    exist and SearchLimitExceeded when the search outgrows its node budget.
     """
-    return [PermutationGroup(g.order, t.tolist()) for t, _ in _circle_tables(g, cap, budget)]
+    return [PermutationGroup(g.order, t) for t in _circle_tables(g, cap, budget)]
 
 
 def enumerate_braces(
@@ -84,15 +90,14 @@ def enumerate_braces(
     Each brace is read straight off the search: regular subgroups of the
     holomorph are exactly the braces on g, so neither the circle table nor
     the brace law is validated again.  The tests and the benchmark's
-    census checker verify both independently.
+    census checker verify both independently.  Each circle group finds its
+    inverses and generating set on first use.
     """
-    return [SkewBrace(g, FiniteGroup(t, gens)) for t, gens in _circle_tables(g, cap, budget)]
+    return [SkewBrace(g, FiniteGroup(t)) for t in _circle_tables(g, cap, budget)]
 
 
-def _circle_tables(
-    g: FiniteGroup, cap: int, budget: Optional[int]
-) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """Circle table and generating set of every regular subgroup, sorted.
+def _circle_tables(g: FiniteGroup, cap: int, budget: Optional[int]) -> np.ndarray:
+    """The circle table of every regular subgroup, sorted.
 
     A holomorph element x -> a * alpha_k(x) is coded as the pair (a, k):
     a is its image of 0 and k indexes ``automorphism_group(g).elements``.
@@ -101,14 +106,28 @@ def _circle_tables(
     their permutation tuples, so the search visits the holomorph as if it
     were listed sorted; it is never built as tuples.
 
+    Conjugating (a, k) by an automorphism beta gives (beta(a), beta alpha_k
+    beta^-1).  Each node keeps the beta that fix every branch target so
+    far and every chosen generator, and so fix the group H so far
+    elementwise.  At target t it keeps those with beta(t) = t and walks
+    the filtered candidates in tuple order, closing (t, k) only when it is
+    not beta (t, j) beta^-1 for a kept beta and a candidate j closed
+    earlier at the node; the child keeps the beta with beta alpha_k
+    beta^-1 = alpha_k.  A regular subgroup R whose path takes a skipped
+    (t, k) has the conjugate beta^-1 R beta, which contains H and (t, j),
+    so its path agrees with R's down to this node and then takes the
+    earlier j.  Paths cannot get earlier for ever, so some conjugate of R
+    is a leaf, and the Aut(g)-classes of the leaves, walked under the maps
+    ``_aut_chain`` keeps, are every regular subgroup.  A subgroup is walked
+    as its lambda-vector: entry x is the k of its element with image x.
+
     Row x of a circle table is the subgroup element (x, k) with image x,
     so row x starts with x and the tables sort as the subgroups' sorted
-    element lists do.  The generating set is the branch targets on the
-    search path: each is the smallest point the earlier ones do not
-    reach, which is the set ``make_group`` would pick.
+    element lists do.  The circle groups' generating sets are left to
+    ``FiniteGroup``, which finds them on first use.
 
     One node is one candidate that passes both filters of the module
-    docstring and is closed.
+    docstring, is no such conjugate and is closed.
     """
     n = g.order
     aut = automorphism_group(g, budget)
@@ -117,27 +136,30 @@ def _circle_tables(
     rows = g.table.tolist()
     alphas = np.array(auts, dtype=np.int32)
     idx = np.arange(n)
-    # automorphisms agreeing on g.generators are equal, so these columns sort ``moved``
-    width = max(g.generators, default=0) + 1
+    gens = list(g.generators)
+    # moved[a * m + k] is the permutation (a, k); it starts with a, and
+    # automorphisms agreeing on g.generators are equal, so the columns up
+    # to the last generator sort every candidate in tuple order (int16
+    # holds every point, as n <= MAX_ORDER)
+    moved = g.table.astype(np.int16)[:, alphas].reshape(n * m, n)
+    order = np.lexsort(moved[:, : max(gens, default=0) + 1].T[::-1])
+    rank = np.empty(n * m, dtype=np.intp)
+    rank[order] = np.arange(n * m)
+    rank = rank.reshape(n, m)
     # uniform[a][k]: every cycle of (a, k) has one length, as in every
     # semiregular group; for a != 0 this implies no fixed point
-    uniform: list[list[bool]] = []
-    by_start: dict[int, np.ndarray] = {}  # a -> usable k, in tuple order
-    rank = np.empty((n, m), dtype=np.int32)  # rank[a][k]: place of (a, k) in tuple order
-    for a in range(n):
-        moved = g.table[a][alphas]  # row k is the permutation (a, k)
-        ok = _equal_cycles(moved)
-        uniform.append(ok.tolist())
-        order = np.lexsort(moved[:, :width].T[::-1])
-        rank[a, order] = np.arange(m)
-        by_start[a] = order[ok[order]]
-    # k * m + l -> index of alpha_k alpha_l; a full table would be m^2
-    products = _Products(aut)
+    uniform = _equal_cycles(moved).reshape(n, m)
+    by_start = [ks[uniform[a, ks]] for a, ks in enumerate(order.reshape(n, m) % m)]
+    uniform = uniform.tolist()
+    del moved
+    products = _Products(auts, alphas, gens)
+    index_of = products.index_of
+    aut_inverse = index_of(np.argsort(alphas, axis=1)[:, gens]).tolist()
+    ident = aut.index(identity_perm(n))
     inverses = g.inverses.tolist()
 
     spend = _Budget(budget, "regular subgroup search").spend
-    lambdas: list[list[int]] = []  # per subgroup found: k of its element with image x, by x
-    paths: list[tuple[int, ...]] = []  # per subgroup found: its branch targets
+    leaves: list[list[int]] = []  # per leaf: k of its element with image x, by x
 
     def closure(base: dict[int, int], t: int, l: int) -> Optional[dict[int, int]]:
         """The group ``base`` and (t, l) generate, as image of 0 -> k.
@@ -168,12 +190,9 @@ def _circle_tables(
                 return None
         return elems
 
-    def grow(elems: dict[int, int], gens: list[tuple[int, int]]) -> None:
+    def grow(elems: dict[int, int], stabiliser: list[int]) -> None:
         if len(elems) == n:
-            lambdas.append([elems[x] for x in range(n)])
-            paths.append(tuple(t for t, _ in gens))
-            if len(paths) > cap:
-                raise CapExceeded(cap, "regular subgroup enumeration")
+            leaves.append([elems[x] for x in range(n)])
             return
         # branch on the smallest point not yet hit from 0
         target = next(x for x in range(n) if x not in elems)
@@ -184,42 +203,76 @@ def _circle_tables(
         orbit = list(elems)
         back = np.zeros(n, dtype=bool)
         back[g.table[inverses[target], orbit]] = True
+        fixing = [b for b in stabiliser if auts[b][target] == target]
+        closed: set[int] = set()  # candidates conjugate to one closed here
         for k in ks[~back[alphas[ks[:, None], orbit]].any(axis=1)].tolist():
+            if k in closed:
+                continue
             spend()
+            conjugates = [products[products[b * m + k] * m + aut_inverse[b]] for b in fixing]
+            closed.add(k)
+            closed.update(conjugates)
             grown = closure(elems, target, k)
             if grown is not None:
-                grow(grown, gens + [(target, k)])
+                grow(grown, [b for b, c in zip(fixing, conjugates) if c == k])
 
-    grow({0: aut.index(identity_perm(n))}, [])
+    # the stabilisers hold the automorphisms other than the identity
+    grow({0: ident}, [b for b in range(m) if b != ident])
     # grow refers to itself; unbinding it frees the search state on return
     # rather than at the next garbage collection
     del grow
+    # beta carries lambda-vector v to v' with v'[beta(x)] = index of
+    # beta alpha_v[x] beta^-1; conj[j] holds those indices for the j-th
+    # kept map, so a level of the walk is one gather per map
+    kept = np.array(_aut_chain([g], budget, "automorphism search")[1], dtype=np.int32)
+    kept = kept.reshape(-1, n)
+    kept_inv = np.argsort(kept, axis=1)
+    j = np.arange(len(kept))[:, None]
+    images = kept[j, alphas[:, kept_inv[:, gens]]]  # [k, j]: beta_j alpha_k beta_j^-1 on gens
+    conj = index_of(images.reshape(m * len(kept), len(gens))).reshape(m, len(kept)).T
+
+    def step(vs: np.ndarray) -> np.ndarray:
+        """Row (i, j) is the image of vs[i] under the j-th kept map."""
+        return conj[j, vs[:, kept_inv]].reshape(-1, n)
+
+    reached: set[bytes] = set()
+    for leaf in np.array(leaves, dtype=np.int32):
+        if leaf.tobytes() not in reached:
+            reached |= _reached(leaf, step)
+            if len(reached) > cap:
+                raise CapExceeded(cap, "regular subgroup enumeration")
     # row x of a circle table is the permutation (x, k) for its k, so the
     # tables sort as the tuple-order ranks of their rows do
-    found = np.array(lambdas, dtype=np.intp)
-    order = np.lexsort(rank[idx, found].T[::-1])
-    found = found[order]
+    found = np.frombuffer(b"".join(reached), dtype=np.int32).reshape(-1, n)
+    found = found[np.lexsort(rank[idx, found].T[::-1])]
     tables = np.empty((len(found), n, n), dtype=g.table.dtype)
     for x in range(n):
         tables[:, x] = g.table[x][alphas[found[:, x]]]
-    return [(table, paths[j]) for table, j in zip(tables, order.tolist())]
+    return tables
 
 
 class _Products(dict):
     """k * m + l -> index of alpha_k alpha_l in Aut(g), each found on first use.
 
-    A full table would hold m^2 entries; a search reads few of them.
+    An automorphism is known by its images of ``gens``, the generators of
+    g, and ``code`` maps those to its index.  A full table would hold m^2
+    entries; a search reads few of them.
     """
 
-    def __init__(self, aut: PermutationGroup) -> None:
+    def __init__(self, auts: Sequence[Perm], alphas: np.ndarray, gens: list[int]) -> None:
         super().__init__()
-        self.aut = aut
+        self.auts, self.gens, self.m = auts, gens, len(auts)
+        self.code = {row: k for k, row in enumerate(map(tuple, alphas[:, gens].tolist()))}
 
     def __missing__(self, key: int) -> int:
-        k, l = divmod(key, len(self.aut))
-        elements = self.aut.elements
-        value = self[key] = self.aut.index(compose(elements[k], elements[l]))
+        k, l = divmod(key, self.m)
+        alpha, beta = self.auts[k], self.auts[l]
+        value = self[key] = self.code[tuple([alpha[beta[s]] for s in self.gens])]
         return value
+
+    def index_of(self, images: np.ndarray) -> np.ndarray:
+        """The index of each automorphism whose images of ``gens`` are a row of ``images``."""
+        return np.array([self.code[row] for row in map(tuple, images.tolist())], dtype=np.int32)
 
 
 def _equal_cycles(perms: np.ndarray) -> np.ndarray:

@@ -95,29 +95,46 @@ class FiniteGroup:
 
     Construct through :func:`make_group` (or the named constructors), which
     validate the table; the constructor itself trusts its inputs: an int32
-    group table with identity 0, and a generating set.  It freezes the
-    table and reads the inverses off it.
+    group table with identity 0, and optionally a generating set.  It
+    freezes the table; the inverses, and the generating set when none is
+    given, are read off it on first use.
     """
 
-    def __init__(self, table: np.ndarray, generators: tuple[int, ...]) -> None:
+    # cached structure, each set on an instance on first use; the census
+    # builds thousands of groups and reads few of these
+    _inverses: Optional[np.ndarray] = None
+    _digest: Optional[bytes] = None
+    _orders: Optional[np.ndarray] = None
+    _abelian: Optional[bool] = None
+    _derived: Optional[int] = None
+    _auts: Optional[PermutationGroup] = None
+    _chain: Optional[tuple[int, tuple[Perm, ...]]] = None
+    _gens: Optional[tuple[int, ...]] = None
+    _base: Optional[tuple[int, ...]] = None
+
+    def __init__(self, table: np.ndarray, generators: Optional[tuple[int, ...]] = None) -> None:
         self.order: int = int(table.shape[0])
         self.table = table
-        self.inverses = np.argmax(table == 0, axis=1).astype(np.int32)
         table.flags.writeable = False
-        self.inverses.flags.writeable = False
-        # the generating set of make_group's associativity test, which the
-        # census passes too; the isomorphism searches use
+        # the generating set of make_group's associativity test, found on
+        # first use when not given; the isomorphism searches use
         # generating_sequence, whose greedy order they depend on, and the
         # automorphism searches _base
-        self.generators = generators
-        self._digest: Optional[bytes] = None
-        self._orders: Optional[np.ndarray] = None
-        self._abelian: Optional[bool] = None
-        self._derived: Optional[int] = None
-        self._auts: Optional[PermutationGroup] = None
-        self._chain: Optional[tuple[int, tuple[Perm, ...]]] = None
-        self._gens: Optional[tuple[int, ...]] = None
-        self._base: Optional[tuple[int, ...]] = None
+        self._generators = generators
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """Each the smallest element the earlier ones do not generate."""
+        if self._generators is None:
+            self._generators = _smallest_first_generators(self.table)
+        return self._generators
+
+    @property
+    def inverses(self) -> np.ndarray:
+        if self._inverses is None:
+            self._inverses = np.argmax(self.table == 0, axis=1).astype(np.int32)
+            self._inverses.flags.writeable = False
+        return self._inverses
 
     # -- basic operations ---------------------------------------------------
 
@@ -126,10 +143,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
-
-    def conjugate(self, a: int, g: int) -> int:
-        """g^-1 * a * g."""
-        return int(self.table[self.table[self.inv(g), a], g])
 
     # -- cached structure ---------------------------------------------------
 
@@ -143,19 +156,25 @@ class FiniteGroup:
         return self._digest
 
     def element_orders(self) -> np.ndarray:
-        """Vector of element orders, computed by iterated multiplication."""
+        """Vector of element orders: for each x, the least divisor d of n with x^d = e.
+
+        The order of x divides n, so it is that divisor.  Each x^d is built
+        from x^(d/p), for p the least prime factor of d, by squaring and
+        multiplying; the divisors stop once every order is known.
+        """
         if self._orders is None:
             n = self.order
-            idx = np.arange(n)
-            power = idx.copy()
-            orders = np.where(power == 0, 1, 0)
-            k = 1
-            while (orders == 0).any():
-                k += 1
-                if k > n:
-                    raise AssertionError("element order exceeded the group order")
-                power = self.table[power, idx]
-                orders[(power == 0) & (orders == 0)] = k
+            orders = np.zeros(n, dtype=np.int64)
+            orders[0] = 1
+            powers = {1: np.arange(n)}  # d -> x^d for every x
+            for d in range(2, n + 1):
+                if n % d:
+                    continue
+                if orders.all():
+                    break
+                p = _prime_factors(d)[0]
+                powers[d] = _power(self.table, powers[d // p], p)
+                orders[(powers[d] == 0) & (orders == 0)] = d
             orders.flags.writeable = False
             self._orders = orders
         return self._orders
@@ -259,22 +278,37 @@ def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
 def _associative_generators(arr: np.ndarray) -> tuple[int, ...]:
     """A generating set of a loop table, each member passing Light's test.
 
-    Members are picked greedily: the smallest element that left-normed
-    products of the earlier ones do not reach.  Each is tested before it
-    joins: (x*s)*y == x*(s*y) for all x and y.  The elements passing that
-    test are closed under the product and every element is a left-normed
-    product of the set, so the table is associative.  Passing elements form
-    a group, so each new member at least doubles the reached set and there
-    are at most log2(n) of them.  On the first failure the table is scanned
-    in full for the lexicographically first witness.
+    Members are those of :func:`_smallest_first_generators`, each tested
+    before it joins: (x*s)*y == x*(s*y) for all x and y.  The elements
+    passing that test are closed under the product and every element is a
+    left-normed product of the set, so the table is associative.  Passing
+    elements form a group, so each new member at least doubles the reached
+    set and there are at most log2(n) of them.  On the first failure the
+    table is scanned in full for the lexicographically first witness.
+    """
+
+    def light(s: int) -> None:
+        if not np.array_equal(arr[arr[:, s]], arr[:, arr[s]]):
+            raise NotAssociativeError(_first_non_associative(arr))
+
+    return _smallest_first_generators(arr, light)
+
+
+def _smallest_first_generators(
+    arr: np.ndarray, check: Optional[Callable[[int], None]] = None
+) -> tuple[int, ...]:
+    """Members picked greedily, each the smallest element not yet reached.
+
+    An element is reached when it is a left-normed product of the earlier
+    members.  Each member is passed to ``check`` before it joins.
     """
     reached = np.zeros(arr.shape[0], dtype=bool)
     reached[0] = True
     gens: list[int] = []
     while not reached.all():
         s = int(np.argmin(reached))
-        if not np.array_equal(arr[arr[:, s]], arr[:, arr[s]]):
-            raise NotAssociativeError(_first_non_associative(arr))
+        if check is not None:
+            check(s)
         gens.append(s)
         reached[_closure(arr, gens)] = True
     return tuple(gens)
@@ -289,6 +323,18 @@ def _first_non_associative(arr: np.ndarray) -> tuple[int, int, int]:
             b, c = (int(v) for v in np.argwhere(left != right)[0])
             return a, b, c
     raise AssertionError("Light's test failed on an associative table")
+
+
+def _power(t: np.ndarray, xs: np.ndarray, e: int) -> np.ndarray:
+    """x^e for every x in ``xs`` (e >= 1), by square-and-multiply in the table t."""
+    out = None
+    while e:
+        if e & 1:
+            out = xs if out is None else t[out, xs]
+        e >>= 1
+        if e:
+            xs = t[xs, xs]
+    return out
 
 
 def _check_order(n: int) -> None:
@@ -590,7 +636,8 @@ class _HomSearch:
     generator at a time, trying in ascending order the elements whose key
     matches the generator's: its order and centraliser size in every table,
     which a bijection carrying each src[k] to dst[k] keeps.  If the sorted
-    keys differ, no map exists and no node is spent.  Each partial assignment is
+    keys differ, no map exists: no node is spent, and neither the generators
+    nor the table columns are built.  Each partial assignment is
     closed under right multiplication by its generators in every pair of
     tables and abandoned at the first clash with a dst table or with
     injectivity; a clash rules out every completion, so maps come out in
@@ -610,24 +657,24 @@ class _HomSearch:
         gens: Optional[Sequence[int]] = None,
     ) -> None:
         self.src, self.dst = src, dst
-        self.gens = generating_sequence(src[0]) if gens is None else list(gens)
-        # cols[k][0][a][x] is x times a in src[k], cols[k][1] the same in dst[k]
-        self.cols: list[tuple[list[list[int]], list[list[int]]]] = []
-        for g, h in zip(src, dst):
-            s_cols = g.table.T.tolist()
-            self.cols.append((s_cols, s_cols if h is g else h.table.T.tolist()))
+        self.budget = budget if isinstance(budget, _Budget) else _Budget(budget, context)
         # an automorphism search (dst is src) has one set of keys to compute
         keys = [
             np.stack([c for t in tables for c in (t.element_orders(), _centraliser_sizes(t))], 1)
             for tables in ((src,) if dst is src else (src, dst))
         ]
         s_keys, d_keys = keys[0], keys[-1]
-        same = dst is src or np.array_equal(*(k[np.lexsort(k.T)] for k in keys))
-        self.cands = [
-            np.flatnonzero((d_keys == s_keys[gen]).all(axis=1)).tolist() if same else []
-            for gen in self.gens
-        ]
-        self.budget = budget if isinstance(budget, _Budget) else _Budget(budget, context)
+        # when they differ, maps() yields nothing and nothing more is built
+        self.same = dst is src or np.array_equal(*(k[np.lexsort(k.T)] for k in keys))
+        if not self.same:
+            return
+        self.gens = generating_sequence(src[0]) if gens is None else list(gens)
+        # cols[k][0][a][x] is x times a in src[k], cols[k][1] the same in dst[k]
+        self.cols: list[tuple[list[list[int]], list[list[int]]]] = []
+        for g, h in zip(src, dst):
+            s_cols = g.table.T.tolist()
+            self.cols.append((s_cols, s_cols if h is g else h.table.T.tolist()))
+        self.cands = [np.flatnonzero((d_keys == s_keys[gen]).all(axis=1)).tolist() for gen in self.gens]
 
     def _preserves_rest(self, img: list[int]) -> bool:
         """Whether a full assignment carries every table past the first."""
@@ -643,6 +690,8 @@ class _HomSearch:
         The fixed images are not nodes; the search proper starts at the
         first generator after them.
         """
+        if not self.same:
+            return
         gens, cols, cands, spend = self.gens, self.cols, self.cands, self.budget.spend
         n = self.src[0].order
         img = [-1] * n

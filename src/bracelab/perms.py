@@ -159,15 +159,30 @@ class PermutationGroup:
 
     __slots__ = ("degree", "elements", "_index", "__weakref__")
 
-    def __init__(self, degree: int, elements: Iterable[Sequence[int]]) -> None:
-        elems = sorted({tuple(p) for p in elements})
-        for p in elems:
-            if len(p) != degree or sorted(p) != list(range(degree)):
-                raise ValueError(f"{p} is not a permutation of degree {degree}")
-        if identity_perm(degree) not in elems:
+    def __init__(self, degree: int, elements: Iterable[Sequence[int]] | np.ndarray) -> None:
+        rows = elements if isinstance(elements, np.ndarray) else list(elements)
+        if isinstance(rows, np.ndarray):
+            wide = rows.shape[1:] == (degree,)
+        else:
+            wide = all(len(p) == degree for p in rows)
+        arr = np.asarray(rows if wide else [], dtype=np.int64).reshape(len(rows) * wide, degree)
+        points = np.arange(degree)
+        perm = (np.sort(arr, axis=1) == points).all(axis=1)
+        if not wide or not perm.all():
+            # name the failing element that sorts first
+            bad = min(tuple(p) for p in rows if len(p) != degree or sorted(p) != list(range(degree)))
+            raise ValueError(f"{bad} is not a permutation of degree {degree}")
+        # rows of big-endian entries in 0..degree-1, led by a 0 so that no
+        # row is empty, compare bytewise as their tuples do: one unique call
+        # sorts and deduplicates them
+        keys = np.hstack([np.zeros((len(arr), 1), dtype=">i4"), arr.astype(">i4")])
+        _, first = np.unique(keys.view(np.dtype((np.void, 4 * degree + 4))), return_index=True)
+        elems = arr[first]
+        # the identity is the smallest permutation
+        if not len(elems) or (elems[0] != points).any():
             raise ValueError("permutation set does not contain the identity")
         self.degree = degree
-        self.elements: tuple[Perm, ...] = tuple(elems)
+        self.elements: tuple[Perm, ...] = tuple(map(tuple, elems.tolist()))
         self._index = {p: i for i, p in enumerate(self.elements)}
 
     @classmethod
@@ -175,7 +190,7 @@ class PermutationGroup:
         """The group the permutations generate; p∘g reads p at the points of g."""
         gens = np.array([tuple(g) for g in generators], dtype=np.int32).reshape(-1, degree)
         found = _reached(np.arange(degree, dtype=np.int32), lambda p: p.take(gens, axis=1))
-        return cls(degree, np.frombuffer(b"".join(found), dtype=np.int32).reshape(-1, degree).tolist())
+        return cls(degree, np.frombuffer(b"".join(found), dtype=np.int32).reshape(-1, degree))
 
     @property
     def order(self) -> int:

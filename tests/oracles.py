@@ -16,9 +16,11 @@ closure covers, evaluating a law on every triple of elements where
 the library checks generators only, checking every displacement map
 where the library checks those of the circle generators, comparing braces pairwise where
 the library compares orbits of circle tables, or closing candidate
-subgroups of the holomorph as permutation tuples, and filtering their
-candidates by tuple powers and products, where the library multiplies
-(translation, automorphism) codes and filters by array gathers, or naming a group by
+subgroups of the holomorph as permutation tuples, filtering their
+candidates by tuple powers and products and conjugating them and the
+leaves by automorphism tuples, where the library multiplies
+(translation, automorphism) codes, filters by array gathers and walks
+orbits of lambda-vectors, or naming a group by
 isomorphism search where the library counts elements, or building the
 stock group and ring tables entry by entry or by each ring kind's own
 formula where the library broadcasts one coordinate rule, or reading
@@ -61,7 +63,14 @@ from bracelab.groups import (
     subgroup_closure,
     symmetric_group,
 )
-from bracelab.perms import Perm, PermutationGroup, compose, identity_perm, is_fixed_point_free
+from bracelab.perms import (
+    Perm,
+    PermutationGroup,
+    compose,
+    identity_perm,
+    invert,
+    is_fixed_point_free,
+)
 
 # the quaternion units 1,-1,i,-i,j,-j,k,-k as indices 0..7
 _QUAT = [
@@ -281,6 +290,7 @@ def tuple_closure_regular_subgroups(
     g: FiniteGroup,
     filtered: bool = True,
     dropped: Optional[list[tuple[Perm, frozenset[Perm]]]] = None,
+    pruned: bool = True,
 ) -> tuple[list[PermutationGroup], int]:
     """Regular subgroups of the holomorph built as tuples, and the nodes used.
 
@@ -290,14 +300,20 @@ def tuple_closure_regular_subgroups(
     powers, with the smallest point not yet hit from 0 as image of 0; a
     candidate q that sends a point h(0) of the orbit of 0 back into it
     (``compose(q, h)[0]`` already hit, for some h in the group so far) is
-    dropped, and each other one is closed by composing tuples.  One node
-    is one candidate closed.  With ``filtered`` false the search is the
-    plain one, which closes every fixed-point-free candidate.  Each
-    candidate the filters drop is appended to ``dropped`` with the group
-    it was dropped at, empty for a candidate dropped by its cycles.
+    dropped, and each other one is closed by composing tuples.  With
+    ``pruned``, each node keeps the automorphism tuples b that fix every
+    branch target and commute with every generator so far, and a
+    candidate b∘q∘b^-1 of a candidate q closed earlier at the node, for a
+    kept b fixing the target, is not closed; the leaves are then
+    conjugated by every automorphism.  One node is one candidate closed.
+    With ``filtered`` false the search closes every fixed-point-free
+    candidate.  Each candidate the filters drop is appended to ``dropped``
+    with the group it was dropped at, empty for a candidate dropped by its
+    cycles.
     """
     n = g.order
     hol = holomorph(g)
+    auts = automorphism_group(g).elements
     usable = {p for p in hol if (equal_cycle_lengths if filtered else is_fixed_point_free)(p)}
     by_start: dict[int, list[Perm]] = {x: [] for x in range(1, n)}
     for p in hol:  # in sorted order, so each list is sorted
@@ -308,7 +324,7 @@ def tuple_closure_regular_subgroups(
         elif dropped is not None and is_fixed_point_free(p):
             dropped.append((p, frozenset()))
     nodes = 0
-    found: list[PermutationGroup] = []
+    leaves: list[frozenset[Perm]] = []
 
     def closure(base: dict[int, Perm], gens: list[Perm]) -> Optional[dict[int, Perm]]:
         elems = dict(base)
@@ -329,25 +345,36 @@ def tuple_closure_regular_subgroups(
             frontier, step = nxt, gens
         return elems
 
-    def grow(elems: dict[int, Perm], gens: list[Perm]) -> None:
+    def grow(elems: dict[int, Perm], gens: list[Perm], kept: list[Perm]) -> None:
         nonlocal nodes
         if len(elems) == n:
-            found.append(PermutationGroup(n, elems.values()))
+            leaves.append(frozenset(elems.values()))
             return
         target = next(x for x in range(n) if x not in elems)
+        fixing = [b for b in kept if b[target] == target]
+        closed: set[Perm] = set()
         for q in by_start[target]:
             if filtered and any(compose(q, h)[0] in elems for h in elems.values()):
                 if dropped is not None:
                     dropped.append((q, frozenset(elems.values())))
                 continue
+            if q in closed:
+                continue
             nodes += 1
+            conjugates = [compose(compose(b, q), invert(b)) for b in fixing]
+            closed.update(conjugates)
             grown = closure(elems, gens + [q])
             if grown is not None:
-                grow(grown, gens + [q])
+                grow(grown, gens + [q], [b for b, c in zip(fixing, conjugates) if c == q])
 
-    grow({0: identity_perm(n)}, [])
-    found.sort(key=lambda pg: pg.elements)
-    return found, nodes
+    grow({0: identity_perm(n)}, [], list(auts) if pruned else [])
+    # the unpruned search reaches every subgroup itself
+    conjugators = auts if pruned else [identity_perm(n)]
+    found: set[frozenset[Perm]] = set()
+    for leaf in leaves:
+        if leaf not in found:
+            found |= {frozenset(compose(compose(b, p), invert(b)) for p in leaf) for b in conjugators}
+    return sorted((PermutationGroup(n, sub) for sub in found), key=lambda pg: pg.elements), nodes
 
 
 def equal_cycle_lengths(p: Perm) -> bool:

@@ -228,13 +228,14 @@ def test_budget_exceeded():
 
 
 def test_search_node_count_on_c4_x_c4():
-    # one node is one candidate generator that passes both filters and is
-    # closed; 2878 nodes find all 880 (6828 when every fixed-point-free
-    # candidate was closed)
+    # one node is one candidate generator that passes both filters, is no
+    # conjugate of one closed before it at its node, and is closed; 1440
+    # nodes find a member of each Aut-class of all 880 (2878 when every
+    # conjugate was closed, 6828 when every fixed-point-free candidate was)
     with pytest.raises(SearchLimitExceeded) as exc:
-        regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=2877)
+        regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=1439)
     assert "regular subgroup search" in str(exc.value)
-    assert len(regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=2878)) == 880
+    assert len(regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=1440)) == 880
 
 
 def test_regular_subgroups_match_the_tuple_closure():
@@ -263,9 +264,9 @@ def test_filtered_candidates_lie_in_no_regular_overgroup():
     for base in bases + [abelian_group([4, 4])]:
         sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
         for g in (base, relabel(base, sigma)):
-            plain, plain_nodes = tuple_closure_regular_subgroups(g, filtered=False)
+            plain, plain_nodes = tuple_closure_regular_subgroups(g, filtered=False, pruned=False)
             dropped: list = []
-            found, nodes = tuple_closure_regular_subgroups(g, dropped=dropped)
+            found, nodes = tuple_closure_regular_subgroups(g, dropped=dropped, pruned=False)
             assert found == plain and nodes <= plain_nodes
             containing: dict = {}
             for sub in plain:
@@ -276,15 +277,44 @@ def test_filtered_candidates_lie_in_no_regular_overgroup():
                 assert not any(group <= sub for sub in containing.get(q, [])), (q, group)
 
 
+def test_pruning_by_conjugates_loses_no_regular_subgroup():
+    # closing one candidate per stabiliser orbit and conjugating the leaves
+    # by every automorphism finds what closing every candidate finds
+    rng = np.random.default_rng(31)
+    bases = [g for n in range(1, 13) for g in _abstract_groups_of_order(n)]
+    for base in bases + [abelian_group([4, 4])]:
+        sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
+        for g in (base, relabel(base, sigma)):
+            pruned, nodes = tuple_closure_regular_subgroups(g)
+            full, full_nodes = tuple_closure_regular_subgroups(g, pruned=False)
+            assert pruned == full and nodes <= full_nodes
+
+
 def test_order_27_census():
     # b(27) = 37 (Guarnieri and Vendramin, Math. Comp. 86, 2017) under the
-    # default budget and cap; C3^3 needs 65 411 nodes
+    # default budget and cap; C3^3 needs 1004 nodes (65 411 when every
+    # conjugate candidate was closed)
     counts = []
     for factors, raw in (([27], 9), ([3, 9], 135), ([3, 3, 3], 3537)):
         braces = enumerate_braces(abelian_group(factors))
         assert len(braces) == raw, factors
         counts.append(len(classify_braces(braces).entries))
     assert counts == [3, 22, 12]
+
+
+def test_order_16_census():
+    # b(16) = 357 and s(16) = 1605 (Guarnieri and Vendramin, Math. Comp. 86,
+    # 2017) under the default budget; C2^4 has 62 896 regular subgroups in
+    # its holomorph, past the default cap
+    b = 0
+    for factors in ([16], [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2]):
+        b += len(classify_braces(enumerate_braces(abelian_group(factors), cap=100_000)).entries)
+    assert b == 357
+    s = b + sum(
+        len(classify_braces(enumerate_braces(g)).entries)
+        for g in nonabelian_groups_of_order_16().values()
+    )
+    assert s == 1605
 
 
 def test_recognize_names_every_nonabelian_group_of_order_16():

@@ -178,6 +178,18 @@ def test_symmetric_group_4_order_profile():
     assert s4.exponent() == 12
 
 
+def test_element_orders_match_repeated_multiplication():
+    groups = [g for n in range(1, 16) for g in _abstract_groups_of_order(n)]
+    groups += [cyclic_group(1024), heisenberg_group(5), symmetric_group(5)]
+    for g in groups:
+        n = g.order
+        power, orders = np.arange(n), np.zeros(n, dtype=np.int64)
+        for k in range(1, n + 1):
+            orders[(power == 0) & (orders == 0)] = k
+            power = g.table[power, np.arange(n)]
+        assert g.element_orders().tolist() == orders.tolist(), n
+
+
 def test_dihedral_group():
     d4 = dihedral_group(4)
     assert d4.order == 8
@@ -505,6 +517,18 @@ def test_budget_env_override(monkeypatch):
 
 def test_are_isomorphic_distinguishes_c4_from_klein():
     assert are_isomorphic(cyclic_group(4), abelian_group([2, 2])) is None
+
+
+def test_are_isomorphic_compares_keys_before_building_the_search(monkeypatch):
+    # C1024 and C2 x C512 have different element orders, so no generating
+    # sequence or table column is built
+    g, h = cyclic_group(1024), abelian_group([2, 512])
+
+    def fail(*args):
+        raise AssertionError("generating_sequence ran")
+
+    monkeypatch.setattr("bracelab.groups.generating_sequence", fail)
+    assert are_isomorphic(g, h) is None
 
 
 def test_are_isomorphic_finds_map():
