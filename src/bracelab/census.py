@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000
+# points of holomorph candidates the search's set-up holds at once
+_BLOCK_POINTS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -137,19 +139,27 @@ def _circle_tables(g: FiniteGroup, cap: int, budget: Optional[int]) -> np.ndarra
     alphas = np.array(auts, dtype=np.int32)
     idx = np.arange(n)
     gens = list(g.generators)
-    # moved[a * m + k] is the permutation (a, k); it starts with a, and
-    # automorphisms agreeing on g.generators are equal, so the columns up
-    # to the last generator sort every candidate in tuple order (int16
-    # holds every point, as n <= MAX_ORDER)
-    moved = g.table.astype(np.int16)[:, alphas].reshape(n * m, n)
-    order = np.lexsort(moved[:, : max(gens, default=0) + 1].T[::-1])
-    rank = np.empty(n * m, dtype=np.intp)
-    rank[order] = np.arange(n * m)
-    rank = rank.reshape(n, m)
+    width = max(gens, default=0) + 1
+    rank = np.empty(n * m, dtype=np.intp)  # rank[a * m + k]: place of (a, k) in tuple order
     # uniform[a][k]: every cycle of (a, k) has one length, as in every
     # semiregular group; for a != 0 this implies no fixed point
-    uniform = _equal_cycles(moved).reshape(n, m)
-    by_start = [ks[uniform[a, ks]] for a, ks in enumerate(order.reshape(n, m) % m)]
+    uniform = np.empty((n, m), dtype=bool)
+    by_start: list[np.ndarray] = []  # per a: the usable k, in tuple order
+    # the translations in blocks of at most _BLOCK_POINTS points, each one
+    # pass over its candidates: one block on every census group the tests
+    # run, and bounded memory where Aut(g) is large
+    block = max(1, _BLOCK_POINTS // (m * n))
+    for lo in range(0, n, block):
+        # moved[i * m + k] is the permutation (lo + i, k); it starts with
+        # lo + i, and automorphisms agreeing on g.generators are equal, so
+        # the columns up to the last generator sort the block in tuple
+        # order (int16 holds every point, as n <= MAX_ORDER)
+        moved = g.table[lo : lo + block].astype(np.int16)[:, alphas].reshape(-1, n)
+        order = np.lexsort(moved[:, :width].T[::-1])
+        rank[lo * m + order] = np.arange(lo * m, lo * m + len(order))
+        uniform[lo : lo + block] = _equal_cycles(moved).reshape(-1, m)
+        by_start += [ks[uniform[lo + i, ks]] for i, ks in enumerate(order.reshape(-1, m) % m)]
+    rank = rank.reshape(n, m)
     uniform = uniform.tolist()
     del moved
     products = _Products(auts, alphas, gens)

@@ -165,10 +165,9 @@ class PermutationGroup:
             wide = rows.shape[1:] == (degree,)
         else:
             wide = all(len(p) == degree for p in rows)
-        arr = np.asarray(rows if wide else [], dtype=np.int64).reshape(len(rows) * wide, degree)
+        arr = np.asarray(rows).reshape(len(rows), degree) if wide else None
         points = np.arange(degree)
-        perm = (np.sort(arr, axis=1) == points).all(axis=1)
-        if not wide or not perm.all():
+        if arr is None or not (np.sort(arr, axis=1) == points).all():
             # name the failing element that sorts first
             bad = min(tuple(p) for p in rows if len(p) != degree or sorted(p) != list(range(degree)))
             raise ValueError(f"{bad} is not a permutation of degree {degree}")
@@ -177,12 +176,19 @@ class PermutationGroup:
         # sorts and deduplicates them
         keys = np.hstack([np.zeros((len(arr), 1), dtype=">i4"), arr.astype(">i4")])
         _, first = np.unique(keys.view(np.dtype((np.void, 4 * degree + 4))), return_index=True)
+        del keys
         elems = arr[first]
         # the identity is the smallest permutation
         if not len(elems) or (elems[0] != points).any():
             raise ValueError("permutation set does not contain the identity")
         self.degree = degree
-        self.elements: tuple[Perm, ...] = tuple(map(tuple, elems.tolist()))
+        # each row becomes a tuple in place, so that the rows are never held
+        # as an array, lists and tuples all at once
+        listed = elems.tolist()
+        del elems
+        for i, p in enumerate(listed):
+            listed[i] = tuple(p)
+        self.elements: tuple[Perm, ...] = tuple(listed)
         self._index = {p: i for i, p in enumerate(self.elements)}
 
     @classmethod

@@ -12,6 +12,7 @@ from bracelab.errors import CapExceeded, SearchLimitExceeded
 from bracelab.groups import (
     abelian_group,
     are_isomorphic,
+    automorphism_group,
     cyclic_group,
     dihedral_group,
     make_group,
@@ -252,6 +253,19 @@ def test_regular_subgroups_match_the_tuple_closure():
             if nodes > 1:
                 with pytest.raises(SearchLimitExceeded, match="regular subgroup search"):
                     regular_subgroups_of_holomorph(g, budget=nodes - 1)
+
+
+def test_setup_in_blocks_of_translations_matches_one_pass(monkeypatch):
+    # the set-up takes the translations in blocks when Aut(g) is large;
+    # blocks of one and of three translations find the same tables
+    rng = np.random.default_rng(37)
+    for base in (abelian_group([4, 4]), symmetric_group(4), dihedral_group(6)):
+        sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
+        g = relabel(base, sigma)
+        whole = census._circle_tables(g, 10_000, None)
+        for per_block in (1, 3):
+            monkeypatch.setattr(census, "_BLOCK_POINTS", per_block * g.order * len(automorphism_group(g)))
+            assert np.array_equal(census._circle_tables(g, 10_000, None), whole)
 
 
 def test_filtered_candidates_lie_in_no_regular_overgroup():
