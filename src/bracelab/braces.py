@@ -94,17 +94,19 @@ class SkewBrace:
     ``add`` holds the additive group, ``mult`` the multiplicative one.
     Validation verdicts for both orientations of the law are cached, and so
     are the brace automorphism group and the order and generators its
-    order search found, which both orientations share.
+    order search found, which both orientations share.  The constructor
+    trusts its groups; ``brace_from_groups`` checks them and gives equal
+    tables one shared group.
     """
 
+    # the isomorphism class the regular-subgroup search reached this brace
+    # in, set by enumerate_braces; it means something only beside the
+    # other braces that search gave on the same additive group object
+    _census_class: Optional[int] = None
+
     def __init__(self, add: FiniteGroup, mult: FiniteGroup) -> None:
-        if add.order != mult.order:
-            raise InvalidTableError(
-                f"operations have different orders {add.order} and {mult.order}"
-            )
         self.add = add
-        # equal tables share one group, and with it its cached automorphisms
-        self.mult = add if np.array_equal(mult.table, add.table) else mult
+        self.mult = mult
         self.order = add.order
         self._verdicts: dict[bool, Optional[CounterexampleTriple]] = {}
         self._auts: Optional[PermutationGroup] = None
@@ -305,10 +307,15 @@ def make_brace(
 def brace_from_groups(add: FiniteGroup, mult: FiniteGroup) -> SkewBrace:
     """Wrap two already-validated groups on the same carrier as a brace.
 
+    Equal tables share one group, and with it its cached automorphisms.
     Raises BraceAxiomFailure with the first witness of validate_direct
     when the compatibility law fails.
     """
-    brace = SkewBrace(add, mult)
+    if add.order != mult.order:
+        raise InvalidTableError(
+            f"operations have different orders {add.order} and {mult.order}"
+        )
+    brace = SkewBrace(add, add if np.array_equal(mult.table, add.table) else mult)
     witness = brace._direct(False)
     if witness is not None:
         raise BraceAxiomFailure(witness)

@@ -17,14 +17,16 @@ subgroups, and isomorphic braces are exactly such conjugates.  So the
 search closes one candidate per orbit of the automorphisms that fix its
 node (isomorph rejection, after McKay, J. Algorithms 26, 1998), and the
 subgroups it skips are recovered as the Aut(G)-classes of those it
-finds.  Braces are classified by walking each new class's orbit of
-circle tables under the generators of Aut(G) that its order search
-keeps.
+finds.  Those classes are the brace isomorphism classes, so each
+enumerated brace keeps the class the search reached it in, and
+classification reads them.  Any other list of braces is classified by
+walking each new class's orbit of circle tables under the generators of
+Aut(G) that its order search keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +83,7 @@ def regular_subgroups_of_holomorph(
     circle table.  Raises CapExceeded when more than ``cap`` subgroups
     exist and SearchLimitExceeded when the search outgrows its node budget.
     """
-    return [PermutationGroup(g.order, t) for t in _circle_tables(g, cap, budget)]
+    return [PermutationGroup(g.order, t) for t in _circle_tables(g, cap, budget)[0]]
 
 
 def enumerate_braces(
@@ -93,13 +95,25 @@ def enumerate_braces(
     holomorph are exactly the braces on g, so neither the circle table nor
     the brace law is validated again.  The tests and the benchmark's
     census checker verify both independently.  Each circle group finds its
-    inverses and generating set on first use.
+    inverses and generating set on first use.  The translations' circle
+    table is g's own, so that brace takes g itself as its circle group, as
+    ``brace_from_groups`` would.  Each brace also keeps the isomorphism
+    class the search reached it in, which ``classify_braces`` reads.
     """
-    return [SkewBrace(g, FiniteGroup(t)) for t in _circle_tables(g, cap, budget)]
+    tables, classes = _circle_tables(g, cap, budget)
+    translations = (tables == g.table).all(axis=(1, 2)).tolist()
+    braces = []
+    for table, cls, own in zip(tables, classes.tolist(), translations):
+        brace = SkewBrace(g, g if own else FiniteGroup(table))
+        brace._census_class = cls
+        braces.append(brace)
+    return braces
 
 
-def _circle_tables(g: FiniteGroup, cap: int, budget: Optional[int]) -> np.ndarray:
-    """The circle table of every regular subgroup, sorted.
+def _circle_tables(
+    g: FiniteGroup, cap: int, budget: Optional[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The circle table of every regular subgroup, sorted, and its class.
 
     A holomorph element x -> a * alpha_k(x) is coded as the pair (a, k):
     a is its image of 0 and k indexes ``automorphism_group(g).elements``.
@@ -127,6 +141,14 @@ def _circle_tables(g: FiniteGroup, cap: int, budget: Optional[int]) -> np.ndarra
     so row x starts with x and the tables sort as the subgroups' sorted
     element lists do.  The circle groups' generating sets are left to
     ``FiniteGroup``, which finds them on first use.
+
+    Subgroups in one Aut(g)-class give isomorphic braces, so the class of
+    each table is the number of the orbit it was reached in.  That numbers
+    the classes by first occurrence in the sorted tables: the leaves come
+    in that order, since rows below a node's target are its group's and
+    the candidates at the target come in tuple order, and the first table
+    of each class is a leaf, since a table that is no leaf has the smaller
+    conjugate beta^-1 R beta above.
 
     One node is one candidate that passes both filters of the module
     docstring, is no such conjugate and is closed.
@@ -245,20 +267,24 @@ def _circle_tables(g: FiniteGroup, cap: int, budget: Optional[int]) -> np.ndarra
         """Row (i, j) is the image of vs[i] under the j-th kept map."""
         return conj[j, vs[:, kept_inv]].reshape(-1, n)
 
-    reached: set[bytes] = set()
+    reached: dict[bytes, int] = {}  # lambda-vector -> the orbit it was reached in
+    orbits = 0
     for leaf in np.array(leaves, dtype=np.int32):
         if leaf.tobytes() not in reached:
-            reached |= _reached(leaf, step)
+            reached.update(dict.fromkeys(_reached(leaf, step), orbits))
+            orbits += 1
             if len(reached) > cap:
                 raise CapExceeded(cap, "regular subgroup enumeration")
     # row x of a circle table is the permutation (x, k) for its k, so the
     # tables sort as the tuple-order ranks of their rows do
     found = np.frombuffer(b"".join(reached), dtype=np.int32).reshape(-1, n)
-    found = found[np.lexsort(rank[idx, found].T[::-1])]
+    order = np.lexsort(rank[idx, found].T[::-1])
+    found = found[order]
+    classes = np.fromiter(reached.values(), dtype=np.intp, count=len(reached))[order]
     tables = np.empty((len(found), n, n), dtype=g.table.dtype)
     for x in range(n):
         tables[:, x] = g.table[x][alphas[found[:, x]]]
-    return tables
+    return tables, classes
 
 
 class _Products(dict):
@@ -313,17 +339,36 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
     """Group braces into isomorphism classes, in order of first occurrence.
 
     Braces on one additive table are isomorphic exactly when an additive
-    automorphism transports one circle table to the other, so each class
-    is an Aut(A)-orbit of circle tables, walked under the generators its
-    order search keeps.  A brace on another labelling of an additive group
-    already seen is first moved into that group's labelling by a group
-    isomorphism, found once per additive table.
+    automorphism transports one circle table to the other.  When every
+    brace comes from ``enumerate_braces`` on one additive group object, the
+    search has already found these classes, and they are read off the
+    braces.  Any other list is classified by walking each class as an
+    Aut(A)-orbit of circle tables, under the generators its order search
+    keeps; a brace on another labelling of an additive group already seen
+    is first moved into that group's labelling by a group isomorphism,
+    found once per additive table.
     """
     if not braces:
         raise ValueError("cannot classify an empty brace list")
+    add = braces[0].add
+    if all(b._census_class is not None and b.add is add for b in braces):
+        by_class: dict[int, list[SkewBrace]] = {}
+        for b in braces:
+            by_class.setdefault(b._census_class, []).append(b)
+        classes = list(by_class.values())
+    else:
+        classes = _orbit_classes(braces)
+    entries = tuple(
+        CensusEntry(cls[0], recognize(cls[0].mult), len(cls)) for cls in classes
+    )
+    return BraceCensus(add, len(braces), entries)
+
+
+def _orbit_classes(braces: Sequence[SkewBrace]) -> list[list[SkewBrace]]:
+    """The braces grouped by walking each new class's orbit of circle tables."""
     adds: list[FiniteGroup] = []  # one labelling per additive isomorphism type
     orbits: list[dict[bytes, int]] = []  # per entry of adds: circle table -> class
-    gens: list[np.ndarray] = []  # per entry of adds: generators of Aut, as rows of images
+    walks: list[Callable[[np.ndarray], set[bytes]]] = []  # per entry of adds: its orbit walk
     classes: list[list[SkewBrace]] = []
     # additive table digest -> (entry of adds, relabelling into it or None)
     placed: dict[bytes, tuple[int, Optional[np.ndarray]]] = {}
@@ -342,31 +387,34 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
                 adds.append(b.add)
                 orbits.append({})
                 kept = _aut_chain([b.add], None, "automorphism search")[1]
-                gens.append(np.array(kept, dtype=np.int32).reshape(len(kept), b.order))
+                walks.append(_orbit_tables(np.array(kept, dtype=np.int32).reshape(len(kept), b.order)))
         k, sigma = placed[b.add.digest]
         table = b.mult.table if sigma is None else _relabel(b.mult.table, sigma)
         cls = orbits[k].get(table.tobytes())
         if cls is None:
             cls = len(classes)
-            orbits[k].update(dict.fromkeys(_orbit_tables(table, gens[k]), cls))
+            orbits[k].update(dict.fromkeys(walks[k](table), cls))
             classes.append([])
         classes[cls].append(b)
-    entries = tuple(
-        CensusEntry(cls[0], recognize(cls[0].mult), len(cls)) for cls in classes
-    )
-    return BraceCensus(adds[0], len(braces), entries)
+    return classes
 
 
-def _orbit_tables(table: np.ndarray, sigma: np.ndarray) -> set[bytes]:
-    """The bytes of every table the automorphisms ``sigma`` generate carry ``table`` to.
+def _orbit_tables(sigma: np.ndarray) -> Callable[[np.ndarray], set[bytes]]:
+    """The walk from a table to the bytes of every table ``sigma`` carries it to.
+
+    ``sigma`` holds automorphisms as rows of images, and the walk closes
+    under the group they generate.
 
     A level relabels every new table t by every row of sigma at once:
     ``_relabel(t, sigma[j])`` holds sigma[j] of the entry of t at (inverse
-    x, inverse y), read from the flattened sigma at offset j * n.
+    x, inverse y), read from the flattened sigma at offset j * n.  The
+    index is built once per additive group and serves each of its classes.
     """
     m, n = sigma.shape
-    inv = np.argsort(sigma, axis=1).astype(table.dtype)
+    inv = np.argsort(sigma, axis=1).astype(sigma.dtype)
     positions = (inv[:, :, None] * n + inv[:, None, :]).reshape(m, n * n)
-    offsets = np.arange(m, dtype=table.dtype)[:, None] * n
+    offsets = np.arange(m, dtype=sigma.dtype)[:, None] * n
     images = sigma.ravel()
-    return _reached(table.ravel(), lambda t: images.take(t.take(positions, axis=1) + offsets))
+    return lambda table: _reached(
+        table.ravel(), lambda t: images.take(t.take(positions, axis=1) + offsets)
+    )

@@ -190,10 +190,6 @@ class FiniteGroup:
             self._abelian = bool(np.array_equal(self.table, self.table.T))
         return self._abelian
 
-    def center(self) -> list[int]:
-        mask = (self.table == self.table.T).all(axis=1)
-        return [int(g) for g in np.nonzero(mask)[0]]
-
     def derived_size(self) -> int:
         """Order of the commutator subgroup."""
         if self._derived is None:

@@ -397,6 +397,23 @@ def test_law_kernel_matches_the_triple_scan():
     assert len(braces) <= holding < len(pairs)
 
 
+def test_equal_tables_share_one_group():
+    # brace_from_groups gives equal tables one group, and with it one cache
+    # of automorphisms; the unvalidated constructor keeps what it is given
+    for g in (symmetric_group(3), abelian_group([2, 4]), heisenberg_group(3)):
+        b = trivial_brace(g)
+        assert b.mult is b.add is g
+        copy = brace_from_groups(g, make_group(g.table.copy()))
+        assert copy.mult is copy.add is g
+        mult = make_group(g.table.copy())
+        assert SkewBrace(g, mult).mult is mult
+    for g in (cyclic_group(6), abelian_group([2, 2, 2])):
+        b = opposite_brace(g)
+        assert b.mult is b.add
+    b = opposite_brace(symmetric_group(3))
+    assert b.mult is not b.add
+
+
 def test_trivial_brace_of_klein_aut_count():
     b = trivial_brace(abelian_group([2, 2]))
     assert brace_automorphism_group(b).order == 6

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bracelab import census
-from bracelab.braces import brace_from_groups
+from bracelab.braces import SkewBrace, brace_from_groups
 from bracelab.census import (
     classify_braces,
     enumerate_braces,
@@ -198,6 +198,95 @@ def test_classify_finds_each_foreign_isomorphism_once(monkeypatch):
     ]
 
 
+def _entries(result):
+    return [(e.brace.mult.table.tobytes(), e.size, e.circle_name) for e in result.entries]
+
+
+def _unclassed(braces):
+    return [SkewBrace(b.add, b.mult) for b in braces]
+
+
+def test_classes_from_the_search_match_the_orbit_walk():
+    # a brace rebuilt by the constructor carries no class, so its list takes
+    # the orbit walk; whole lists and shuffled sublists with repeats agree
+    rng = np.random.default_rng(41)
+    bases = [g for n in range(1, 13) for g in _abstract_groups_of_order(n)]
+    for base in bases + [abelian_group([4, 4]), abelian_group([2, 2, 4])]:
+        sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
+        for g in (base, relabel(base, sigma)):
+            found = enumerate_braces(g)
+            # classes are numbered by first occurrence
+            firsts = list(dict.fromkeys(b._census_class for b in found))
+            assert firsts == list(range(len(classify_braces(_unclassed(found)).entries)))
+            picks = rng.integers(len(found), size=2 * len(found) // 3 + 1).tolist()
+            for braces in (found, [found[i] for i in picks]):
+                plain = _unclassed(braces)
+                assert all(b._census_class is None for b in plain)
+                assert _entries(classify_braces(braces)) == _entries(classify_braces(plain))
+
+
+def test_enumerated_braces_are_classified_without_an_orbit_walk(monkeypatch):
+    # the list is enumerated first, and only then does every search of the
+    # orbit walk raise
+    g = abelian_group([2, 2, 4])
+    found = enumerate_braces(g)
+    picks = np.random.default_rng(43).integers(len(found), size=500).tolist()
+    lists = [found, found[::-1], [found[i] for i in picks], found[5::7] + found[:9]]
+    walked = [_entries(classify_braces(_unclassed(braces))) for braces in lists]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated braces need no orbit walk")
+
+    for name in ("_orbit_tables", "_aut_chain", "are_isomorphic"):
+        monkeypatch.setattr(census, name, fail)
+    for braces, expected in zip(lists, walked):
+        result = classify_braces(braces)
+        assert result.group is g and result.raw_count == len(braces)
+        assert _entries(result) == expected
+    assert len(walked[0]) == 161
+
+
+def test_copies_and_mixed_lists_take_the_orbit_walk(monkeypatch):
+    # a class means something only beside the braces one search gave on the
+    # same additive group object: copies carry none, and a list mixing two
+    # group objects is walked, even when their tables are equal
+    found = enumerate_braces(cyclic_group(6))
+    assert all(b._census_class is not None for b in found)
+    for b in found:
+        assert b.swapped()._census_class is None
+        assert brace_from_groups(b.add, b.mult)._census_class is None
+    walks = []
+    walk = census._orbit_tables
+
+    def counted(sigma):
+        walks.append(sigma)
+        return walk(sigma)
+
+    monkeypatch.setattr(census, "_orbit_tables", counted)
+    c8 = abelian_group([2, 4])
+    same = enumerate_braces(c8) + enumerate_braces(c8)
+    for braces, walked in (
+        (same, False),
+        (found + enumerate_braces(symmetric_group(3), cap=20), True),
+        (enumerate_braces(c8) + enumerate_braces(abelian_group([2, 4])), True),
+        ([brace_from_groups(b.add, b.mult) for b in found], True),
+    ):
+        expected = _entries(classify_braces(_unclassed(braces)))
+        walks.clear()
+        assert _entries(classify_braces(braces)) == expected
+        assert bool(walks) == walked
+
+
+def test_enumerate_shares_g_with_the_translations_brace_alone():
+    # the translations' circle table is g's own, and that brace alone takes
+    # g itself as its circle group
+    for g in (symmetric_group(3), abelian_group([2, 2, 4]), dihedral_group(6)):
+        found = enumerate_braces(g)
+        shared = [b for b in found if b.mult is b.add]
+        assert len(shared) == 1 and shared[0].add is g
+        assert [b for b in found if np.array_equal(b.mult.table, g.table)] == shared
+
+
 def test_realizability_is_symmetric_up_to_order_6():
     for order in (4, 6):
         groups = {
@@ -262,10 +351,12 @@ def test_setup_in_blocks_of_translations_matches_one_pass(monkeypatch):
     for base in (abelian_group([4, 4]), symmetric_group(4), dihedral_group(6)):
         sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
         g = relabel(base, sigma)
-        whole = census._circle_tables(g, 10_000, None)
+        tables, classes = census._circle_tables(g, 10_000, None)
         for per_block in (1, 3):
             monkeypatch.setattr(census, "_BLOCK_POINTS", per_block * g.order * len(automorphism_group(g)))
-            assert np.array_equal(census._circle_tables(g, 10_000, None), whole)
+            again, again_classes = census._circle_tables(g, 10_000, None)
+            assert np.array_equal(again, tables)
+            assert np.array_equal(again_classes, classes)
 
 
 def test_filtered_candidates_lie_in_no_regular_overgroup():
