@@ -23,7 +23,7 @@ from .groups import (
     PermRepresentation,
     _Budget,
     _HomSearch,
-    _aut_chain,
+    _automorphisms,
     _find_identity,
     _relabel,
     make_group,
@@ -109,6 +109,7 @@ class SkewBrace:
         self.mult = mult
         self.order = add.order
         self._verdicts: dict[bool, Optional[CounterexampleTriple]] = {}
+        # caches of groups._automorphisms and groups._aut_chain, as on a group
         self._auts: Optional[PermutationGroup] = None
         self._chain: Optional[tuple[int, tuple[Perm, ...]]] = None
 
@@ -374,9 +375,13 @@ def is_two_sided(brace: SkewBrace) -> bool:
     return _first_failure(brace.add, brace.mult.table.T, brace.mult.generators) is None
 
 
-def _tables(brace: SkewBrace) -> list[FiniteGroup]:
-    """The tables a brace automorphism preserves, one if both are the same group."""
-    return [brace.add] if brace.mult is brace.add else [brace.add, brace.mult]
+def _owner(brace: SkewBrace) -> FiniteGroup | SkewBrace:
+    """What a brace's automorphisms are found on and cached on.
+
+    When both operations are one group the brace automorphisms are that
+    group's, so the group is the owner and shares its chain and listing.
+    """
+    return brace.add if brace.mult is brace.add else brace
 
 
 def brace_automorphism_group(brace: SkewBrace, budget: Optional[int] = None) -> PermutationGroup:
@@ -385,21 +390,7 @@ def brace_automorphism_group(brace: SkewBrace, budget: Optional[int] = None) -> 
     Listed and paid for as :func:`groups.automorphism_group` is, from
     the maps one order search over both tables keeps; computed once.
     """
-    if brace._auts is None:
-        spent = _Budget(budget, "brace automorphism search")
-        order, kept = _brace_chain(brace, spent, spent.context)
-        spent.spend(order)
-        brace._auts = PermutationGroup.from_generators(brace.order, kept)
-    return brace._auts
-
-
-def _brace_chain(
-    brace: SkewBrace, budget: Optional[int] | _Budget, context: str
-) -> tuple[int, tuple[Perm, ...]]:
-    """groups._aut_chain over the brace's tables, computed once per brace."""
-    if brace._chain is None:
-        brace._chain = _aut_chain(_tables(brace), budget, context)
-    return brace._chain
+    return _automorphisms(_owner(brace), budget, "brace automorphism search")
 
 
 def exponent_compare(brace: SkewBrace) -> ExponentReport:
@@ -433,5 +424,7 @@ def are_brace_isomorphic(
     """
     if b1.order != b2.order:
         return None
-    search = _HomSearch([b1.add, b1.mult], [b2.add, b2.mult], budget, "brace isomorphism search")
+    search = _HomSearch(
+        [b1.add, b1.mult], [b2.add, b2.mult], _Budget(budget, "brace isomorphism search")
+    )
     return next(search.maps(), None)

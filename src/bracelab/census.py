@@ -256,7 +256,7 @@ def _circle_tables(
     # beta carries lambda-vector v to v' with v'[beta(x)] = index of
     # beta alpha_v[x] beta^-1; conj[j] holds those indices for the j-th
     # kept map, so a level of the walk is one gather per map
-    kept = np.array(_aut_chain([g], budget, "automorphism search")[1], dtype=np.int32)
+    kept = np.array(_aut_chain(g, budget, "automorphism search")[1], dtype=np.int32)
     kept = kept.reshape(-1, n)
     kept_inv = np.argsort(kept, axis=1)
     j = np.arange(len(kept))[:, None]
@@ -386,7 +386,7 @@ def _orbit_classes(braces: Sequence[SkewBrace]) -> list[list[SkewBrace]]:
                 placed[b.add.digest] = (len(adds), None)
                 adds.append(b.add)
                 orbits.append({})
-                kept = _aut_chain([b.add], None, "automorphism search")[1]
+                kept = _aut_chain(b.add, None, "automorphism search")[1]
                 walks.append(_orbit_tables(np.array(kept, dtype=np.int32).reshape(len(kept), b.order)))
         k, sigma = placed[b.add.digest]
         table = b.mult.table if sigma is None else _relabel(b.mult.table, sigma)

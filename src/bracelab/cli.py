@@ -148,7 +148,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_aut(args: argparse.Namespace) -> int:
     g = read_group(args.group)
-    aut_order = _aut_chain([g], args.budget, "automorphism order search")[0]
+    aut_order = _aut_chain(g, args.budget, "automorphism order search")[0]
     _emit(
         [
             ("group", recognize(g)),

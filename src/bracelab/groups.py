@@ -11,9 +11,12 @@ package (regular representations, automorphisms, holomorphs) compose as
 functions instead; the two conventions never mix because abstract tables
 and permutation tuples are distinct types.
 
-Automorphisms come from one stabiliser chain, :func:`_aut_chain`: its
+Every map search, for isomorphisms or for automorphisms of a group or of
+a brace, is the one generator-image search :class:`_HomSearch` over
+:func:`generating_sequence`.  Automorphisms come from one stabiliser
+chain per owner, :func:`_aut_chain`, cached on the group or brace: its
 order serves the counts, and the maps it keeps generate the group, so a
-listing is their closure.
+listing, :func:`_automorphisms`, is their closure.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from math import factorial, lcm, prod
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +39,9 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .perms import Perm, PermutationGroup, all_perms, compose, identity_perm
+
+if TYPE_CHECKING:
+    from .braces import SkewBrace
 
 __all__ = [
     "MAX_ORDER",
@@ -110,16 +116,14 @@ class FiniteGroup:
     _auts: Optional[PermutationGroup] = None
     _chain: Optional[tuple[int, tuple[Perm, ...]]] = None
     _gens: Optional[tuple[int, ...]] = None
-    _base: Optional[tuple[int, ...]] = None
 
     def __init__(self, table: np.ndarray, generators: Optional[tuple[int, ...]] = None) -> None:
         self.order: int = int(table.shape[0])
         self.table = table
         table.flags.writeable = False
         # the generating set of make_group's associativity test, found on
-        # first use when not given; the isomorphism searches use
-        # generating_sequence, whose greedy order they depend on, and the
-        # automorphism searches _base
+        # first use when not given; every map search walks
+        # generating_sequence instead, whose greedy order its maps follow
         self._generators = generators
 
     @property
@@ -472,27 +476,23 @@ def subgroup_closure(g: FiniteGroup, seed: Iterable[int]) -> list[int]:
 
 
 def _closure(t: np.ndarray, seed: Iterable[int]) -> list[int]:
-    """Sorted closure of {0} and ``seed`` under right multiplication by ``seed``.
+    """Sorted orbit of 0 under right multiplication by each member of ``seed``.
 
     In a group table that is the subgroup ``seed`` generates.
     """
-    seen = {0}
-    frontier = [0]
-    gens = sorted(set(int(x) for x in seed))
-    for x in gens:
-        if x not in seen:
-            seen.add(x)
-            frontier.append(x)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in gens:
-                z = int(t[x, y])
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(_orbit(0, t[:, sorted({int(x) for x in seed})].T.tolist()))
+
+
+def _orbit(point: int, maps: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of ``point`` under the group the maps generate."""
+    orbit, todo = {point}, [point]
+    for x in todo:
+        for m in maps:
+            y = m[x]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 def subgroup_group(g: FiniteGroup, elements: Iterable[int]) -> FiniteGroup:
@@ -563,33 +563,21 @@ class GroupHom:
 
 
 def generating_sequence(g: FiniteGroup) -> list[int]:
-    """A small generating list, chosen greedily.
+    """A small generating list, chosen greedily; every map search walks it.
 
     Repeatedly append the element whose addition grows the generated
-    subgroup the most, breaking ties toward the smallest index.  Greedy
-    selection keeps backtracking searches shallow; it does not promise a
-    minimum-length sequence.  The sequence is cached on the group; each
-    call returns a fresh list.
-    """
-    if g._gens is None:
-        g._gens = _greedy_generators(g, range(1, g.order))
-    return list(g._gens)
-
-
-def _base(g: FiniteGroup) -> list[int]:
-    """The base of the order searches: a greedy generating sequence.
-
-    As :func:`generating_sequence`, but ties go to the element with the
-    smallest centraliser, then to the smallest index.  A central element
-    first in the base would make every non-central candidate for it a
-    whole subtree to refute; on Heis(3) this base is two generators where
-    the plain sequence is three.  Cached on the group; each call returns a
+    subgroup the most, breaking ties toward the smallest centraliser, then
+    the smallest index.  A central element early in the sequence would
+    make every non-central candidate image for it a whole subtree to
+    refute; on Heis(3) the sequence is two generators where the
+    smallest-index tie-break gives three.  Greedy selection keeps
+    backtracking searches shallow; it does not promise a minimum-length
+    sequence.  The sequence is cached on the group; each call returns a
     fresh list.
     """
-    if g._base is None:
-        ranked = np.argsort(_centraliser_sizes(g)[1:], kind="stable") + 1
-        g._base = _greedy_generators(g, ranked.tolist())
-    return list(g._base)
+    if g._gens is None:
+        g._gens = _greedy_generators(g)
+    return list(g._gens)
 
 
 def _centraliser_sizes(g: FiniteGroup) -> np.ndarray:
@@ -597,13 +585,15 @@ def _centraliser_sizes(g: FiniteGroup) -> np.ndarray:
     return (g.table == g.table.T).sum(axis=1)
 
 
-def _greedy_generators(g: FiniteGroup, candidates: Sequence[int]) -> tuple[int, ...]:
+def _greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     """Generators picked one at a time, each growing the span the most.
 
-    Among elements that grow it equally, the first in ``candidates`` wins.
-    A candidate already in the span of an earlier one at the same step
-    spans no more than it did, so it cannot win and is not closed.
+    Candidates are ranked by centraliser size, then by index, and among
+    elements that grow the span equally the first ranked wins.  A candidate
+    already in the span of an earlier one at the same step spans no more
+    than it did, so it cannot win and is not closed.
     """
+    candidates = (np.argsort(_centraliser_sizes(g)[1:], kind="stable") + 1).tolist()
     gens: list[int] = []
     span = [0]
     while len(span) < g.order:
@@ -627,8 +617,7 @@ def _greedy_generators(g: FiniteGroup, candidates: Sequence[int]) -> tuple[int, 
 class _HomSearch:
     """Bijections carrying every table src[k] to dst[k], lexicographically.
 
-    Images are assigned to ``gens``, by default
-    ``generating_sequence(src[0])``, which must generate src[0], one
+    Images are assigned to ``generating_sequence(src[0])``, one
     generator at a time, trying in ascending order the elements whose key
     matches the generator's: its order and centraliser size in every table,
     which a bijection carrying each src[k] to dst[k] keeps.  If the sorted
@@ -641,19 +630,13 @@ class _HomSearch:
     bijective homomorphism for the first pair of tables; further pairs are
     compared whole.  One node is one candidate image tried, at any depth and
     by any call of :meth:`maps` on the same search, and is spent from the
-    search's one ``budget`` (a limit, or a running :class:`_Budget`).
+    search's one running ``budget``.
     """
 
     def __init__(
-        self,
-        src: Sequence[FiniteGroup],
-        dst: Sequence[FiniteGroup],
-        budget: Optional[int] | _Budget,
-        context: str,
-        gens: Optional[Sequence[int]] = None,
+        self, src: Sequence[FiniteGroup], dst: Sequence[FiniteGroup], budget: _Budget
     ) -> None:
-        self.src, self.dst = src, dst
-        self.budget = budget if isinstance(budget, _Budget) else _Budget(budget, context)
+        self.src, self.dst, self.budget = src, dst, budget
         # an automorphism search (dst is src) has one set of keys to compute
         keys = [
             np.stack([c for t in tables for c in (t.element_orders(), _centraliser_sizes(t))], 1)
@@ -664,7 +647,7 @@ class _HomSearch:
         self.same = dst is src or np.array_equal(*(k[np.lexsort(k.T)] for k in keys))
         if not self.same:
             return
-        self.gens = generating_sequence(src[0]) if gens is None else list(gens)
+        self.gens = generating_sequence(src[0])
         # cols[k][0][a][x] is x times a in src[k], cols[k][1] the same in dst[k]
         self.cols: list[tuple[list[list[int]], list[list[int]]]] = []
         for g, h in zip(src, dst):
@@ -762,29 +745,39 @@ class _HomSearch:
 
 
 def automorphism_group(g: FiniteGroup, budget: Optional[int] = None) -> PermutationGroup:
-    """All automorphisms, closed from the maps :func:`_aut_chain` keeps; cached on the group.
+    """All automorphisms of g, listed by :func:`_automorphisms`; cached on the group."""
+    return _automorphisms(g, budget, "automorphism search")
+
+
+def _automorphisms(
+    owner: FiniteGroup | SkewBrace, budget: Optional[int], context: str
+) -> PermutationGroup:
+    """All automorphisms of a group or brace, closed from the maps :func:`_aut_chain` keeps.
 
     One budget pays for that search (unless it is cached) and for one node
     per listed map, charged on the exact order: past the budget,
-    SearchLimitExceeded is raised before any map is composed.
+    SearchLimitExceeded naming ``context`` is raised before any map is
+    composed.  The listing is cached on the owner.
     """
-    if g._auts is None:
-        spent = _Budget(budget, "automorphism search")
-        order, kept = _aut_chain([g], spent, spent.context)
+    if owner._auts is None:
+        spent = _Budget(budget, context)
+        order, kept = _aut_chain(owner, spent, context)
         spent.spend(order)
-        g._auts = PermutationGroup.from_generators(g.order, kept)
-    return g._auts
+        owner._auts = PermutationGroup.from_generators(owner.order, kept)
+    return owner._auts
 
 
 def _aut_chain(
-    tables: Sequence[FiniteGroup], budget: Optional[int] | _Budget, context: str
+    owner: FiniteGroup | SkewBrace, budget: Optional[int] | _Budget, context: str
 ) -> tuple[int, tuple[Perm, ...]]:
-    """The order of the group of bijections preserving every table, and maps generating it.
+    """The order of a group's or brace's automorphism group, and maps generating it.
 
-    The table with the shortest :func:`_base` goes first (the first given
-    among equals) and its base b_1, ..., b_k is searched.  The order is the product over i of the
-    orbit of b_i under the maps fixing b_1, ..., b_(i-1) (orbit-stabiliser
-    down that chain), and the levels are walked from i = k up.  Every map
+    A brace's automorphisms are the bijections preserving both its
+    tables.  The table with the shortest :func:`generating_sequence` goes
+    first (the additive one among equals) and its sequence b_1, ..., b_k
+    is searched.  The order is the product over i of the orbit of b_i
+    under the maps fixing b_1, ..., b_(i-1) (orbit-stabiliser down that
+    chain), and the levels are walked from i = k up.  Every map
     found is kept: one found at level j fixes b_1, ..., b_(j-1), so it
     lies in the stabiliser of every level i <= j.  At each level the orbit
     of b_i is closed under the maps kept so far, and each candidate image
@@ -795,14 +788,16 @@ def _aut_chain(
     So every orbit is settled exactly, and the kept maps generate the
     group: by induction up the chain, those kept from level i down
     generate the stabiliser of b_1, ..., b_(i-1).  The nodes of every such
-    search count against one budget.  The pair is cached on a single group.
+    search count against one budget: a running :class:`_Budget`, or a
+    limit that is checked only when the pair is not yet cached on the
+    owner (``_chain``), where it is kept once found.
     """
-    g = tables[0]
-    single = len(tables) == 1
-    if single and g._chain is not None:
-        return g._chain
-    tables = sorted(tables, key=lambda t: len(_base(t)))
-    search = _HomSearch(tables, tables, budget, context, _base(tables[0]))
+    if owner._chain is not None:
+        return owner._chain
+    budget = budget if isinstance(budget, _Budget) else _Budget(budget, context)
+    tables = [owner] if isinstance(owner, FiniteGroup) else [owner.add, owner.mult]
+    tables.sort(key=lambda t: len(generating_sequence(t)))
+    search = _HomSearch(tables, tables, budget)
     kept: list[Perm] = []
     order = 1
     for depth in reversed(range(len(search.gens))):
@@ -812,7 +807,7 @@ def _aut_chain(
         for v in search.cands[depth]:
             if v in orbit or v in ruled_out:
                 continue
-            search.budget.spend()
+            budget.spend()
             found = next(search.maps(fixed + [v]), None)
             if found is None:
                 ruled_out |= _orbit(v, kept)
@@ -820,22 +815,8 @@ def _aut_chain(
                 kept.append(found)
                 orbit = _orbit(point, kept)
         order *= len(orbit)
-    chain = (order, tuple(kept))
-    if single:
-        g._chain = chain
-    return chain
-
-
-def _orbit(point: int, maps: Sequence[Sequence[int]]) -> set[int]:
-    """The orbit of ``point`` under the group the maps generate."""
-    orbit, todo = {point}, [point]
-    for x in todo:
-        for m in maps:
-            y = m[x]
-            if y not in orbit:
-                orbit.add(y)
-                todo.append(y)
-    return orbit
+    owner._chain = (order, tuple(kept))
+    return owner._chain
 
 
 def are_isomorphic(
@@ -851,7 +832,7 @@ def are_isomorphic(
         return None
     if g.derived_size() != h.derived_size():
         return None
-    images = next(_HomSearch([g], [h], budget, "isomorphism search").maps(), None)
+    images = next(_HomSearch([g], [h], _Budget(budget, "isomorphism search")).maps(), None)
     return None if images is None else GroupHom(g, h, images)
 
 

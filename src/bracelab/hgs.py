@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .braces import SkewBrace, _brace_chain, is_biskew
+from .braces import SkewBrace, _owner, is_biskew
 from .errors import NotBiskew
 from .groups import _aut_chain, recognize
 
@@ -80,9 +80,9 @@ def _aut_orders(brace: SkewBrace, budget: Optional[int]) -> tuple[int, int, int]
     group automorphism groups, so their order must divide both; anything
     else means a broken search.
     """
-    aut_mult = _aut_chain([brace.mult], budget, "automorphism order search")[0]
-    aut_add = _aut_chain([brace.add], budget, "automorphism order search")[0]
-    aut_brace = _brace_chain(brace, budget, "brace automorphism order search")[0]
+    aut_mult = _aut_chain(brace.mult, budget, "automorphism order search")[0]
+    aut_add = _aut_chain(brace.add, budget, "automorphism order search")[0]
+    aut_brace = _aut_chain(_owner(brace), budget, "brace automorphism order search")[0]
     if aut_mult % aut_brace or aut_add % aut_brace:
         raise AssertionError(
             f"brace automorphisms ({aut_brace}) do not divide Aut of the "

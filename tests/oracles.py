@@ -45,6 +45,7 @@ from bracelab.braces import (
 from bracelab.errors import FileFormatError
 from bracelab.groups import (
     FiniteGroup,
+    _Budget,
     _HomSearch,
     _prime_cube_root,
     abelian_group,
@@ -178,7 +179,7 @@ def searched_automorphisms(tables: Sequence[FiniteGroup]) -> PermutationGroup:
     closes the maps its order search keeps.  Pass ``[g]`` for Aut(g) and
     ``[brace.add, brace.mult]`` for the automorphisms of a brace.
     """
-    search = _HomSearch(tables, tables, None, "automorphism listing search")
+    search = _HomSearch(tables, tables, _Budget(None, "automorphism listing search"))
     return PermutationGroup(tables[0].order, search.maps())
 
 
@@ -191,7 +192,7 @@ def aut_order_by_candidates(tables: Sequence[FiniteGroup]) -> int:
     the first map of its own search from g_1, ..., g_(i-1), v, with no orbit
     closed under the maps already found.
     """
-    search = _HomSearch(tables, tables, None, "per-candidate order search")
+    search = _HomSearch(tables, tables, _Budget(None, "per-candidate order search"))
     order = 1
     for depth, gen in enumerate(search.gens):
         fixed = search.gens[:depth]

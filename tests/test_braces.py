@@ -5,7 +5,7 @@ from bracelab import braces
 from bracelab.braces import (
     CounterexampleTriple,
     SkewBrace,
-    _brace_chain,
+    _owner,
     are_brace_isomorphic,
     brace_automorphism_group,
     brace_from_groups,
@@ -26,7 +26,9 @@ from bracelab.errors import BraceAxiomFailure, IdentityMismatch, SearchLimitExce
 from bracelab.algebras import catalog, to_brace
 from bracelab.groups import (
     FiniteGroup,
+    _aut_chain,
     abelian_group,
+    automorphism_group,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -93,6 +95,12 @@ def test_brace_automorphism_group_is_cached_on_the_brace():
     assert brace_automorphism_group(b.swapped()) is auts
 
 
+def test_trivial_brace_shares_its_group_automorphisms():
+    # both operations are one group, so the group owns the listing
+    g = symmetric_group(3)
+    assert brace_automorphism_group(trivial_brace(g)) is automorphism_group(g)
+
+
 def test_brace_automorphisms_match_the_table_filter():
     braces = [
         b for n in range(4, 13) for g in _abstract_groups_of_order(n) for b in enumerate_braces(g)
@@ -109,7 +117,7 @@ def test_brace_automorphisms_match_the_table_filter():
         braces.append(brace_from_groups(relabel(b.add, sigma), relabel(b.mult, sigma)))
     for b in braces:
         # counted first: the listing then closes the maps the count kept
-        order = _brace_chain(b, None, "count")[0]
+        order = _aut_chain(_owner(b), None, "count")[0]
         assert brace_automorphism_group(b) == filtered_brace_automorphisms(b)
         assert order == len(brace_automorphism_group(b))
 
@@ -159,13 +167,14 @@ def test_brace_automorphism_group_runs_under_the_caller_budget(monkeypatch):
 
 def test_brace_aut_order_is_shared_with_the_swapped_brace(monkeypatch):
     b = mod4_ring_brace()
-    assert _brace_chain(b, None, "count")[0] == 2
+    assert _aut_chain(_owner(b), None, "count")[0] == 2
 
     def fail(*args):
         raise AssertionError("brace automorphisms counted again")
 
-    monkeypatch.setattr("bracelab.braces._aut_chain", fail)
-    assert _brace_chain(b, None, "count")[0] == _brace_chain(b.swapped(), None, "count")[0] == 2
+    monkeypatch.setattr("bracelab.groups._HomSearch", fail)
+    swapped = _owner(b.swapped())
+    assert _aut_chain(_owner(b), None, "count")[0] == _aut_chain(swapped, None, "count")[0] == 2
 
 
 def test_opposite_brace_is_biskew_and_two_sided():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bracelab.algebras import catalog, to_brace
+from bracelab.braces import SkewBrace
 from bracelab.errors import (
     ActionNotAutomorphism,
     BraceLabError,
@@ -384,7 +385,7 @@ def test_aut_order_matches_the_listed_group():
         sigma = [0] + list(1 + rng.permutation(g.order - 1))
         for h in (make_group(g.table.copy()), relabel(g, sigma)):
             # counted first: the listing then closes the maps the count kept
-            order = _aut_chain([h], None, "automorphism order search")[0]
+            order = _aut_chain(h, None, "automorphism order search")[0]
             assert order == len(automorphism_group(h))
 
 
@@ -397,12 +398,13 @@ def test_aut_order_matches_the_per_candidate_count():
     for g in bases:
         sigma = [0] + list(1 + rng.permutation(g.order - 1))
         for h in (make_group(g.table.copy()), relabel(g, sigma)):
-            assert _aut_chain([h], None, "count")[0] == aut_order_by_candidates([h])
+            assert _aut_chain(h, None, "count")[0] == aut_order_by_candidates([h])
     for p in (3, 5):
         b = to_brace(catalog("degraaf_A340", p))
         for tables in ([b.add], [b.mult], [b.add, b.mult]):
             fresh = [make_group(t.table.copy()) for t in tables]
-            assert _aut_chain(fresh, None, "count")[0] == aut_order_by_candidates(tables)
+            owner = fresh[0] if len(fresh) == 1 else SkewBrace(*fresh)
+            assert _aut_chain(owner, None, "count")[0] == aut_order_by_candidates(tables)
 
 
 def test_closure_listing_matches_the_search_listing():
@@ -423,7 +425,7 @@ def test_listing_stops_at_its_budget(monkeypatch):
     # per listed map, checked against the exact order before any map is
     # composed
     chain = _Budget(None, "automorphism search")
-    assert _aut_chain([abelian_group([2, 2, 2, 2])], chain, chain.context)[0] == 20160
+    assert _aut_chain(abelian_group([2, 2, 2, 2]), chain, chain.context)[0] == 20160
     assert chain.nodes == 75
     budget = chain.nodes + 20160
     assert len(automorphism_group(abelian_group([2, 2, 2, 2]), budget=budget)) == 20160
@@ -441,9 +443,8 @@ def test_listing_stops_at_its_budget(monkeypatch):
 
 
 def test_greedy_generators_match_the_closure_of_every_candidate(sixdim_brace):
-    # skipping candidates an earlier closure covers leaves both candidate
-    # orders' picks unchanged: plain for generating_sequence, by
-    # centraliser size for the order searches' base
+    # skipping candidates an earlier closure covers leaves the picks of
+    # the candidates ranked by centraliser size unchanged
     rng = np.random.default_rng(17)
     groups = [g for n in range(1, 16) for g in _abstract_groups_of_order(n)]
     groups += [abelian_group(f) for f in ([16], [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2])]
@@ -455,38 +456,43 @@ def test_greedy_generators_match_the_closure_of_every_candidate(sixdim_brace):
     tables += [sixdim_brace.add, sixdim_brace.mult]
     for g in tables:
         ranked = (np.argsort(_centraliser_sizes(g)[1:], kind="stable") + 1).tolist()
-        for candidates in (range(1, g.order), ranked):
-            assert _greedy_generators(g, candidates) == greedy_generators_by_closure(g, candidates)
+        assert _greedy_generators(g) == greedy_generators_by_closure(g, ranked)
 
 
 def test_aut_order_is_cached_and_reads_a_listed_group(monkeypatch):
     g, h = heisenberg_group(3), abelian_group([3, 3])
-    assert _aut_chain([g], None, "count")[0] == 432
+    assert _aut_chain(g, None, "count")[0] == 432
     auts = automorphism_group(h)
 
     def fail(*args):
         raise AssertionError("automorphisms searched again")
 
     monkeypatch.setattr("bracelab.groups._HomSearch", fail)
-    assert _aut_chain([g], None, "count")[0] == 432
-    assert _aut_chain([h], None, "count")[0] == len(auts) == 48
+    assert _aut_chain(g, None, "count")[0] == 432
+    assert _aut_chain(h, None, "count")[0] == len(auts) == 48
 
 
 def test_aut_order_stops_at_its_budget():
     # |Aut(C5^3)| = |GL(3, 5)| = 1,488,000 from 147 nodes; one node fewer
     # fails (every element of an abelian group has the same centraliser)
     p = 5
-    assert _aut_chain([abelian_group([p] * 3)], 147, "count")[0] == math.prod(
+    assert _aut_chain(abelian_group([p] * 3), 147, "count")[0] == math.prod(
         p**3 - p**i for i in range(3)
     )
     with pytest.raises(SearchLimitExceeded, match="automorphism order search"):
-        _aut_chain([abelian_group([p] * 3)], 146, "automorphism order search")
+        _aut_chain(abelian_group([p] * 3), 146, "automorphism order search")
 
 
 def test_generating_sequence_generates():
     for g in [symmetric_group(4), heisenberg_group(3), abelian_group([2, 2, 3])]:
         gens = generating_sequence(g)
         assert len(subgroup_closure(g, gens)) == g.order
+
+
+def test_generating_sequence_puts_no_central_element_first():
+    # ties go to the smallest centraliser: the central element 1 of Heis(3)
+    # would make every non-central candidate image for it a subtree to refute
+    assert generating_sequence(heisenberg_group(3)) == [3, 9]
 
 
 def test_generating_sequence_is_cached_on_the_group(monkeypatch):
@@ -558,7 +564,7 @@ def test_isomorphism_search_pairs_elements_by_centraliser_size():
     # images must match in element order and centraliser size, so Heis(p)
     # finds a relabelled copy in a few nodes; pairing by element order
     # alone took over 100,000 nodes at p = 5
-    for p, nodes in ((5, 4), (7, 10)):
+    for p, nodes in ((5, 3), (7, 4)):
         g = heisenberg_group(p)
         h = relabel(g, [0] + list(1 + np.random.default_rng(3).permutation(g.order - 1)))
         with pytest.raises(SearchLimitExceeded, match="isomorphism search"):
@@ -569,7 +575,9 @@ def test_isomorphism_search_pairs_elements_by_centraliser_size():
 def test_map_search_with_unequal_keys_spends_no_node():
     # C3^3 and Heis(3) have the same element orders but not the same
     # centraliser sizes, so no bijection carries one table to the other
-    search = _HomSearch([abelian_group([3, 3, 3])], [heisenberg_group(3)], 1, "isomorphism search")
+    search = _HomSearch(
+        [abelian_group([3, 3, 3])], [heisenberg_group(3)], _Budget(1, "isomorphism search")
+    )
     assert list(search.maps()) == []
     assert search.budget.nodes == 0
 

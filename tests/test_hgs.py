@@ -79,8 +79,8 @@ def test_brace_count_runs_under_the_caller_budget():
     b = to_brace(catalog("degraaf_A340", 3))
     for table, nodes, order in ((b.add, 61, 11232), (b.mult, 12, 432)):
         with pytest.raises(SearchLimitExceeded, match="automorphism order search"):
-            _aut_chain([table], nodes - 1, "automorphism order search")
-        assert _aut_chain([table], nodes, "count")[0] == order
+            _aut_chain(table, nodes - 1, "automorphism order search")
+        assert _aut_chain(table, nodes, "count")[0] == order
     with pytest.raises(SearchLimitExceeded, match="brace automorphism order search") as exc:
         count_hgs(b, budget=45)
     assert exc.value.budget == 45
