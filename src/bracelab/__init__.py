@@ -50,7 +50,6 @@ from .census import (
     CensusEntry,
     classify_braces,
     enumerate_braces,
-    regular_subgroups_of_holomorph,
 )
 from .errors import BraceLabError
 from .factorizations import (
@@ -135,8 +134,7 @@ __all__ = [
     "byott_embedding", "is_semidirect", "S4Report", "demo_s4",
     # counting and enumeration
     "HGSCountReport", "ReciprocityReport", "count_hgs", "reciprocity_check",
-    "BraceCensus", "CensusEntry", "regular_subgroups_of_holomorph",
-    "enumerate_braces", "classify_braces",
+    "BraceCensus", "CensusEntry", "enumerate_braces", "classify_braces",
     # files
     "read_group", "write_group", "read_brace", "read_brace_tables",
     "write_brace", "read_algebra", "write_algebra",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -944,40 +944,26 @@ def _prime_cube_root(n: int) -> Optional[int]:
 def _abelian_invariant_factors(g: FiniteGroup) -> list[int]:
     """Invariant factors d1 | d2 | ... of a finite abelian group.
 
-    For each prime p, the partition describing the p-primary part is read
-    off from the counts of elements whose order divides p^k (those counts
-    are p raised to a sum of truncated partition parts).
+    In C(e1) x ... x C(ek), N(d) = #{x : x^d = e} is the product of the
+    gcd(d, ei), so the largest factor ek is the smallest d with N(d) the
+    group's order.  Dividing every N(d) by gcd(d, ek) leaves the counts of
+    C(e1) x ... x C(ek-1), whose largest factor is found the same way.
+    Every ei is an element order, so d runs over those alone.
     """
-    orders = g.element_orders()
-    primary: dict[int, list[int]] = {}
-    for p in _prime_factors(g.order):
-        conj: list[int] = []
-        m_prev = 0
-        k = 1
-        while True:
-            c = int(np.count_nonzero(pow(p, k) % orders == 0))
-            m = c.bit_length() - 1 if p == 2 else round(np.log(c) / np.log(p))
-            if p**m != c:
-                raise AssertionError("element counts of an abelian group must be prime powers")
-            d = m - m_prev
-            if d == 0:
-                break
-            conj.append(d)
-            m_prev = m
-            k += 1
-        # conjugate partition: part j counts how many conj entries are >= j
-        parts = [sum(1 for d in conj if d >= j) for j in range(1, conj[0] + 1)]
-        primary[p] = parts
-    width = max(len(v) for v in primary.values())
-    factors = []
-    for i in range(width):
-        f = 1
-        for p, parts in primary.items():
-            if i < len(parts):
-                f *= p ** parts[i]
-        factors.append(f)
-    factors.reverse()  # ascending divisibility d1 | d2 | ...
-    return factors
+    per_order = np.bincount(g.element_orders())
+    orders = np.flatnonzero(per_order).tolist()
+    sizes = per_order[orders].tolist()
+    counts = [sum(c for o, c in zip(orders, sizes) if d % o == 0) for d in orders]
+    factors: list[int] = []
+    left = g.order
+    while left > 1:
+        e = next((d for d, c in zip(orders, counts) if c == left), None)
+        if e is None or left % e:
+            raise AssertionError("element counts of an abelian group must be those of cyclic factors")
+        factors.append(e)
+        left //= e
+        counts = [c // gcd(d, e) for d, c in zip(orders, counts)]
+    return factors[::-1]
 
 
 # (elements of order 2, elements of order 4, distinct squares) -> name,

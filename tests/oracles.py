@@ -295,7 +295,7 @@ def tuple_closure_regular_subgroups(
 ) -> tuple[list[PermutationGroup], int]:
     """Regular subgroups of the holomorph built as tuples, and the nodes used.
 
-    The same search as ``census.regular_subgroups_of_holomorph`` with every
+    The same search as ``census.enumerate_braces`` with every
     holomorph element a permutation tuple: candidates are the sorted
     elements whose cycles all have one length, found by taking tuple
     powers, with the smallest point not yet hit from 0 as image of 0; a

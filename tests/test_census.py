@@ -3,11 +3,7 @@ import pytest
 
 from bracelab import census
 from bracelab.braces import SkewBrace, brace_from_groups
-from bracelab.census import (
-    classify_braces,
-    enumerate_braces,
-    regular_subgroups_of_holomorph,
-)
+from bracelab.census import classify_braces, enumerate_braces
 from bracelab.errors import CapExceeded, SearchLimitExceeded
 from bracelab.groups import (
     abelian_group,
@@ -15,6 +11,7 @@ from bracelab.groups import (
     automorphism_group,
     cyclic_group,
     dihedral_group,
+    holomorph,
     make_group,
     recognize,
     symmetric_group,
@@ -52,11 +49,9 @@ def test_prime_orders_have_exactly_one_brace():
 
 
 def test_klein_has_four_regular_subgroups():
-    subs = regular_subgroups_of_holomorph(abelian_group([2, 2]))
-    assert len(subs) == 4
-    names = sorted(
-        recognize(b.mult) for b in enumerate_braces(abelian_group([2, 2]))
-    )
+    braces = enumerate_braces(abelian_group([2, 2]))
+    assert len(braces) == 4
+    names = sorted(recognize(b.mult) for b in braces)
     assert names == ["C2 x C2", "C4", "C4", "C4"]
 
 
@@ -69,7 +64,7 @@ def test_raw_counts_small():
 
 
 def test_search_finds_each_subgroup_once():
-    subs = regular_subgroups_of_holomorph(symmetric_group(3), cap=20)
+    subs = [PermutationGroup(6, b.mult.table) for b in enumerate_braces(symmetric_group(3), cap=20)]
     assert len({frozenset(s.elements) for s in subs}) == len(subs) == 8
 
 
@@ -83,11 +78,14 @@ def test_braces_read_off_the_search_are_the_regular_subgroups():
     for base in bases:
         sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
         for g in (base, relabel(base, sigma)):
+            hol = set(holomorph(g).elements)
             braces = enumerate_braces(g)
-            subs = regular_subgroups_of_holomorph(g)
-            assert len(braces) == len(subs)
+            subs = [PermutationGroup(g.order, b.mult.table) for b in braces]
+            assert [s.elements for s in subs] == sorted(s.elements for s in subs)
             for b, sub in zip(braces, subs):
-                assert PermutationGroup(g.order, b.mult.table.tolist()) == sub
+                # row x of the table is the subgroup element sending 0 to x
+                assert [p[0] for p in sub.elements] == list(range(g.order))
+                assert hol.issuperset(sub.elements)
                 again = make_group(b.mult.table)
                 assert b.mult.generators == again.generators
                 assert np.array_equal(b.mult.inverses, again.inverses)
@@ -307,14 +305,14 @@ def test_realizability_is_symmetric_up_to_order_6():
 
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
-        regular_subgroups_of_holomorph(abelian_group([2, 2]), cap=2)
+        enumerate_braces(abelian_group([2, 2]), cap=2)
     with pytest.raises(CapExceeded):
-        regular_subgroups_of_holomorph(cyclic_group(1), cap=0)
+        enumerate_braces(cyclic_group(1), cap=0)
 
 
 def test_budget_exceeded():
     with pytest.raises(SearchLimitExceeded):
-        regular_subgroups_of_holomorph(symmetric_group(3), budget=3)
+        enumerate_braces(symmetric_group(3), budget=3)
 
 
 def test_search_node_count_on_c4_x_c4():
@@ -323,9 +321,9 @@ def test_search_node_count_on_c4_x_c4():
     # nodes find a member of each Aut-class of all 880 (2878 when every
     # conjugate was closed, 6828 when every fixed-point-free candidate was)
     with pytest.raises(SearchLimitExceeded) as exc:
-        regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=1439)
+        enumerate_braces(abelian_group([4, 4]), budget=1439)
     assert "regular subgroup search" in str(exc.value)
-    assert len(regular_subgroups_of_holomorph(abelian_group([4, 4]), budget=1440)) == 880
+    assert len(enumerate_braces(abelian_group([4, 4]), budget=1440)) == 880
 
 
 def test_regular_subgroups_match_the_tuple_closure():
@@ -338,25 +336,26 @@ def test_regular_subgroups_match_the_tuple_closure():
             expected, nodes = tuple_closure_regular_subgroups(g)
             # a budget must be positive, so a search of 0 or 1 nodes (orders
             # 1 and prime) is pinned at budget 1 alone
-            assert regular_subgroups_of_holomorph(g, budget=max(nodes, 1)) == expected
+            braces = enumerate_braces(g, budget=max(nodes, 1))
+            assert [PermutationGroup(g.order, b.mult.table) for b in braces] == expected
             if nodes > 1:
                 with pytest.raises(SearchLimitExceeded, match="regular subgroup search"):
-                    regular_subgroups_of_holomorph(g, budget=nodes - 1)
+                    enumerate_braces(g, budget=nodes - 1)
 
 
 def test_setup_in_blocks_of_translations_matches_one_pass(monkeypatch):
     # the set-up takes the translations in blocks when Aut(g) is large;
-    # blocks of one and of three translations find the same tables
+    # blocks of one and of three translations find the same braces
     rng = np.random.default_rng(37)
     for base in (abelian_group([4, 4]), symmetric_group(4), dihedral_group(6)):
         sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
         g = relabel(base, sigma)
-        tables, classes = census._circle_tables(g, 10_000, None)
+        braces = enumerate_braces(g)
         for per_block in (1, 3):
             monkeypatch.setattr(census, "_BLOCK_POINTS", per_block * g.order * len(automorphism_group(g)))
-            again, again_classes = census._circle_tables(g, 10_000, None)
-            assert np.array_equal(again, tables)
-            assert np.array_equal(again_classes, classes)
+            again = enumerate_braces(g)
+            assert [b.mult for b in again] == [b.mult for b in braces]
+            assert [b._census_class for b in again] == [b._census_class for b in braces]
 
 
 def test_filtered_candidates_lie_in_no_regular_overgroup():
