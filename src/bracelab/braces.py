@@ -25,7 +25,6 @@ from .groups import (
     _HomSearch,
     _automorphisms,
     _find_identity,
-    _relabel,
     make_group,
 )
 from .perms import Perm, PermutationGroup
@@ -264,10 +263,12 @@ def prepare_brace_groups(
 ) -> tuple[FiniteGroup, FiniteGroup]:
     """Validate two raw tables as groups on a shared carrier, law unchecked.
 
-    Both tables must carry the same identity element (IdentityMismatch
-    otherwise); if it is not 0, the *same* relabeling is applied to both.
-    Useful when the caller wants to report on the compatibility law rather
-    than have it enforced.
+    The tables must have one square shape (InvalidTableError) and, where
+    both have an identity, the same one (IdentityMismatch); both checks
+    come before either table is validated.  Each table then passes
+    :func:`make_group`, whose swap of 0 and the identity is thus the same
+    relabeling on both.  Useful when the caller wants to report on the
+    compatibility law rather than have it enforced.
     """
     a_arr = np.asarray(add_table, dtype=np.int64)
     m_arr = np.asarray(mult_table, dtype=np.int64)
@@ -283,11 +284,6 @@ def prepare_brace_groups(
         e_mult = _find_identity(m_arr.astype(np.int32))
         if e_add is not None and e_mult is not None and e_add != e_mult:
             raise IdentityMismatch(e_add, e_mult)
-        if e_add is not None and e_add != 0:
-            sigma = np.arange(n, dtype=np.int32)
-            sigma[0], sigma[e_add] = e_add, 0
-            a_arr = _relabel(a_arr.astype(np.int32), sigma)
-            m_arr = _relabel(m_arr.astype(np.int32), sigma)
     return make_group(a_arr), make_group(m_arr)
 
 

@@ -12,10 +12,11 @@ Subcommands mirror the library layers:
 
 Exit status is 0 for success (or "the property holds"), 1 for a negative
 verdict (an axiom fails; the witness is printed), and 2 for usage or
-input errors.  Output is plain ``key = value`` text by default;
-``--format kv`` switches to one-per-line ``key=value`` pairs with stable
-key order, for scripting.  The environment variable BRACELAB_BUDGET
-bounds every backtracking search; ``--budget`` overrides it per call.
+input errors and when memory runs out.  Output is plain ``key = value``
+text by default; ``--format kv`` switches to one-per-line ``key=value``
+pairs with stable key order, for scripting.  The environment variable
+BRACELAB_BUDGET bounds every backtracking search; ``--budget`` overrides
+it per call.
 """
 from __future__ import annotations
 
@@ -493,6 +494,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (BraceLabError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

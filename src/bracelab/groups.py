@@ -99,11 +99,11 @@ class _Budget:
 class FiniteGroup:
     """Immutable finite group on {0, ..., n-1} with identity 0.
 
-    Construct through :func:`make_group` (or the named constructors), which
-    validate the table; the constructor itself trusts its inputs: an int32
-    group table with identity 0, and optionally a generating set.  It
-    freezes the table; the inverses, and the generating set when none is
-    given, are read off it on first use.
+    A group is its table.  Construct through :func:`make_group` (or the
+    named constructors), which validate the table; the constructor itself
+    trusts its input, an int32 group table with identity 0, and freezes
+    it.  Everything else, the generating set included, is read off the
+    table on first use.
     """
 
     # cached structure, each set on an instance on first use; the census
@@ -116,21 +116,31 @@ class FiniteGroup:
     _auts: Optional[PermutationGroup] = None
     _chain: Optional[tuple[int, tuple[Perm, ...]]] = None
     _gens: Optional[tuple[int, ...]] = None
+    _generators: Optional[tuple[int, ...]] = None
 
-    def __init__(self, table: np.ndarray, generators: Optional[tuple[int, ...]] = None) -> None:
+    def __init__(self, table: np.ndarray) -> None:
         self.order: int = int(table.shape[0])
         self.table = table
         table.flags.writeable = False
-        # the generating set of make_group's associativity test, found on
-        # first use when not given; every map search walks
-        # generating_sequence instead, whose greedy order its maps follow
-        self._generators = generators
 
     @property
     def generators(self) -> tuple[int, ...]:
-        """Each the smallest element the earlier ones do not generate."""
+        """Each the smallest element the earlier ones do not generate.
+
+        Generated means a left-normed product of the earlier members, so the
+        set is defined on any loop table and make_group tests it; in a group
+        each member at least doubles the reached set, so there are at most
+        log2(n).  Every map search walks :func:`generating_sequence`
+        instead, whose greedy order its maps follow.
+        """
         if self._generators is None:
-            self._generators = _smallest_first_generators(self.table)
+            reached = np.zeros(self.order, dtype=bool)
+            reached[0] = True
+            gens: list[int] = []
+            while not reached.all():
+                gens.append(int(np.argmin(reached)))
+                reached[_closure(self.table, gens)] = True
+            self._generators = tuple(gens)
         return self._generators
 
     @property
@@ -238,12 +248,16 @@ def _relabel(arr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
     """Validate an n x n multiplication table and wrap it as a group.
 
-    Checks, in order: shape and entry range (InvalidTableError), a two-sided
-    identity (NoIdentityError) which is moved to index 0 by swapping labels,
+    Every table passes here, the two of a brace included.  Checks, in
+    order: shape and entry range (InvalidTableError), a two-sided identity
+    (NoIdentityError) which is moved to index 0 by swapping it with 0,
     bijective rows and columns (NotBijectiveRowError), and associativity
     with a lexicographically first witness (NotAssociativeError).
-    Associativity is decided by Light's test on a generating set, O(n^2)
-    per generator; only a failing table is scanned triple by triple.
+    Associativity is Light's test, (x*s)*y == x*(s*y) for all x and y, on
+    each of the group's own ``generators``, O(n^2) per member: the elements
+    passing it are closed under the product, and every element is a
+    left-normed product of the members, so the table is associative.  Only
+    a failing table is scanned triple by triple.
     """
     arr = np.asarray(table, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -272,46 +286,11 @@ def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
     if not cols.all():
         raise NotBijectiveRowError(int(np.argmin(cols)), "column")
 
-    return FiniteGroup(arr, _associative_generators(arr))
-
-
-def _associative_generators(arr: np.ndarray) -> tuple[int, ...]:
-    """A generating set of a loop table, each member passing Light's test.
-
-    Members are those of :func:`_smallest_first_generators`, each tested
-    before it joins: (x*s)*y == x*(s*y) for all x and y.  The elements
-    passing that test are closed under the product and every element is a
-    left-normed product of the set, so the table is associative.  Passing
-    elements form a group, so each new member at least doubles the reached
-    set and there are at most log2(n) of them.  On the first failure the
-    table is scanned in full for the lexicographically first witness.
-    """
-
-    def light(s: int) -> None:
+    g = FiniteGroup(arr)
+    for s in g.generators:
         if not np.array_equal(arr[arr[:, s]], arr[:, arr[s]]):
             raise NotAssociativeError(_first_non_associative(arr))
-
-    return _smallest_first_generators(arr, light)
-
-
-def _smallest_first_generators(
-    arr: np.ndarray, check: Optional[Callable[[int], None]] = None
-) -> tuple[int, ...]:
-    """Members picked greedily, each the smallest element not yet reached.
-
-    An element is reached when it is a left-normed product of the earlier
-    members.  Each member is passed to ``check`` before it joins.
-    """
-    reached = np.zeros(arr.shape[0], dtype=bool)
-    reached[0] = True
-    gens: list[int] = []
-    while not reached.all():
-        s = int(np.argmin(reached))
-        if check is not None:
-            check(s)
-        gens.append(s)
-        reached[_closure(arr, gens)] = True
-    return tuple(gens)
+    return g
 
 
 def _first_non_associative(arr: np.ndarray) -> tuple[int, int, int]:

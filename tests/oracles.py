@@ -26,7 +26,7 @@ stock group and ring tables entry by entry or by each ring kind's own
 formula where the library broadcasts one coordinate rule, or reading
 and writing table rows one line and one token at a time where the
 library decodes and prints the whole table as arrays.  It also lists
-one group of each isomorphism type up to order 15, among them the
+one group of each isomorphism type up to order 31, among them the
 quaternion group, whose table no library constructor builds, and the
 nine nonabelian groups of order 16.
 """
@@ -71,6 +71,7 @@ from bracelab.perms import (
     identity_perm,
     invert,
     is_fixed_point_free,
+    perm_order,
 )
 
 # the quaternion units 1,-1,i,-i,j,-j,k,-k as indices 0..7
@@ -239,30 +240,93 @@ def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:
     return PermutationGroup(n, auts)
 
 
+def _scaling(m: int, r: int, k: int) -> list[list[int]]:
+    """The action of C_k on C_m in which element j multiplies by r^j."""
+    return [[pow(r, j, m) * x % m for x in range(m)] for j in range(k)]
+
+
+# invariant factors of every abelian group of order n, where there are several
+_ABELIAN_FACTORS = {
+    4: [[4], [2, 2]], 8: [[8], [2, 4], [2, 2, 2]], 9: [[9], [3, 3]], 12: [[12], [2, 6]],
+    16: [[16], [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2]], 18: [[18], [3, 6]], 20: [[20], [2, 10]],
+    24: [[24], [2, 12], [2, 2, 6]], 25: [[25], [5, 5]], 27: [[27], [3, 9], [3, 3, 3]],
+    28: [[28], [2, 14]],
+}
+
+
 def _abstract_groups_of_order(n: int) -> list[FiniteGroup]:
-    """One group of each isomorphism type of order n, for 1 <= n <= 15.
+    """One group of each isomorphism type of order n, for 1 <= n <= 31.
 
     The abelian groups by invariant factors come first, then the
-    nonabelian ones: dihedral groups, Q8, A4 = C2^2 x| C3 and
-    Dic3 = C3 x| C4.
+    nonabelian ones, each built from its definition: dihedral groups, Q8,
+    A4 = C2^2 x| C3, Dic3 = C3 x| C4 and the nonabelian groups of order
+    16.  Dic_k, for k > 3, is <x, y | x^2k = 1, y^2 = x^k, y x y^-1 = x^-1>.
+    In F20, C7 x| C3 and C3 x| C8 a generator multiplies by 2.  SL(2,3)
+    is Q8 x| C3 under an automorphism of order 3.  In C3 x| D4 the
+    rotations of odd index invert C3, so the kernel is a Klein group; a C4
+    kernel would give D12.
     """
-    if not 1 <= n <= 15:
-        raise ValueError(f"the abstract catalog covers orders 1 to 15, got {n}")
-    factors = {4: [[4], [2, 2]], 8: [[8], [2, 4], [2, 2, 2]], 9: [[9], [3, 3]], 12: [[12], [2, 6]]}
-    found = [abelian_group(f) for f in factors.get(n, [[n]])]
+    if not 1 <= n <= 31:
+        raise ValueError(f"the abstract catalog covers orders 1 to 31, got {n}")
+    found = [abelian_group(f) for f in _ABELIAN_FACTORS.get(n, [[n]])]
+    klein, c2, c3, c4 = abelian_group([2, 2]), cyclic_group(2), cyclic_group(3), cyclic_group(4)
+    a4_action = [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
     if n == 6:
         found.append(symmetric_group(3))
     elif n == 8:
         found += [dihedral_group(4), quaternion_group()]
     elif n == 12:
-        klein, c3 = abelian_group([2, 2]), cyclic_group(3)
         found += [
             dihedral_group(6),
-            semidirect_product(klein, c3, [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]),
-            semidirect_product(c3, cyclic_group(4), [[0, 1, 2], [0, 2, 1]] * 2),
+            semidirect_product(klein, c3, a4_action),
+            semidirect_product(c3, c4, _scaling(3, 2, 4)),
         ]
-    elif n in (10, 14):
+    elif n in (10, 14, 22, 26):
         found.append(dihedral_group(n // 2))
+    elif n == 16:
+        found += nonabelian_groups_of_order_16().values()
+    elif n == 18:
+        c33 = abelian_group([3, 3])
+        found += [
+            dihedral_group(9),
+            direct_product(c3, symmetric_group(3)),
+            semidirect_product(c33, c2, [list(range(9)), c33.inverses.tolist()]),
+        ]
+    elif n == 20:
+        found += [
+            dihedral_group(10),
+            _metacyclic(10, 9, 5),
+            semidirect_product(cyclic_group(5), c4, _scaling(5, 2, 4)),
+        ]
+    elif n == 21:
+        found.append(semidirect_product(cyclic_group(7), c3, _scaling(7, 2, 3)))
+    elif n == 24:
+        s3, q8 = symmetric_group(3), quaternion_group()
+        alpha = next(p for p in automorphism_group(q8) if perm_order(p) == 3)
+        found += [
+            symmetric_group(4),
+            semidirect_product(q8, c3, [list(range(8)), list(alpha), list(compose(alpha, alpha))]),
+            dihedral_group(12),
+            _metacyclic(12, 11, 6),
+            semidirect_product(c3, cyclic_group(8), _scaling(3, 2, 8)),
+            semidirect_product(c3, dihedral_group(4), [_scaling(3, 2, 2)[j % 2] for j in range(8)]),
+            direct_product(c2, semidirect_product(klein, c3, a4_action)),
+            direct_product(klein, s3),
+            direct_product(c2, semidirect_product(c3, c4, _scaling(3, 2, 4))),
+            direct_product(c4, s3),
+            direct_product(c3, dihedral_group(4)),
+            direct_product(c3, q8),
+        ]
+    elif n == 27:
+        found += [heisenberg_group(3), m3_group(3)]
+    elif n == 28:
+        found += [dihedral_group(14), _metacyclic(14, 13, 7)]
+    elif n == 30:
+        found += [
+            dihedral_group(15),
+            direct_product(cyclic_group(5), symmetric_group(3)),
+            direct_product(c3, dihedral_group(5)),
+        ]
     return found
 
 

@@ -283,6 +283,26 @@ def test_catalog_errors():
         catalog("cyclic", 3, r=0)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: make_algebra(3, 0, {}), InvalidTableError,
+         "algebra dimension must be positive, got 0"),
+        (lambda: make_algebra(3, 2, {(2, 0): [0, 0]}), InvalidTableError,
+         "structure constant index (2, 0) out of range"),
+        (lambda: make_algebra(3, 2, {(0, 1): [1]}), InvalidTableError,
+         "structure constant for (0, 1) must have length 2"),
+        (lambda: cyclic_ring(4, 1), BadPrime, "4 is not a supported prime"),
+        (lambda: catalog("truncated_poly", 3, m=0), UnsupportedParameter,
+         "truncated_poly degree m = 0 is out of range"),
+    ],
+)
+def test_algebra_constructors_reject_bad_parameters(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_table_cap_blocks_large_algebra_tables():
     big = catalog("sixdim_wedge", 5)  # 5^6 elements: fine as an algebra
     assert power_ideal_dims(big) == [6, 3, 0]

@@ -16,13 +16,19 @@ from bracelab.braces import (
     l_map,
     make_brace,
     opposite_brace,
+    prepare_brace_groups,
     square_agreement_set,
     trivial_brace,
     validate_direct,
     validate_via_holomorph,
 )
 from bracelab.census import enumerate_braces
-from bracelab.errors import BraceAxiomFailure, IdentityMismatch, SearchLimitExceeded
+from bracelab.errors import (
+    BraceAxiomFailure,
+    IdentityMismatch,
+    InvalidTableError,
+    SearchLimitExceeded,
+)
 from bracelab.algebras import catalog, to_brace
 from bracelab.groups import (
     FiniteGroup,
@@ -240,7 +246,8 @@ def test_holomorph_route_falls_back_to_the_first_failing_element():
         if mult.order < 3:
             continue
         others = tuple(a for a in range(1, mult.order) if a != expected.element)
-        rewrapped = FiniteGroup(mult.table, others)
+        rewrapped = FiniteGroup(mult.table)
+        rewrapped._generators = others
         first_failing_generator = next(
             g for g in others if not _respects_addition(add, mult, g)
         )
@@ -277,6 +284,33 @@ def test_make_brace_identity_mismatch():
     plain = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     with pytest.raises(IdentityMismatch):
         make_brace(shifted, plain)
+
+
+def refuse(*args):
+    raise AssertionError("validation went past the shape and order checks")
+
+
+@pytest.mark.parametrize(
+    "add, mult, message",
+    [
+        ([[0]], [[0, 1], [1, 0]], "tables must have matching shapes, got (1, 1) and (2, 2)"),
+        ([[0, 1]], [[0, 1]], "tables must be square, got shape (1, 2)"),
+    ],
+)
+def test_prepare_brace_groups_checks_shapes_before_either_table(monkeypatch, add, mult, message):
+    monkeypatch.setattr("bracelab.braces.make_group", refuse)
+    with pytest.raises(InvalidTableError) as exc:
+        prepare_brace_groups(add, mult)
+    assert str(exc.value) == message
+
+
+def test_unequal_orders_are_no_brace_and_no_brace_isomorphism(monkeypatch):
+    with pytest.raises(InvalidTableError) as exc:
+        brace_from_groups(cyclic_group(2), cyclic_group(3))
+    assert str(exc.value) == "operations have different orders 2 and 3"
+    b2, b3 = trivial_brace(cyclic_group(2)), trivial_brace(cyclic_group(3))
+    monkeypatch.setattr("bracelab.braces._HomSearch", refuse)
+    assert are_brace_isomorphic(b2, b3) is None
 
 
 def test_make_brace_relabels_both_tables_together():
@@ -448,7 +482,8 @@ def test_first_failure_below_every_failing_generator():
         above = tuple(range(a + 1, mult.order))
         if len(subgroup_closure(mult, above)) < mult.order:
             continue
-        rewrapped = FiniteGroup(mult.table, above)
+        rewrapped = FiniteGroup(mult.table)
+        rewrapped._generators = above
         assert min(g for g in above if not _respects_addition(add, mult, g)) > a
         assert validate_direct(add, rewrapped) == CounterexampleTriple(*expected[0])
         assert validate_via_holomorph(add, rewrapped) == holomorph_scan(add, mult)

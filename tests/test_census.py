@@ -110,6 +110,12 @@ def test_classify_s3_census():
     assert shapes == [("C6", 3), ("C6", 3), ("S3", 1), ("S3", 1)]
 
 
+def test_classify_refuses_an_empty_list():
+    with pytest.raises(ValueError) as exc:
+        classify_braces([])
+    assert str(exc.value) == "cannot classify an empty brace list"
+
+
 def test_classify_c6_census():
     census = classify_braces(enumerate_braces(cyclic_group(6)))
     assert sorted((e.circle_name, e.size) for e in census.entries) == [
@@ -137,6 +143,38 @@ def test_census_matches_the_published_counts_up_to_order_15():
     for n in range(1, 16):
         s = b = 0
         for g in _abstract_groups_of_order(n):
+            classes = len(classify_braces(enumerate_braces(g)).entries)
+            s += classes
+            b += classes if g.is_abelian() else 0
+        assert (s, b) == published.get(n, (1, 1)), n
+
+
+def test_abstract_catalog_lists_every_group_up_to_order_31_once():
+    # the number of groups of each order n <= 31 (OEIS A000001); a list of
+    # that length, pairwise non-isomorphic, holds every type
+    counts = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14, 1, 5, 1, 5, 2, 2, 1, 15, 2, 2, 5, 4, 1, 4, 1]
+    for n, count in enumerate(counts, start=1):
+        groups = _abstract_groups_of_order(n)
+        assert [g.order for g in groups] == [n] * count, n
+        for i, g in enumerate(groups):
+            for h in groups[i + 1:]:
+                assert are_isomorphic(g, h) is None, n
+
+
+def test_census_matches_the_published_counts_from_order_17_to_31():
+    # s(n) and b(n) from Guarnieri and Vendramin, Math. Comp. 86 (2017); 1/1
+    # at the primes.  test_order_16_census pins order 16 and
+    # test_order_27_census b(27) = 37, so that C2^4 and C3^3 are enumerated
+    # once: order 27 adds here only its nonabelian groups, s(27) - b(27)
+    published = {
+        18: (49, 8), 20: (43, 11), 21: (8, 2), 22: (6, 2), 24: (855, 96),
+        25: (4, 4), 26: (6, 2), 27: (101 - 37, 0), 28: (29, 9), 30: (36, 4),
+    }
+    for n in range(17, 32):
+        s = b = 0
+        for g in _abstract_groups_of_order(n):
+            if n == 27 and g.is_abelian():
+                continue
             classes = len(classify_braces(enumerate_braces(g)).entries)
             s += classes
             b += classes if g.is_abelian() else 0

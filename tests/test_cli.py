@@ -5,8 +5,14 @@ from bracelab.braces import validate_direct
 from bracelab.cli import main
 from bracelab.formats import write_algebra, write_brace, write_group
 from bracelab.algebras import catalog, to_brace
-from bracelab.errors import BraceLabError, SearchLimitExceeded
+from bracelab.errors import (
+    BraceLabError,
+    IdentityMismatch,
+    NotBijectiveRowError,
+    SearchLimitExceeded,
+)
 from bracelab.groups import abelian_group, automorphism_group, cyclic_group, symmetric_group
+from bracelab.perms import all_perms, parse_cycles
 
 
 def kv(capsys) -> dict[str, str]:
@@ -50,6 +56,19 @@ def test_demo_exponent_boundary(capsys):
     assert got["boundary_add_exponent"] == "2"
     assert got["boundary_circle_exponent"] == "4"
     assert got["safe_orders_agree"] == "true"
+
+
+def test_demo_sixdim(capsys):
+    assert main(["demo", "sixdim", "--format", "kv"]) == 0
+    # a^2 = x0 x1 e3 + x1 x2 e4 + x2 x0 e5 vanishes when at most one of
+    # x0, x1, x2 is nonzero: 7 choices, times 27 for x3, x4, x5
+    assert kv(capsys) == {
+        "order": "729",
+        "power_ideal_dims": "6 3 0",
+        "cubes_vanish": "true",
+        "biskew": "true",
+        "square_agreement": str(7 * 27),
+    }
 
 
 def test_construct_trivial_then_validate(tmp_path, capsys):
@@ -96,6 +115,22 @@ def test_validate_swapped_failure_exits_1(tmp_path, capsys):
         "left_side": "6", "right_side": "24",
     }
     assert list(got) == ["witness_a", "witness_b", "witness_c", "left_side", "right_side"]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        # row 1 of the additive table repeats 1
+        ("brace 2\n0 1\n1 1\n\n0 1\n1 0\n", str(NotBijectiveRowError(1, "row"))),
+        # C2 with identity 0, then with identity 1
+        ("brace 2\n0 1\n1 0\n\n1 0\n0 1\n", str(IdentityMismatch(0, 1))),
+    ],
+)
+def test_validate_reports_tables_that_are_not_a_brace_carrier(tmp_path, capsys, text, reason):
+    bad = tmp_path / "bad.brc"
+    bad.write_text(text)
+    assert main(["validate", "--brace", str(bad), "--format", "kv"]) == 1
+    assert kv(capsys) == {"orientation": "forward", "valid": "false", "reason": reason}
 
 
 def test_count_trivial_brace(tmp_path, capsys):
@@ -148,6 +183,35 @@ def test_factorization_cycle_notation(tmp_path, capsys):
     assert got["circle"] == "C6"
     assert got["biskew"] == "true"
     assert main(["validate", "--brace", str(brc)]) == 0
+
+
+def test_factorization_from_a_group_file(tmp_path, capsys):
+    grp = tmp_path / "s3.grp"
+    write_group(grp, symmetric_group(3))
+    rot = all_perms(3).index(parse_cycles("(123)", 3))
+    flip = all_perms(3).index(parse_cycles("(12)", 3))
+    brc = tmp_path / "fact.brc"
+    args = ["construct", "factorization", "--group", str(grp), "--out", str(brc), "--format", "kv"]
+    assert main(args + ["--left", str(rot), "--right", str(flip)]) == 0
+    got = kv(capsys)
+    assert (got["left"], got["right"], got["circle"], got["biskew"]) == ("C3", "C2", "C6", "true")
+    assert main(["validate", "--brace", str(brc)]) == 0
+    capsys.readouterr()
+    assert main(args + ["--left", f"{rot},x", "--right", str(flip)]) == 2
+    assert capsys.readouterr().err == f"error: not an index list: '{rot},x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sym", "3", "--left-gens", "(123)"], "--sym needs both --left-gens and --right-gens"),
+        (["--left", "0", "--right", "0"],
+         "factorization needs --group, --left and --right (or --sym form)"),
+    ],
+)
+def test_factorization_without_its_factors_exits_2(capsys, argv, message):
+    assert main(["construct", "factorization"] + argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_factorization_past_the_cap_exits_2_before_building(monkeypatch, capsys):
@@ -231,6 +295,22 @@ def test_usage_and_input_errors_exit_2(tmp_path, capsys):
     assert main(["construct", "catalog", "--name", "cyclic", "--p", "3",
                  "--r", "0"]) == 2
     assert main(["count", "--brace", str(tmp_path / "missing.brc")]) == 2
+
+
+def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch):
+    grp = tmp_path / "c2222.grp"
+    write_group(grp, abelian_group([2, 2, 2, 2]))
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 61.4 MiB for an array with shape (62896, 16, 16)")
+
+    monkeypatch.setattr("bracelab.cli.enumerate_braces", exhausted)
+    assert main(["enumerate", "--group", str(grp), "--cap", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory: Unable to allocate 61.4 MiB for an array with shape (62896, 16, 16)\n"
+    )
 
 
 def test_malformed_budget_variable_is_an_input_error(tmp_path, capsys, monkeypatch):

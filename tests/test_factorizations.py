@@ -61,6 +61,20 @@ def test_validate_factorization_errors():
         validate_factorization(s3, [0], subgroup_closure(s3, [flip]))
 
 
+def test_a_factor_without_the_identity_and_an_unknown_side_are_rejected():
+    s3 = symmetric_group(3)
+    perms = all_perms(3)
+    rot = perms.index(parse_cycles("(123)", 3))
+    flip = perms.index(parse_cycles("(12)", 3))
+    with pytest.raises(NotSubgroup) as exc:
+        validate_factorization(s3, subgroup_closure(s3, [rot]), [flip])
+    assert exc.value.side == "right"
+    assert str(exc.value) == "right factor is not a subgroup (missing the identity)"
+    with pytest.raises(ValueError) as exc:
+        is_semidirect(s3_factorization(), "middle")
+    assert str(exc.value) == "side must be 'left' or 'right', got 'middle'"
+
+
 def test_decomposition_multiplies_back():
     f = s3_factorization()
     for x, (a, b) in enumerate(f.decomposition):

@@ -49,6 +49,29 @@ def test_group_header_errors(tmp_path):
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "reader, text, line, reason",
+    [
+        (read_group, "", 1, "empty file"),
+        (read_algebra, "", 1, "empty file"),
+        (read_group, "group 2 2\n0 1\n1 0\n", 1, "group header must be 'group <n>'"),
+        (read_brace_tables, "brace\n", 1, "brace header must be 'brace <n>'"),
+        (read_group, "group 0\n", 1, "group order must be positive, got 0"),
+        (read_brace_tables, "brace -1\n", 1, "brace order must be positive, got -1"),
+        (read_algebra, "cyclicring 3\n", 1, "cyclicring header must be 'cyclicring <p> <r>'"),
+        (read_algebra, "algebra 3\n", 1, "algebra header must be 'algebra <p> <dim>'"),
+        (read_algebra, "algebra 3 2\n0 -> 0 1\n", 2, "expected two basis indices before '->'"),
+    ],
+)
+def test_header_and_product_line_errors(tmp_path, reader, text, line, reason):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(FileFormatError) as exc:
+        reader(path)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {reason}"
+
+
 def test_group_short_row(tmp_path):
     path = tmp_path / "bad.grp"
     path.write_text("group 2\n0 1\n1\n")

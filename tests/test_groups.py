@@ -9,6 +9,7 @@ from bracelab.algebras import catalog, to_brace
 from bracelab.braces import SkewBrace
 from bracelab.errors import (
     ActionNotAutomorphism,
+    ActionNotHomomorphism,
     BraceLabError,
     InvalidTableError,
     NoIdentityError,
@@ -17,6 +18,7 @@ from bracelab.errors import (
     SearchLimitExceeded,
 )
 from bracelab.groups import (
+    GroupHom,
     _Budget,
     _HomSearch,
     _aut_chain,
@@ -236,6 +238,50 @@ def test_semidirect_product_rejects_non_automorphism():
     c3, c2 = cyclic_group(3), cyclic_group(2)
     with pytest.raises(ActionNotAutomorphism):
         semidirect_product(c3, c2, [[0, 1, 2], [0, 0, 1]])
+
+
+def test_semidirect_product_rejects_each_bad_action():
+    c2, c3, c4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+    with pytest.raises(ActionNotHomomorphism) as exc:
+        semidirect_product(c3, c2, [[0, 1, 2]])
+    assert str(exc.value) == (
+        "action must give one permutation of 3 points per actor element, got shape (1, 3)"
+    )
+    # swapping 1 and 2 in C4 is a bijection that moves 1 + 1 = 2 to 2 + 2 = 0
+    with pytest.raises(ActionNotAutomorphism) as exc:
+        semidirect_product(c4, c2, [[0, 1, 2, 3], [0, 2, 1, 3]])
+    assert exc.value.index == 1 and "does not preserve the product" in str(exc.value)
+    # automorphisms each, but 1 acts by inversion and 1 * 2 = 0 by the identity
+    with pytest.raises(ActionNotHomomorphism) as exc:
+        semidirect_product(c3, c3, [[0, 1, 2], [0, 2, 1], [0, 1, 2]])
+    assert str(exc.value) == "action of product 1*2 differs from composed actions"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: make_group(np.zeros((0, 0), dtype=int)), InvalidTableError,
+         "table must have at least one element"),
+        (lambda: cyclic_group(0), InvalidTableError,
+         "cyclic group order must be in 1..1024, got 0"),
+        (lambda: cyclic_group(1025), InvalidTableError,
+         "cyclic group order must be in 1..1024, got 1025"),
+        (lambda: dihedral_group(0), InvalidTableError, "dihedral parameter must be positive"),
+        (lambda: m3_group(2), InvalidTableError,
+         "the exponent-p^2 construction needs an odd prime"),
+        (lambda: subgroup_group(cyclic_group(4), [1, 2]), ValueError,
+         "subgroup must contain the identity 0"),
+        (lambda: GroupHom(cyclic_group(2), cyclic_group(2), (0,)), ValueError,
+         "images must list one target element per source element"),
+        # 1 + 1 = 2 maps to 1, but the images add to 1 + 1 = 2
+        (lambda: GroupHom(cyclic_group(3), cyclic_group(3), (0, 1, 1)), ValueError,
+         "not a homomorphism: fails at (1, 1)"),
+    ],
+)
+def test_constructors_reject_bad_parameters(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_stock_constructors_match_the_per_entry_loops():
@@ -536,6 +582,15 @@ def test_are_isomorphic_compares_keys_before_building_the_search(monkeypatch):
 
     monkeypatch.setattr("bracelab.groups.generating_sequence", fail)
     assert are_isomorphic(g, h) is None
+
+
+def test_are_isomorphic_compares_derived_sizes_before_the_search(monkeypatch):
+    # C6 and S3 have order 6 and commutator subgroups of orders 1 and 3
+    def refuse(*args):
+        raise AssertionError("the map search ran")
+
+    monkeypatch.setattr("bracelab.groups._HomSearch", refuse)
+    assert are_isomorphic(cyclic_group(6), symmetric_group(3)) is None
 
 
 def test_are_isomorphic_finds_map():

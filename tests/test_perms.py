@@ -94,3 +94,26 @@ def test_permutation_group_from_generators():
 def test_permutation_group_requires_identity():
     with pytest.raises(ValueError):
         PermutationGroup(3, [(1, 2, 0), (2, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "elements, bad",
+    [
+        ([(0, 1, 2), (2, 2, 0), (0, 0, 1)], "(0, 0, 1)"),
+        ([(0, 1, 2), (1, 0)], "(1, 0)"),
+    ],
+)
+def test_permutation_group_names_the_first_non_permutation(elements, bad):
+    with pytest.raises(ValueError) as exc:
+        PermutationGroup(3, elements)
+    assert str(exc.value) == f"{bad} is not a permutation of degree 3"
+
+
+def test_verify_closure_names_a_missing_inverse_and_an_escaping_product():
+    with pytest.raises(ValueError) as exc:
+        PermutationGroup(3, [(0, 1, 2), (1, 2, 0)]).verify_closure()
+    assert str(exc.value) == "inverse of (1, 2, 0) missing from the set"
+    # two transpositions, each its own inverse, whose product is a 3-cycle
+    with pytest.raises(ValueError) as exc:
+        PermutationGroup(3, [(0, 1, 2), (1, 0, 2), (0, 2, 1)]).verify_closure()
+    assert str(exc.value) == "product of (0, 2, 1) and (1, 0, 2) escapes the set"
