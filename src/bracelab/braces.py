@@ -386,7 +386,7 @@ def brace_automorphism_group(brace: SkewBrace, budget: Optional[int] = None) -> 
     Listed and paid for as :func:`groups.automorphism_group` is, from
     the maps one order search over both tables keeps; computed once.
     """
-    return _automorphisms(_owner(brace), budget, "brace automorphism search")
+    return _automorphisms(_owner(brace), _Budget(budget, "brace automorphism search"))
 
 
 def exponent_compare(brace: SkewBrace) -> ExponentReport:

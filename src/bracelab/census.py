@@ -41,9 +41,9 @@ from .groups import (
     FiniteGroup,
     _Budget,
     _aut_chain,
+    _automorphisms,
     _relabel,
     are_isomorphic,
-    automorphism_group,
     recognize,
 )
 from .perms import Perm, _reached
@@ -87,7 +87,8 @@ def enumerate_braces(
     subgroup of brace b, as permutations, is ``PermutationGroup(g.order,
     b.mult.table)``: its element x is the one sending 0 to x, row x of the
     circle table.  Raises CapExceeded when more than ``cap`` subgroups
-    exist and SearchLimitExceeded when the search outgrows its node budget.
+    exist and SearchLimitExceeded when the call outgrows its node budget,
+    which pays for listing Aut(g) too unless the listing is cached on g.
 
     Each brace is read straight off the search: regular subgroups of the
     holomorph are exactly the braces on g, so neither the circle table nor
@@ -138,8 +139,8 @@ def enumerate_braces(
     docstring, is no such conjugate and is closed.
     """
     n = g.order
-    aut = automorphism_group(g, budget)
-    auts = aut.elements
+    spent = _Budget(budget, "regular subgroup search")
+    auts = _automorphisms(g, spent).elements
     m = len(auts)
     rows = g.table.tolist()
     alphas = np.array(auts, dtype=np.int32)
@@ -172,7 +173,6 @@ def enumerate_braces(
     aut_inverse = products.index_of(np.argsort(alphas, axis=1)[:, gens]).tolist()
     inverses = g.inverses.tolist()
 
-    spend = _Budget(budget, "regular subgroup search").spend
     leaves: list[list[int]] = []  # per leaf: k of its element with image x, by x
 
     def closure(base: dict[int, int], t: int, l: int) -> Optional[dict[int, int]]:
@@ -222,7 +222,7 @@ def enumerate_braces(
         for k in ks[~back[alphas[ks[:, None], orbit]].any(axis=1)].tolist():
             if k in closed:
                 continue
-            spend()
+            spent.spend()
             conjugates = [products[products[b * m + k] * m + aut_inverse[b]] for b in fixing]
             closed.add(k)
             closed.update(conjugates)
@@ -230,7 +230,7 @@ def enumerate_braces(
             if grown is not None:
                 grow(grown, [b for b, c in zip(fixing, conjugates) if c == k])
 
-    # automorphism_group sorts its elements, so the identity, the smallest
+    # a listing sorts its elements, so the identity, the smallest
     # permutation, is element 0; the stabilisers hold the others
     grow({0: 0}, list(range(1, m)))
     # grow refers to itself; unbinding it frees the search state on return
@@ -239,7 +239,7 @@ def enumerate_braces(
     # beta carries lambda-vector v to v' with v'[beta(x)] = index of
     # beta alpha_v[x] beta^-1; conj[j] holds those indices for the j-th
     # kept map, so a level of the walk is one gather per map
-    kept = np.array(_aut_chain(g, budget, "automorphism search")[1], dtype=np.int32)
+    kept = np.array(_aut_chain(g, spent)[1], dtype=np.int32)
     kept = kept.reshape(-1, n)
     kept_inv = np.argsort(kept, axis=1)
     j = np.arange(len(kept))[:, None]
@@ -358,6 +358,7 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
 
 def _orbit_classes(braces: Sequence[SkewBrace]) -> list[list[SkewBrace]]:
     """The braces grouped by walking each new class's orbit of circle tables."""
+    spent = _Budget(None, "automorphism search")  # one default budget for every order search
     adds: list[FiniteGroup] = []  # one labelling per additive isomorphism type
     orbits: list[dict[bytes, int]] = []  # per entry of adds: circle table -> class
     walks: list[Callable[[np.ndarray], set[bytes]]] = []  # per entry of adds: its orbit walk
@@ -376,7 +377,7 @@ def _orbit_classes(braces: Sequence[SkewBrace]) -> list[list[SkewBrace]]:
                 placed[b.add.digest] = (len(adds), None)
                 adds.append(b.add)
                 orbits.append({})
-                kept = _aut_chain(b.add, None, "automorphism search")[1]
+                kept = _aut_chain(b.add, spent)[1]
                 walks.append(_orbit_tables(np.array(kept, dtype=np.int32).reshape(len(kept), b.order)))
         k, sigma = placed[b.add.digest]
         table = b.mult.table if sigma is None else _relabel(b.mult.table, sigma)

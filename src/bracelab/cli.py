@@ -14,9 +14,9 @@ Exit status is 0 for success (or "the property holds"), 1 for a negative
 verdict (an axiom fails; the witness is printed), and 2 for usage or
 input errors and when memory runs out.  Output is plain ``key = value``
 text by default; ``--format kv`` switches to one-per-line ``key=value``
-pairs with stable key order, for scripting.  The environment variable
-BRACELAB_BUDGET bounds every backtracking search; ``--budget`` overrides
-it per call.
+pairs with stable key order, for scripting.  A subcommand's node budget
+bounds every node of every backtracking search it runs, together: it is
+``--budget``, else the environment variable BRACELAB_BUDGET.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ from .formats import (
     read_group,
     write_brace,
 )
-from .groups import _aut_chain, recognize, subgroup_closure, symmetric_group
+from .groups import _Budget, _aut_chain, recognize, subgroup_closure, symmetric_group
 from .hgs import count_hgs, reciprocity_check
 from .perms import all_perms, parse_cycles
 
@@ -85,13 +85,16 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _parse_indices(text: str) -> list[int]:
-    """Comma- or whitespace-separated element indices."""
+def _parse_indices(text: str, order: int) -> list[int]:
+    """Comma- or whitespace-separated indices of elements of a group of ``order``."""
     parts = text.replace(",", " ").split()
     try:
-        return [int(tok) for tok in parts]
+        indices = [int(tok) for tok in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an index list: {text!r}")
+    if not all(0 <= i < order for i in indices):
+        raise argparse.ArgumentTypeError(f"not an index list of 0..{order - 1}: {text!r}")
+    return indices
 
 
 def _output_brace(brace: SkewBrace, out: Optional[str], pairs: Pairs, fmt: str) -> None:
@@ -149,7 +152,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_aut(args: argparse.Namespace) -> int:
     g = read_group(args.group)
-    aut_order = _aut_chain(g, args.budget, "automorphism order search")[0]
+    aut_order = _aut_chain(g, _Budget(args.budget, "automorphism order search"))[0]
     _emit(
         [
             ("group", recognize(g)),
@@ -246,11 +249,10 @@ def _build_factorization(args: argparse.Namespace) -> tuple[SkewBrace, Pairs]:
         index = {p: i for i, p in enumerate(all_perms(args.sym))}
 
         def span(gen_text: str) -> list[int]:
-            gens = [
-                index[parse_cycles(chunk, args.sym)]
-                for chunk in gen_text.split(";")
-                if chunk.strip()
-            ]
+            try:
+                gens = [index[parse_cycles(c, args.sym)] for c in gen_text.split(";") if c.strip()]
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(f"bad cycles {gen_text!r}: {exc}")
             return subgroup_closure(g, gens)
 
         left, right = span(args.left_gens), span(args.right_gens)
@@ -260,8 +262,8 @@ def _build_factorization(args: argparse.Namespace) -> tuple[SkewBrace, Pairs]:
                 "factorization needs --group, --left and --right (or --sym form)"
             )
         g = read_group(args.group)
-        left = subgroup_closure(g, _parse_indices(args.left))
-        right = subgroup_closure(g, _parse_indices(args.right))
+        left = subgroup_closure(g, _parse_indices(args.left, g.order))
+        right = subgroup_closure(g, _parse_indices(args.right, g.order))
     fact = validate_factorization(g, left, right)
     brace = circle_from_factorization(fact)
     pairs = [

@@ -73,12 +73,12 @@ _DEFAULT_BUDGET = 2_000_000
 
 
 class _Budget:
-    """The node budget of one search, and the nodes it has spent.
+    """The node budget of one public call, spent by every search the call runs.
 
-    The limit is the caller's argument, else the BRACELAB_BUDGET
+    The limit is the call's ``budget`` argument, else the BRACELAB_BUDGET
     environment variable, else a built-in default; a value that is given
     but is not a positive integer raises BraceLabError.  Spending past the
-    limit raises SearchLimitExceeded naming ``context``.
+    limit raises SearchLimitExceeded naming ``context``, the call's search.
     """
 
     def __init__(self, override: Optional[int], context: str) -> None:
@@ -725,30 +725,25 @@ class _HomSearch:
 
 def automorphism_group(g: FiniteGroup, budget: Optional[int] = None) -> PermutationGroup:
     """All automorphisms of g, listed by :func:`_automorphisms`; cached on the group."""
-    return _automorphisms(g, budget, "automorphism search")
+    return _automorphisms(g, _Budget(budget, "automorphism search"))
 
 
-def _automorphisms(
-    owner: FiniteGroup | SkewBrace, budget: Optional[int], context: str
-) -> PermutationGroup:
+def _automorphisms(owner: FiniteGroup | SkewBrace, budget: _Budget) -> PermutationGroup:
     """All automorphisms of a group or brace, closed from the maps :func:`_aut_chain` keeps.
 
-    One budget pays for that search (unless it is cached) and for one node
-    per listed map, charged on the exact order: past the budget,
-    SearchLimitExceeded naming ``context`` is raised before any map is
-    composed.  The listing is cached on the owner.
+    The caller's ``budget`` pays for that search (unless it is cached) and
+    for one node per listed map, charged on the exact order: past the
+    budget, SearchLimitExceeded is raised before any map is composed.  The
+    listing is cached on the owner.
     """
     if owner._auts is None:
-        spent = _Budget(budget, context)
-        order, kept = _aut_chain(owner, spent, context)
-        spent.spend(order)
+        order, kept = _aut_chain(owner, budget)
+        budget.spend(order)
         owner._auts = PermutationGroup.from_generators(owner.order, kept)
     return owner._auts
 
 
-def _aut_chain(
-    owner: FiniteGroup | SkewBrace, budget: Optional[int] | _Budget, context: str
-) -> tuple[int, tuple[Perm, ...]]:
+def _aut_chain(owner: FiniteGroup | SkewBrace, budget: _Budget) -> tuple[int, tuple[Perm, ...]]:
     """The order of a group's or brace's automorphism group, and maps generating it.
 
     A brace's automorphisms are the bijections preserving both its
@@ -767,13 +762,11 @@ def _aut_chain(
     So every orbit is settled exactly, and the kept maps generate the
     group: by induction up the chain, those kept from level i down
     generate the stabiliser of b_1, ..., b_(i-1).  The nodes of every such
-    search count against one budget: a running :class:`_Budget`, or a
-    limit that is checked only when the pair is not yet cached on the
-    owner (``_chain``), where it is kept once found.
+    search are spent from the caller's ``budget``; none are spent once the
+    pair is cached on the owner (``_chain``), where it is kept once found.
     """
     if owner._chain is not None:
         return owner._chain
-    budget = budget if isinstance(budget, _Budget) else _Budget(budget, context)
     tables = [owner] if isinstance(owner, FiniteGroup) else [owner.add, owner.mult]
     tables.sort(key=lambda t: len(generating_sequence(t)))
     search = _HomSearch(tables, tables, budget)

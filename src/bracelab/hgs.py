@@ -17,7 +17,7 @@ from typing import Optional
 
 from .braces import SkewBrace, _owner, is_biskew
 from .errors import NotBiskew
-from .groups import _aut_chain, recognize
+from .groups import _Budget, _aut_chain, recognize
 
 __all__ = ["HGSCountReport", "ReciprocityReport", "count_hgs", "reciprocity_check"]
 
@@ -75,14 +75,15 @@ class ReciprocityReport:
 def _aut_orders(brace: SkewBrace, budget: Optional[int]) -> tuple[int, int, int]:
     """|Aut| of the multiplicative group, the additive group and the brace.
 
-    Each is an orbit-stabiliser count under the caller's budget, so no
-    automorphism is listed.  Brace automorphisms form a subgroup of both
-    group automorphism groups, so their order must divide both; anything
-    else means a broken search.
+    Each is an orbit-stabiliser count, so no automorphism is listed, and
+    the three searches spend from one budget, the caller's.  Brace
+    automorphisms form a subgroup of both group automorphism groups, so
+    their order must divide both; anything else means a broken search.
     """
-    aut_mult = _aut_chain(brace.mult, budget, "automorphism order search")[0]
-    aut_add = _aut_chain(brace.add, budget, "automorphism order search")[0]
-    aut_brace = _aut_chain(_owner(brace), budget, "brace automorphism order search")[0]
+    spent = _Budget(budget, "automorphism order search")
+    aut_mult = _aut_chain(brace.mult, spent)[0]
+    aut_add = _aut_chain(brace.add, spent)[0]
+    aut_brace = _aut_chain(_owner(brace), spent)[0]
     if aut_mult % aut_brace or aut_add % aut_brace:
         raise AssertionError(
             f"brace automorphisms ({aut_brace}) do not divide Aut of the "

@@ -101,7 +101,7 @@ def cycle_string(p: Sequence[int]) -> str:
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse 1-based cycle notation like ``(1 2 3)(4 5)`` or ``(123)``.
+    """Parse 1-based disjoint-cycle notation like ``(1 2 3)(4 5)`` or ``(123)``.
 
     Unbracketed whitespace and commas are ignored.  ``()`` and ``e`` both
     denote the identity.  Points without separators are read digit by digit,
@@ -112,6 +112,7 @@ def parse_cycles(text: str, degree: int) -> Perm:
     if text in ("", "e", "()"):
         return identity_perm(degree)
     out = list(range(degree))
+    used: list[int] = []  # the points of every cycle
     for chunk in text.replace(")", ")\x00").split("\x00"):
         chunk = chunk.strip()
         if not chunk:
@@ -128,10 +129,11 @@ def parse_cycles(text: str, degree: int) -> Perm:
         for v in points:
             if not 1 <= v <= degree:
                 raise ValueError(f"point {v} outside 1..{degree}")
-        if len(set(points)) != len(points):
-            raise ValueError(f"repeated point in cycle {chunk!r}")
+        used += points
         for a, b in zip(points, points[1:] + points[:1]):
             out[a - 1] = b - 1
+    if len(set(used)) != len(used):
+        raise ValueError("repeated point; the cycles must be disjoint")
     return tuple(out)
 
 
@@ -169,7 +171,7 @@ class PermutationGroup:
         points = np.arange(degree)
         if arr is None or not (np.sort(arr, axis=1) == points).all():
             # name the failing element that sorts first
-            bad = min(tuple(p) for p in rows if len(p) != degree or sorted(p) != list(range(degree)))
+            bad = min(tuple(map(int, p)) for p in rows if sorted(p) != list(range(degree)))
             raise ValueError(f"{bad} is not a permutation of degree {degree}")
         # rows of big-endian entries in 0..degree-1, led by a 0 so that no
         # row is empty, compare bytewise as their tuples do: one unique call

@@ -28,7 +28,8 @@ and writing table rows one line and one token at a time where the
 library decodes and prints the whole table as arrays.  It also lists
 one group of each isomorphism type up to order 31, among them the
 quaternion group, whose table no library constructor builds, and the
-nine nonabelian groups of order 16.
+nine nonabelian groups of order 16, and the endomorphisms of a group
+whose image is abelian, by closing every tuple of generator images.
 """
 import itertools
 from typing import Optional, Sequence
@@ -238,6 +239,47 @@ def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:
         if np.array_equal(img[g.table], g.table[np.ix_(img, img)]):
             auts.append(tuple(int(v) for v in img))
     return PermutationGroup(n, auts)
+
+
+def abelian_image_endomorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every endomorphism of g whose image is abelian, as a tuple of images.
+
+    Each tuple of pairwise commuting images of ``generating_sequence(g)``
+    is closed as a map; the tuples that close are the endomorphisms, and
+    their images are generated by commuting elements.
+    """
+    t = g.table.tolist()
+    gens = generating_sequence(g)
+    found = []
+    for images in itertools.product(range(g.order), repeat=len(gens)):
+        if all(t[a][b] == t[b][a] for a, b in itertools.combinations(images, 2)):
+            psi = _closed_map(t, gens, images)
+            if psi is not None:
+                found.append(psi)
+    return found
+
+
+def _closed_map(
+    t: list[list[int]], gens: Sequence[int], images: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """The map x * s -> psi(x) * psi(s) over generators s with psi(s) given.
+
+    It starts from psi(0) = 0 and is None at the first element that gets
+    two images.  Otherwise it covers the group the generators generate and
+    is a homomorphism, as it respects right multiplication by each of them.
+    """
+    psi = [-1] * len(t)
+    psi[0] = 0
+    todo = [0]
+    for x in todo:
+        for s, v in zip(gens, images):
+            y, w = t[x][s], t[psi[x]][v]
+            if psi[y] < 0:
+                psi[y] = w
+                todo.append(y)
+            elif psi[y] != w:
+                return None
+    return tuple(psi)
 
 
 def _scaling(m: int, r: int, k: int) -> list[list[int]]:

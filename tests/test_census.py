@@ -6,6 +6,8 @@ from bracelab.braces import SkewBrace, brace_from_groups
 from bracelab.census import classify_braces, enumerate_braces
 from bracelab.errors import CapExceeded, SearchLimitExceeded
 from bracelab.groups import (
+    _Budget,
+    _automorphisms,
     abelian_group,
     are_isomorphic,
     automorphism_group,
@@ -357,11 +359,25 @@ def test_search_node_count_on_c4_x_c4():
     # one node is one candidate generator that passes both filters, is no
     # conjugate of one closed before it at its node, and is closed; 1440
     # nodes find a member of each Aut-class of all 880 (2878 when every
-    # conjugate was closed, 6828 when every fixed-point-free candidate was)
+    # conjugate was closed, 6828 when every fixed-point-free candidate was);
+    # Aut(g) is listed first, so that the budget counts search nodes alone
+    g = abelian_group([4, 4])
+    automorphism_group(g)
     with pytest.raises(SearchLimitExceeded) as exc:
-        enumerate_braces(abelian_group([4, 4]), budget=1439)
+        enumerate_braces(g, budget=1439)
     assert "regular subgroup search" in str(exc.value)
-    assert len(enumerate_braces(abelian_group([4, 4]), budget=1440)) == 880
+    assert len(enumerate_braces(g, budget=1440)) == 880
+
+
+def test_one_budget_pays_for_the_listing_and_the_search():
+    # on a fresh group the call lists Aut(g) (11 order-search nodes and 96
+    # listed maps) and then searches (1440 nodes), all from one budget
+    listing = _Budget(None, "automorphism search")
+    _automorphisms(abelian_group([4, 4]), listing)
+    assert listing.nodes == 11 + 96
+    with pytest.raises(SearchLimitExceeded, match="regular subgroup search"):
+        enumerate_braces(abelian_group([4, 4]), budget=listing.nodes + 1439)
+    assert len(enumerate_braces(abelian_group([4, 4]), budget=listing.nodes + 1440)) == 880
 
 
 def test_regular_subgroups_match_the_tuple_closure():
@@ -479,11 +495,12 @@ def test_recognize_names_every_nonabelian_group_of_order_16():
 
 
 def test_budget_reaches_the_automorphism_search():
-    # a fresh group has no automorphisms cached, so the holomorph searches;
-    # listing Aut(C5^2) takes 14 order-search nodes and 480 listed maps
+    # a fresh group has no automorphisms cached, so the call lists them
+    # from its own budget: 14 order-search nodes and 480 listed maps on
+    # Aut(C5^2), and the error names the call's search
     with pytest.raises(SearchLimitExceeded) as exc:
         enumerate_braces(abelian_group([5, 5]), cap=10**6, budget=493)
-    assert "automorphism search" in str(exc.value)
+    assert "regular subgroup search" in str(exc.value)
 
 
 def test_budget_error_names_the_argument_that_set_it():

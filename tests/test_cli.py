@@ -214,6 +214,26 @@ def test_factorization_without_its_factors_exits_2(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sym", "3", "--left-gens", "(1 4)", "--right-gens", "(123)"],
+         "bad cycles '(1 4)': point 4 outside 1..3"),
+        (["--sym", "3", "--left-gens", "(12)(13)", "--right-gens", "(123)"],
+         "bad cycles '(12)(13)': repeated point; the cycles must be disjoint"),
+        (["--group", "s3.grp", "--left", "99", "--right", "1"],
+         "not an index list of 0..5: '99'"),
+        (["--group", "s3.grp", "--left", "-1", "--right", "1"],
+         "not an index list of 0..5: '-1'"),
+    ],
+)
+def test_factorization_with_bad_factors_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_group("s3.grp", symmetric_group(3))
+    assert main(["construct", "factorization"] + argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_factorization_past_the_cap_exits_2_before_building(monkeypatch, capsys):
     def refuse(table):
         raise AssertionError(f"built a {len(table)}-element table")

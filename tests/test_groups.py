@@ -431,7 +431,7 @@ def test_aut_order_matches_the_listed_group():
         sigma = [0] + list(1 + rng.permutation(g.order - 1))
         for h in (make_group(g.table.copy()), relabel(g, sigma)):
             # counted first: the listing then closes the maps the count kept
-            order = _aut_chain(h, None, "automorphism order search")[0]
+            order = _aut_chain(h, _Budget(None, "automorphism order search"))[0]
             assert order == len(automorphism_group(h))
 
 
@@ -444,13 +444,13 @@ def test_aut_order_matches_the_per_candidate_count():
     for g in bases:
         sigma = [0] + list(1 + rng.permutation(g.order - 1))
         for h in (make_group(g.table.copy()), relabel(g, sigma)):
-            assert _aut_chain(h, None, "count")[0] == aut_order_by_candidates([h])
+            assert _aut_chain(h, _Budget(None, "count"))[0] == aut_order_by_candidates([h])
     for p in (3, 5):
         b = to_brace(catalog("degraaf_A340", p))
         for tables in ([b.add], [b.mult], [b.add, b.mult]):
             fresh = [make_group(t.table.copy()) for t in tables]
             owner = fresh[0] if len(fresh) == 1 else SkewBrace(*fresh)
-            assert _aut_chain(owner, None, "count")[0] == aut_order_by_candidates(tables)
+            assert _aut_chain(owner, _Budget(None, "count"))[0] == aut_order_by_candidates(tables)
 
 
 def test_closure_listing_matches_the_search_listing():
@@ -471,7 +471,7 @@ def test_listing_stops_at_its_budget(monkeypatch):
     # per listed map, checked against the exact order before any map is
     # composed
     chain = _Budget(None, "automorphism search")
-    assert _aut_chain(abelian_group([2, 2, 2, 2]), chain, chain.context)[0] == 20160
+    assert _aut_chain(abelian_group([2, 2, 2, 2]), chain)[0] == 20160
     assert chain.nodes == 75
     budget = chain.nodes + 20160
     assert len(automorphism_group(abelian_group([2, 2, 2, 2]), budget=budget)) == 20160
@@ -507,26 +507,26 @@ def test_greedy_generators_match_the_closure_of_every_candidate(sixdim_brace):
 
 def test_aut_order_is_cached_and_reads_a_listed_group(monkeypatch):
     g, h = heisenberg_group(3), abelian_group([3, 3])
-    assert _aut_chain(g, None, "count")[0] == 432
+    assert _aut_chain(g, _Budget(None, "count"))[0] == 432
     auts = automorphism_group(h)
 
     def fail(*args):
         raise AssertionError("automorphisms searched again")
 
     monkeypatch.setattr("bracelab.groups._HomSearch", fail)
-    assert _aut_chain(g, None, "count")[0] == 432
-    assert _aut_chain(h, None, "count")[0] == len(auts) == 48
+    assert _aut_chain(g, _Budget(None, "count"))[0] == 432
+    assert _aut_chain(h, _Budget(None, "count"))[0] == len(auts) == 48
 
 
 def test_aut_order_stops_at_its_budget():
     # |Aut(C5^3)| = |GL(3, 5)| = 1,488,000 from 147 nodes; one node fewer
     # fails (every element of an abelian group has the same centraliser)
     p = 5
-    assert _aut_chain(abelian_group([p] * 3), 147, "count")[0] == math.prod(
+    assert _aut_chain(abelian_group([p] * 3), _Budget(147, "count"))[0] == math.prod(
         p**3 - p**i for i in range(3)
     )
     with pytest.raises(SearchLimitExceeded, match="automorphism order search"):
-        _aut_chain(abelian_group([p] * 3), 146, "automorphism order search")
+        _aut_chain(abelian_group([p] * 3), _Budget(146, "automorphism order search"))
 
 
 def test_generating_sequence_generates():

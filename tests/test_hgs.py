@@ -3,7 +3,7 @@ import pytest
 from bracelab.algebras import catalog, cyclic_ring, to_brace
 from bracelab.braces import make_brace, opposite_brace, trivial_brace
 from bracelab.errors import NotBiskew, SearchLimitExceeded
-from bracelab.groups import _aut_chain, symmetric_group
+from bracelab.groups import _Budget, _aut_chain, symmetric_group
 from bracelab.hgs import count_hgs, reciprocity_check
 
 
@@ -79,12 +79,22 @@ def test_brace_count_runs_under_the_caller_budget():
     b = to_brace(catalog("degraaf_A340", 3))
     for table, nodes, order in ((b.add, 61, 11232), (b.mult, 12, 432)):
         with pytest.raises(SearchLimitExceeded, match="automorphism order search"):
-            _aut_chain(table, nodes - 1, "automorphism order search")
-        assert _aut_chain(table, nodes, "count")[0] == order
-    with pytest.raises(SearchLimitExceeded, match="brace automorphism order search") as exc:
+            _aut_chain(table, _Budget(nodes - 1, "automorphism order search"))
+        assert _aut_chain(table, _Budget(nodes, "count"))[0] == order
+    with pytest.raises(SearchLimitExceeded, match="automorphism order search") as exc:
         count_hgs(b, budget=45)
     assert exc.value.budget == 45
     assert count_hgs(b, budget=46).aut_brace == 36
+
+
+def test_one_budget_pays_for_all_three_counts():
+    # on a fresh brace the three order searches spend 61 + 12 + 46 = 119
+    # nodes from the caller's one budget, so one node fewer fails
+    with pytest.raises(SearchLimitExceeded, match="automorphism order search") as exc:
+        count_hgs(to_brace(catalog("degraaf_A340", 3)), budget=118)
+    assert exc.value.budget == 118
+    r = count_hgs(to_brace(catalog("degraaf_A340", 3)), budget=119)
+    assert (r.count, r.aut_brace) == (12, 36)
 
 
 def test_count_cyclic_r2():

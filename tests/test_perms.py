@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bracelab.perms import (
@@ -79,6 +80,10 @@ def test_parse_cycles_rejects_garbage():
         parse_cycles("(11)", 4)
     with pytest.raises(ValueError):
         parse_cycles("12)", 4)
+    # read one cycle at a time, (12)(13) would map both 2 and 3 to 1
+    for text in ("(12)(13)", "(1 2)(2 3)", "(12)(12)"):
+        with pytest.raises(ValueError, match="the cycles must be disjoint"):
+            parse_cycles(text, 3)
 
 
 def test_permutation_group_from_generators():
@@ -101,6 +106,8 @@ def test_permutation_group_requires_identity():
     [
         ([(0, 1, 2), (2, 2, 0), (0, 0, 1)], "(0, 0, 1)"),
         ([(0, 1, 2), (1, 0)], "(1, 0)"),
+        # an array's rows are named with plain ints, as a list's are
+        (np.array([[0, 1, 2], [0, 0, 1]]), "(0, 0, 1)"),
     ],
 )
 def test_permutation_group_names_the_first_non_permutation(elements, bad):
