@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebras import (
     CATALOG_NAMES,
@@ -395,27 +395,21 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bracelab",
-        description="construct, validate, count, and enumerate finite skew braces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p: argparse.ArgumentParser, budget: bool = False) -> None:
+    p.add_argument("--format", choices=("text", "kv"), default="text")
+    if budget:
+        p.add_argument("--budget", type=int, default=None,
+                       help="search node budget (default: BRACELAB_BUDGET)")
 
-    def common(p: argparse.ArgumentParser, budget: bool = False) -> None:
-        p.add_argument("--format", choices=("text", "kv"), default="text")
-        if budget:
-            p.add_argument("--budget", type=int, default=None,
-                           help="search node budget (default: BRACELAB_BUDGET)")
 
-    p = sub.add_parser("validate", help="check a brace file against the law")
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--brace", required=True, metavar="FILE")
     p.add_argument("--swap", action="store_true",
                    help="check the swapped orientation instead")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+    _common(p)
 
-    p = sub.add_parser("construct", help="build a brace and print or save it")
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
     what = p.add_subparsers(dest="what", required=True)
 
     q = what.add_parser("trivial", help="both operations equal to one group")
@@ -447,50 +441,80 @@ def build_parser() -> argparse.ArgumentParser:
 
     for q in what.choices.values():
         q.add_argument("--out", metavar="FILE", default=None)
-        common(q)
-        q.set_defaults(func=_cmd_construct)
+        _common(q)
 
-    p = sub.add_parser("aut", help="automorphism group order")
+
+def _group_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True, metavar="FILE")
-    common(p, budget=True)
-    p.set_defaults(func=_cmd_aut)
+    _common(p, budget=True)
 
-    p = sub.add_parser("count", help="Hopf-Galois structure count")
+
+def _brace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--brace", required=True, metavar="FILE")
-    common(p, budget=True)
-    p.set_defaults(func=_cmd_count)
+    _common(p, budget=True)
 
-    p = sub.add_parser("reciprocity", help="both orientation counts, bi-skew only")
-    p.add_argument("--brace", required=True, metavar="FILE")
-    common(p, budget=True)
-    p.set_defaults(func=_cmd_reciprocity)
 
-    p = sub.add_parser("enumerate", help="all braces on an additive group")
+def _enumerate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True, metavar="FILE")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="largest number of regular subgroups (braces) to enumerate "
                         f"(default {DEFAULT_CAP})")
     p.add_argument("--out", metavar="DIR", default=None,
                    help="write one brace file per isomorphism class")
-    common(p, budget=True)
-    p.set_defaults(func=_cmd_enumerate)
+    _common(p, budget=True)
 
-    p = sub.add_parser("demo", help="scripted showcases")
+
+def _demo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=tuple(_DEMOS))
-    common(p)
-    p.set_defaults(func=_cmd_demo)
+    _common(p)
 
+
+# each subcommand's help line, arguments and handler, in help order;
+# parsing, help and dispatch all read this one table
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Callable[..., int]]] = {
+    "validate": ("check a brace file against the law", _validate_args, _cmd_validate),
+    "construct": ("build a brace and print or save it", _construct_args, _cmd_construct),
+    "aut": ("automorphism group order", _group_args, _cmd_aut),
+    "count": ("Hopf-Galois structure count", _brace_args, _cmd_count),
+    "reciprocity": ("both orientation counts, bi-skew only", _brace_args, _cmd_reciprocity),
+    "enumerate": ("all braces on an additive group", _enumerate_args, _cmd_enumerate),
+    "demo": ("scripted showcases", _demo_args, _cmd_demo),
+}
+
+
+def _parser(names: Sequence[str]) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of ``names`` only.
+
+    Its usage line lists every subcommand either way, so an error it
+    reports reads as the full tree's would.
+    """
+    parser = argparse.ArgumentParser(
+        prog="bracelab",
+        description="construct, validate, count, and enumerate finite skew braces",
+    )
+    listed = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in names:
+        help_line, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(tuple(_COMMANDS))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call builds the parser of the subcommand it names; top-level help,
+    # no arguments and an unknown command need the full tree
+    names = argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
     try:
-        args = parser.parse_args(argv)
+        args = _parser(names).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except NotBiskew as exc:
         print(f"not bi-skew: {exc}", file=sys.stderr)
         return 1

@@ -115,7 +115,10 @@ class FiniteGroup:
     _derived: Optional[int] = None
     _auts: Optional[PermutationGroup] = None
     _chain: Optional[tuple[int, tuple[Perm, ...]]] = None
+    # what every map search over the group reads: the greedy generating
+    # sequence and the table's columns as Python lists
     _gens: Optional[tuple[int, ...]] = None
+    _cols: Optional[list[list[int]]] = None
     _generators: Optional[tuple[int, ...]] = None
 
     def __init__(self, table: np.ndarray) -> None:
@@ -360,8 +363,10 @@ def symmetric_group(m: int) -> FiniteGroup:
     ``table[i, j]`` is "apply permutation i, then permutation j", so that
     products read left to right.  Element 0 is the identity.
     """
+    if m < 1:
+        raise InvalidTableError(f"symmetric group degree must be positive, got {m}")
     # m! passes the cap exactly when min(m, MAX_ORDER)! does, which is cheap
-    if factorial(min(max(m, 0), MAX_ORDER)) > MAX_ORDER:
+    if factorial(min(m, MAX_ORDER)) > MAX_ORDER:
         raise InvalidTableError(f"order {m}! exceeds the supported cap of {MAX_ORDER}")
     perms = np.array(all_perms(m), dtype=np.int64)
     place = m ** np.arange(m - 1, -1, -1)  # base-m codes rise in lexicographic order
@@ -459,12 +464,13 @@ def _closure(t: np.ndarray, seed: Iterable[int]) -> list[int]:
 
     In a group table that is the subgroup ``seed`` generates.
     """
-    return sorted(_orbit(0, t[:, sorted({int(x) for x in seed})].T.tolist()))
+    return sorted(_orbit((0,), t[:, sorted({int(x) for x in seed})].T.tolist()))
 
 
-def _orbit(point: int, maps: Sequence[Sequence[int]]) -> set[int]:
-    """The orbit of ``point`` under the group the maps generate."""
-    orbit, todo = {point}, [point]
+def _orbit(points: Iterable[int], maps: Sequence[Sequence[int]]) -> set[int]:
+    """The union of the orbits of ``points`` under the group the maps generate."""
+    orbit = set(points)
+    todo = list(orbit)
     for x in todo:
         for m in maps:
             y = m[x]
@@ -551,8 +557,8 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     refute; on Heis(3) the sequence is two generators where the
     smallest-index tie-break gives three.  Greedy selection keeps
     backtracking searches shallow; it does not promise a minimum-length
-    sequence.  The sequence is cached on the group; each call returns a
-    fresh list.
+    sequence.  The sequence is cached on the group, beside the column
+    lists it is chosen over; each call returns a fresh list.
     """
     if g._gens is None:
         g._gens = _greedy_generators(g)
@@ -564,26 +570,34 @@ def _centraliser_sizes(g: FiniteGroup) -> np.ndarray:
     return (g.table == g.table.T).sum(axis=1)
 
 
+def _columns(g: FiniteGroup) -> list[list[int]]:
+    """The table's columns as lists, ``cols[a][x] = x * a``; cached on the group."""
+    if g._cols is None:
+        g._cols = g.table.T.tolist()
+    return g._cols
+
+
 def _greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     """Generators picked one at a time, each growing the span the most.
 
     Candidates are ranked by centraliser size, then by index, and among
-    elements that grow the span equally the first ranked wins.  A candidate
-    already in the span of an earlier one at the same step spans no more
-    than it did, so it cannot win and is not closed.
+    elements that grow the span equally the first ranked wins.  Each
+    candidate is closed from the current span, over the group's column
+    lists.  A candidate already in the span of an earlier one at the same
+    step spans no more than it did, so it cannot win and is not closed.
     """
+    cols = _columns(g)
     candidates = (np.argsort(_centraliser_sizes(g)[1:], kind="stable") + 1).tolist()
     gens: list[int] = []
-    span = [0]
+    span = {0}
     while len(span) < g.order:
         best_g, best = -1, span
-        covered = np.zeros(g.order, dtype=bool)
-        covered[span] = True
+        covered = set(span)
         for cand in candidates:
-            if covered[cand]:
+            if cand in covered:
                 continue
-            grown = _closure(g.table, gens + [cand])
-            covered[grown] = True
+            grown = _orbit(span, [cols[x] for x in gens + [cand]])
+            covered |= grown
             if len(grown) > len(best):
                 best_g, best = cand, grown
                 if len(grown) == g.order:
@@ -601,7 +615,9 @@ class _HomSearch:
     matches the generator's: its order and centraliser size in every table,
     which a bijection carrying each src[k] to dst[k] keeps.  If the sorted
     keys differ, no map exists: no node is spent, and neither the generators
-    nor the table columns are built.  Each partial assignment is
+    nor the table columns are built.  Both are built once per group and
+    kept on it, so every search over a group, and its generating
+    sequence, reads the same lists.  Each partial assignment is
     closed under right multiplication by its generators in every pair of
     tables and abandoned at the first clash with a dst table or with
     injectivity; a clash rules out every completion, so maps come out in
@@ -628,10 +644,8 @@ class _HomSearch:
             return
         self.gens = generating_sequence(src[0])
         # cols[k][0][a][x] is x times a in src[k], cols[k][1] the same in dst[k]
-        self.cols: list[tuple[list[list[int]], list[list[int]]]] = []
-        for g, h in zip(src, dst):
-            s_cols = g.table.T.tolist()
-            self.cols.append((s_cols, s_cols if h is g else h.table.T.tolist()))
+        self.cols = [(_columns(g), _columns(h)) for g, h in zip(src, dst)]
+        self.spans: dict[int, list[int]] = {}  # k -> the span of gens[:k]
         self.cands = [np.flatnonzero((d_keys == s_keys[gen]).all(axis=1)).tolist() for gen in self.gens]
 
     def _preserves_rest(self, img: list[int]) -> bool:
@@ -646,17 +660,25 @@ class _HomSearch:
         """The maps sending gens[i] to fixed[i] for each i < len(fixed).
 
         The fixed images are not nodes; the search proper starts at the
-        first generator after them.
+        first generator after them.  In an automorphism search, fixed
+        images equal to the generators start the map as the identity on
+        their span, which is found once per prefix and kept.
         """
         if not self.same:
             return
         gens, cols, cands, spend = self.gens, self.cols, self.cands, self.budget.spend
         n = self.src[0].order
+        k = 0
+        while self.dst is self.src and k < len(fixed) and fixed[k] == gens[k]:
+            k += 1
+        if k not in self.spans:
+            self.spans[k] = list(_orbit((0,), [s_cols[g] for s_cols, _ in cols for g in gens[:k]]))
+        domain = list(self.spans[k])  # elements with an image, in the order they got it
         img = [-1] * n
-        img[0] = 0
         used = [False] * n
-        used[0] = True
-        domain = [0]  # elements with an image, in the order they got it
+        for x in domain:
+            img[x] = x
+            used[x] = True
 
         def extend(depth: int, image: int) -> bool:
             """Send gens[depth] to ``image`` and close the map over the new span.
@@ -690,8 +712,8 @@ class _HomSearch:
                 pos += 1
             return True
 
-        for depth, image in enumerate(fixed):
-            if not extend(depth, image):
+        for depth in range(k, len(fixed)):
+            if not extend(depth, fixed[depth]):
                 return
         first = len(fixed)
         single = len(cols) == 1
@@ -774,7 +796,7 @@ def _aut_chain(owner: FiniteGroup | SkewBrace, budget: _Budget) -> tuple[int, tu
     order = 1
     for depth in reversed(range(len(search.gens))):
         fixed, point = search.gens[:depth], search.gens[depth]
-        orbit = _orbit(point, kept)
+        orbit = _orbit((point,), kept)
         ruled_out: set[int] = set()
         for v in search.cands[depth]:
             if v in orbit or v in ruled_out:
@@ -782,10 +804,10 @@ def _aut_chain(owner: FiniteGroup | SkewBrace, budget: _Budget) -> tuple[int, tu
             budget.spend()
             found = next(search.maps(fixed + [v]), None)
             if found is None:
-                ruled_out |= _orbit(v, kept)
+                ruled_out |= _orbit((v,), kept)
             else:
                 kept.append(found)
-                orbit = _orbit(point, kept)
+                orbit = _orbit((point,), kept)
         order *= len(orbit)
     owner._chain = (order, tuple(kept))
     return owner._chain

@@ -228,6 +228,36 @@ def greedy_generators_by_closure(g: FiniteGroup, candidates: Sequence[int]) -> t
     return tuple(gens)
 
 
+def greedy_generators_from_identity(g: FiniteGroup) -> tuple[int, ...]:
+    """The greedy generating sequence with each candidate closed from element 0.
+
+    Candidates are ranked by centraliser size, then by index.  At each
+    step every candidate outside the spans closed so far is closed, with
+    the generators so far, from element 0 over a fresh slice of the
+    table's columns, and the first that grows the span the most wins; the
+    library closes each from the span of the generators so far instead.
+    """
+    ranked = np.argsort((g.table == g.table.T).sum(axis=1)[1:], kind="stable") + 1
+    gens: list[int] = []
+    span = [0]
+    while len(span) < g.order:
+        best_g, best = -1, span
+        covered = np.zeros(g.order, dtype=bool)
+        covered[span] = True
+        for cand in ranked.tolist():
+            if covered[cand]:
+                continue
+            grown = subgroup_closure(g, gens + [cand])
+            covered[grown] = True
+            if len(grown) > len(best):
+                best_g, best = cand, grown
+                if len(grown) == g.order:
+                    break
+        gens.append(best_g)
+        span = best
+    return tuple(gens)
+
+
 def brute_force_automorphisms(g: FiniteGroup) -> PermutationGroup:
     """Automorphisms by trying every identity-fixing bijection (order <= 8)."""
     n = g.order

@@ -1,8 +1,10 @@
 """End-to-end exercises of the command line, via main(argv)."""
+import argparse
+
 import pytest
 
 from bracelab.braces import validate_direct
-from bracelab.cli import main
+from bracelab.cli import build_parser, main
 from bracelab.formats import write_algebra, write_brace, write_group
 from bracelab.algebras import catalog, to_brace
 from bracelab.errors import (
@@ -225,6 +227,10 @@ def test_factorization_without_its_factors_exits_2(capsys, argv, message):
          "not an index list of 0..5: '99'"),
         (["--group", "s3.grp", "--left", "-1", "--right", "1"],
          "not an index list of 0..5: '-1'"),
+        (["--sym", "-1", "--left-gens", "()", "--right-gens", "()"],
+         "symmetric group degree must be positive, got -1"),
+        (["--sym", "0", "--left-gens", "()", "--right-gens", "()"],
+         "symmetric group degree must be positive, got 0"),
     ],
 )
 def test_factorization_with_bad_factors_exits_2(tmp_path, monkeypatch, capsys, argv, message):
@@ -357,3 +363,41 @@ def test_non_positive_budget_is_an_input_error(tmp_path, capsys):
     assert main(["aut", "--group", str(grp), "--budget", "-3"]) == 2
     err = capsys.readouterr().err
     assert err == "error: the budget= argument or --budget must be a positive integer, got -3\n"
+
+
+def _subcommand_paths(parser, path=()):
+    """The top level, then every subcommand and construct target below it."""
+    yield list(path)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommand_paths(sub, path + (name,))
+
+
+def test_main_parses_as_the_full_parser_tree(capsys):
+    # main builds the parser of the subcommand it is given; whatever it
+    # prints while parsing must be what the full tree prints
+    def full(argv):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return (exc.code or 0, *capsys.readouterr())
+        return None  # a complete command, which main would run
+
+    paths = list(_subcommand_paths(build_parser()))
+    assert len(paths) == 1 + 7 + 5
+    # a complete command with one argument too many fails in the top-level parser
+    cases = [["no-such-command"], ["demo", "s4", "--no-such-option"],
+             ["count", "--brace", "b.brc", "extra"],
+             ["construct", "trivial", "--group", "g.grp", "extra"]]
+    for path in paths:
+        cases += [path + ["--help"], path, path + ["--no-such-option"]]
+    compared = 0
+    for argv in cases:
+        expected = full(argv)
+        if expected is None:
+            continue
+        assert (main(argv), *capsys.readouterr()) == expected, argv
+        compared += 1
+    # only `construct factorization`, whose arguments are all optional, parses
+    assert compared == len(cases) - 1

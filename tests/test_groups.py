@@ -50,6 +50,7 @@ from oracles import (
     first_non_associative,
     _abstract_groups_of_order,
     greedy_generators_by_closure,
+    greedy_generators_from_identity,
     intercalate_swap,
     looped_dihedral_table,
     looped_heisenberg_table,
@@ -276,6 +277,10 @@ def test_semidirect_product_rejects_each_bad_action():
         # 1 + 1 = 2 maps to 1, but the images add to 1 + 1 = 2
         (lambda: GroupHom(cyclic_group(3), cyclic_group(3), (0, 1, 1)), ValueError,
          "not a homomorphism: fails at (1, 1)"),
+        (lambda: symmetric_group(0), InvalidTableError,
+         "symmetric group degree must be positive, got 0"),
+        (lambda: symmetric_group(-1), InvalidTableError,
+         "symmetric group degree must be positive, got -1"),
     ],
 )
 def test_constructors_reject_bad_parameters(build, error, message):
@@ -296,7 +301,7 @@ def test_stock_constructors_match_the_per_entry_loops():
         [(heisenberg_group(p), looped_heisenberg_table(p)) for p in range(1, 11)]
         + [(m3_group(p), looped_m3_table(p)) for p in (3, 5, 7, 9)]
         + [(dihedral_group(m), looped_dihedral_table(m)) for m in range(1, 41)]
-        + [(symmetric_group(m), looped_symmetric_table(m)) for m in range(7)]
+        + [(symmetric_group(m), looped_symmetric_table(m)) for m in range(1, 7)]
         + [
             (direct_product(s3, c4), direct(s3, c4)),
             (direct_product(c4, s3), direct(c4, s3)),
@@ -503,6 +508,15 @@ def test_greedy_generators_match_the_closure_of_every_candidate(sixdim_brace):
     for g in tables:
         ranked = (np.argsort(_centraliser_sizes(g)[1:], kind="stable") + 1).tolist()
         assert _greedy_generators(g) == greedy_generators_by_closure(g, ranked)
+
+
+def test_generating_sequence_matches_the_rule_that_closes_from_the_identity(sixdim_brace):
+    # closing each candidate from the span of the generators so far picks
+    # what closing it from element 0 picks
+    groups = [g for n in range(1, 32) for g in _abstract_groups_of_order(n)]
+    groups += [heisenberg_group(5), abelian_group([3, 3, 3]), sixdim_brace.mult]
+    for g in groups:
+        assert tuple(generating_sequence(g)) == greedy_generators_from_identity(g)
 
 
 def test_aut_order_is_cached_and_reads_a_listed_group(monkeypatch):

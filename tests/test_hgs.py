@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from bracelab import groups
 from bracelab.algebras import catalog, cyclic_ring, to_brace
 from bracelab.braces import make_brace, opposite_brace, trivial_brace
 from bracelab.errors import NotBiskew, SearchLimitExceeded
@@ -121,3 +123,34 @@ def test_report_lines_are_ordered_pairs():
         "aut_brace",
         "count",
     ]
+
+
+
+def test_count_searches_read_each_groups_own_column_lists(monkeypatch):
+    # the three chains of a count read the column lists kept on the two
+    # groups: the brace chain both of them, and a second count none anew
+    b = to_brace(catalog("degraaf_A340", 3))
+    assert not np.array_equal(b.add.table, b.mult.table)
+    searches = []
+
+    class Recorded(groups._HomSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    def read_kept_lists():
+        for search in searches:
+            for g, (s_cols, d_cols) in zip(search.src, search.cols):
+                assert s_cols is d_cols is g._cols is kept[g]
+
+    monkeypatch.setattr("bracelab.groups._HomSearch", Recorded)
+    report = count_hgs(b)
+    kept = {b.add: b.add._cols, b.mult: b.mult._cols}
+    assert len(searches) == 3 and {len(s.src) for s in searches} == {1, 2}
+    read_kept_lists()
+    searches.clear()
+    assert count_hgs(b) == report and searches == []
+    # with the orders forgotten, all three chains search again over the same lists
+    b._chain = b.add._chain = b.mult._chain = None
+    assert count_hgs(b) == report and len(searches) == 3
+    read_kept_lists()
