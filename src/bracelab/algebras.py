@@ -68,7 +68,8 @@ class NilpotentAlgebra:
     vector and modulus p for "modp"; one coordinate, modulus p^3 and the
     constant p^r mod p^3 for "cyclic".  ``dim`` is the length over Z/p, so
     ``order`` is p^dim either way.  Elements are numpy coefficient vectors
-    for "modp" and plain ints for "cyclic".
+    for "modp" and plain ints for "cyclic".  The constructor trusts its
+    input, as ``FiniteGroup(table)`` does; the two builders validate it.
     """
 
     def __init__(
@@ -112,9 +113,6 @@ class NilpotentAlgebra:
 
     def circle(self, u: Element, v: Element) -> Element:
         return self.add(self.add(u, v), self.multiply(u, v))
-
-    def zero(self) -> Element:
-        return self._element(np.zeros(len(self.consts), dtype=np.int64))
 
     def is_zero(self, u: Element) -> bool:
         return not np.asarray(u).any()
@@ -233,17 +231,15 @@ def make_algebra(
     p: int,
     dim: int,
     products: dict[tuple[int, int], Sequence[int]],
-    validate: bool = True,
 ) -> NilpotentAlgebra:
     """Build a vector algebra over Z/p from sparse structure constants.
 
     ``products[(i, j)]`` is the coefficient vector of (basis i) . (basis j);
     omitted pairs multiply to zero.  p must be a prime with
     dim^2 (p - 1)^3 < 2^63, so that every product fits 64-bit integers
-    (BadPrime otherwise).  Validation checks associativity on all
-    basis triples (NotAssociativeError) and nilpotency of the power-ideal
-    chain (NotNilpotent); skip it only for constructions whose failure modes
-    you want to observe downstream.
+    (BadPrime otherwise).  The algebra is always validated: associativity
+    on all basis triples (NotAssociativeError) and nilpotency of the
+    power-ideal chain (NotNilpotent).
     """
     if dim < 1:
         raise InvalidTableError(f"algebra dimension must be positive, got {dim}")
@@ -261,24 +257,22 @@ def make_algebra(
                 f"structure constant for ({i}, {j}) must have length {dim}"
             )
         consts[i, j] = [int(c) % p for c in arr]  # reduced before int64 can wrap
+    left = np.einsum("ijm,mkl->ijkl", consts, consts) % p
+    right = np.einsum("jkm,iml->ijkl", consts, consts) % p
+    if not np.array_equal(left, right):
+        bad = np.argwhere((left != right).any(axis=3))
+        i, j, k = (int(v) for v in bad[0])
+        raise NotAssociativeError((i, j, k), context="structure constants")
     algebra = NilpotentAlgebra("modp", p, dim, consts)
-    if validate:
-        left = np.einsum("ijm,mkl->ijkl", consts, consts) % p
-        right = np.einsum("jkm,iml->ijkl", consts, consts) % p
-        if not np.array_equal(left, right):
-            bad = np.argwhere((left != right).any(axis=3))
-            i, j, k = (int(v) for v in bad[0])
-            raise NotAssociativeError((i, j, k), context="structure constants")
-        power_ideal_dims(algebra)
+    power_ideal_dims(algebra)
     return algebra
 
 
-def cyclic_ring(p: int, r: int, validate: bool = True) -> NilpotentAlgebra:
+def cyclic_ring(p: int, r: int) -> NilpotentAlgebra:
     """The ring Z/p^3 with product x . y = p^r x y.
 
     r = 0 gives the ordinary product, which is not nilpotent; validation
-    rejects it via NotNilpotent.  With validate=False the object is built
-    anyway and the failure surfaces later as QuasiInverseMissing.
+    rejects it via NotNilpotent.
     """
     if p**3 > MAX_ORDER:
         raise InvalidTableError(f"p^3 = {p**3} exceeds the cap of {MAX_ORDER}")
@@ -287,8 +281,7 @@ def cyclic_ring(p: int, r: int, validate: bool = True) -> NilpotentAlgebra:
     if r < 0:
         raise UnsupportedParameter(f"product scale exponent must be >= 0, got {r}")
     algebra = NilpotentAlgebra("cyclic", p, 3, np.full((1, 1, 1), pow(p, r, p**3)), r=r)
-    if validate:
-        power_ideal_dims(algebra)
+    power_ideal_dims(algebra)
     return algebra
 
 
@@ -301,16 +294,14 @@ def _times(algebra: NilpotentAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return np.einsum("xi,xj,ijl->xl", x, y, algebra.consts) % algebra.modulus
 
 
-def _series_inverses(
-    algebra: NilpotentAlgebra, elems: np.ndarray, limit: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _series_inverses(algebra: NilpotentAlgebra, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-inverses of a batch of elements, and a mask of the missing ones.
 
     ``elems`` holds the coordinates of one element per row.  Sums
     -u + u^2 - u^3 + ... with left-normed powers u^(k+1) = u^k . u for
     every row at once.  A series ends at its first zero power, which stays
     zero, so later terms add nothing; a row is missing when none of its
-    first ``limit`` products is zero.
+    first dimension + 2 products is zero.
     """
     mod = algebra.modulus
     u = np.asarray(elems, dtype=np.int64) % mod
@@ -318,7 +309,7 @@ def _series_inverses(
     power = u
     ended = np.zeros(len(u), dtype=bool)
     sign = 1  # sign of the next term: (-1)^k for k = 2 is +1
-    for _ in range(limit):
+    for _ in range(algebra.dim + 2):
         power = _times(algebra, power, u)
         ended |= ~power.any(axis=1)
         acc = (acc + sign * power) % mod
@@ -326,16 +317,15 @@ def _series_inverses(
     return acc, ~ended
 
 
-def quasi_inverse(algebra: NilpotentAlgebra, u: Element, cap: Optional[int] = None) -> Element:
+def quasi_inverse(algebra: NilpotentAlgebra, u: Element) -> Element:
     """The circle-inverse -u + u^2 - u^3 + ... of an element.
 
-    The series must terminate within ``cap`` terms (default: dimension + 2);
-    QuasiInverseMissing otherwise — which is how non-nilpotent products
-    built with validate=False fail.
+    The series must terminate within dimension + 2 terms;
+    QuasiInverseMissing otherwise, which is how a non-nilpotent product
+    built directly as a ``NilpotentAlgebra`` fails.
     """
-    limit = cap if cap is not None else algebra.dim + 2
     digits = [int(x) for x in np.reshape(u, -1)]
-    acc, missing = _series_inverses(algebra, [digits], limit)
+    acc, missing = _series_inverses(algebra, [digits])
     if missing[0]:
         raise QuasiInverseMissing(tuple(digits))
     return algebra._element(acc[0])
@@ -348,7 +338,7 @@ def _check_series_inverses(algebra: NilpotentAlgebra) -> None:
     series does not end, else AssertionError when u o v != 0.
     """
     elems = algebra.elements().reshape(algebra.order, -1)
-    inverses, missing = _series_inverses(algebra, elems, algebra.dim + 2)
+    inverses, missing = _series_inverses(algebra, elems)
     circled = (elems + inverses + _times(algebra, elems, inverses)) % algebra.modulus
     bad = np.flatnonzero(missing | circled.any(axis=1))
     if bad.size:

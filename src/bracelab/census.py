@@ -42,8 +42,8 @@ from .groups import (
     _Budget,
     _aut_chain,
     _automorphisms,
+    _isomorphism,
     _relabel,
-    are_isomorphic,
     recognize,
 )
 from .perms import Perm, _reached
@@ -338,7 +338,7 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
     Aut(A)-orbit of circle tables, under the generators its order search
     keeps; a brace on another labelling of an additive group already seen
     is first moved into that group's labelling by a group isomorphism,
-    found once per additive table.
+    found once per additive table; all these searches share one default budget.
     """
     if not braces:
         raise ValueError("cannot classify an empty brace list")
@@ -358,7 +358,7 @@ def classify_braces(braces: Sequence[SkewBrace]) -> BraceCensus:
 
 def _orbit_classes(braces: Sequence[SkewBrace]) -> list[list[SkewBrace]]:
     """The braces grouped by walking each new class's orbit of circle tables."""
-    spent = _Budget(None, "automorphism search")  # one default budget for every order search
+    spent = _Budget(None, "classification search")  # one default budget for every search
     adds: list[FiniteGroup] = []  # one labelling per additive isomorphism type
     orbits: list[dict[bytes, int]] = []  # per entry of adds: circle table -> class
     walks: list[Callable[[np.ndarray], set[bytes]]] = []  # per entry of adds: its orbit walk
@@ -369,7 +369,7 @@ def _orbit_classes(braces: Sequence[SkewBrace]) -> list[list[SkewBrace]]:
         if b.add.digest not in placed:
             # every table in adds has its digest in placed, so b.add is none of them
             for k, add in enumerate(adds):
-                iso = are_isomorphic(b.add, add)
+                iso = _isomorphism(b.add, add, spent)
                 if iso is not None:
                     placed[b.add.digest] = (k, np.asarray(iso.images, dtype=np.int32))
                     break

@@ -46,7 +46,7 @@ from .braces import (
     validate_via_holomorph,
 )
 from .census import DEFAULT_CAP, classify_braces, enumerate_braces
-from .errors import BraceLabError, NotBiskew
+from .errors import BraceLabError
 from .factorizations import (
     circle_from_factorization,
     demo_s4,
@@ -515,9 +515,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command][2](args)
-    except NotBiskew as exc:
-        print(f"not bi-skew: {exc}", file=sys.stderr)
-        return 1
     except (BraceLabError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

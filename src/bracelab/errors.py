@@ -76,12 +76,10 @@ class ActionNotHomomorphism(BraceLabError):
 class ActionNotAutomorphism(BraceLabError):
     """Some value of the twisting map is not an automorphism of the base."""
 
-    def __init__(self, index: int, reason: str = "") -> None:
+    def __init__(self, index: int, reason: str) -> None:
         self.index = index
         msg = f"action value at index {index} is not an automorphism of the base group"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+        super().__init__(f"{msg}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +165,9 @@ class UnsupportedParameter(BraceLabError):
 class NotSubgroup(BraceLabError):
     """One of the two factors is not closed under the group operation."""
 
-    def __init__(self, side: str, witness: str = "") -> None:
+    def __init__(self, side: str, witness: str) -> None:
         self.side = side
-        msg = f"{side} factor is not a subgroup"
-        if witness:
-            msg += f" ({witness})"
-        super().__init__(msg)
+        super().__init__(f"{side} factor is not a subgroup ({witness})")
 
 
 class IntersectionNontrivial(BraceLabError):

@@ -67,6 +67,9 @@ class ExactFactorization:
 
 
 def _check_subgroup(g: FiniteGroup, elems: set[int], side: str) -> None:
+    outside = [x for x in elems if not 0 <= x < g.order]
+    if outside:
+        raise NotSubgroup(side, f"element {min(outside)} is not in 0..{g.order - 1}")
     if 0 not in elems:
         raise NotSubgroup(side, "missing the identity")
     escape = _escaping_product(g, sorted(elems))
@@ -79,9 +82,9 @@ def validate_factorization(
 ) -> ExactFactorization:
     """Check subgroup-ness, trivial intersection, and the order product.
 
-    Errors: NotSubgroup (with the failing side, and the lexicographically
-    first product escaping it), IntersectionNontrivial, OrderMismatch.  On
-    success the unique decomposition of every element is tabulated.
+    Errors: NotSubgroup (the failing side, with a member outside 0..n-1 or
+    the lexicographically first product escaping it), IntersectionNontrivial,
+    OrderMismatch.  On success every element's unique decomposition is tabulated.
     """
     lset = {int(x) for x in left}
     rset = {int(x) for x in right}

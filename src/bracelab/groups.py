@@ -142,7 +142,7 @@ class FiniteGroup:
             gens: list[int] = []
             while not reached.all():
                 gens.append(int(np.argmin(reached)))
-                reached[_closure(self.table, gens)] = True
+                reached[subgroup_closure(self, gens)] = True
             self._generators = tuple(gens)
         return self._generators
 
@@ -454,17 +454,22 @@ def semidirect_product(
 # subgroups
 
 
+def _members(g: FiniteGroup, elements: Iterable[int]) -> list[int]:
+    """The distinct ``elements`` as sorted ints; ValueError names one outside 0..n-1."""
+    elems = sorted({int(x) for x in elements})
+    for x in elems[:1] + elems[-1:]:  # the least and the greatest
+        if not 0 <= x < g.order:
+            raise ValueError(f"element {x} is not in 0..{g.order - 1}")
+    return elems
+
+
 def subgroup_closure(g: FiniteGroup, seed: Iterable[int]) -> list[int]:
-    """Sorted elements of the subgroup generated by ``seed``."""
-    return _closure(g.table, seed)
-
-
-def _closure(t: np.ndarray, seed: Iterable[int]) -> list[int]:
     """Sorted orbit of 0 under right multiplication by each member of ``seed``.
 
-    In a group table that is the subgroup ``seed`` generates.
+    In a group table that is the subgroup ``seed`` generates.  ValueError
+    names a member outside 0..n-1.
     """
-    return sorted(_orbit((0,), t[:, sorted({int(x) for x in seed})].T.tolist()))
+    return sorted(_orbit((0,), g.table[:, _members(g, seed)].T.tolist()))
 
 
 def _orbit(points: Iterable[int], maps: Sequence[Sequence[int]]) -> set[int]:
@@ -483,10 +488,10 @@ def _orbit(points: Iterable[int], maps: Sequence[Sequence[int]]) -> set[int]:
 def subgroup_group(g: FiniteGroup, elements: Iterable[int]) -> FiniteGroup:
     """Reindex a closed subset as a group in its own right.
 
-    Elements are sorted, so local index 0 is the identity.  Raises
-    ValueError if the subset is not closed or misses the identity.
+    Elements are sorted, so local index 0 is the identity.  ValueError if a
+    member is outside 0..n-1, the identity is missing or a product escapes.
     """
-    elems = sorted(set(int(x) for x in elements))
+    elems = _members(g, elements)
     if not elems or elems[0] != 0:
         raise ValueError("subgroup must contain the identity 0")
     escape = _escaping_product(g, elems)
@@ -510,9 +515,9 @@ def _escaping_product(g: FiniteGroup, elems: Sequence[int]) -> Optional[tuple[in
 
 
 def is_normal(g: FiniteGroup, elements: Iterable[int]) -> bool:
-    """Whether a subset is stable under conjugation by every group element."""
+    """Whether a subset is stable under conjugation; ValueError names a member outside 0..n-1."""
     inside = np.zeros(g.order, dtype=bool)
-    inside[[int(a) for a in elements]] = True
+    inside[_members(g, elements)] = True
     t, xs = g.table, np.arange(g.order)[:, None]
     # row x holds x^-1 * a * x for every member a
     return bool(inside[t[t[g.inverses[xs], np.flatnonzero(inside)], xs]].all())
@@ -539,9 +544,6 @@ class GroupHom:
             bad = np.argwhere(img[st] != tt[np.ix_(img, img)])
             a, b = (int(v) for v in bad[0])
             raise ValueError(f"not a homomorphism: fails at ({a}, {b})")
-
-    def __call__(self, g: int) -> int:
-        return self.images[g]
 
     def is_bijective(self) -> bool:
         return len(set(self.images)) == self.source.order
@@ -656,21 +658,17 @@ class _HomSearch:
             for g, h in zip(self.src[1:], self.dst[1:])
         )
 
-    def maps(self, fixed: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
-        """The maps sending gens[i] to fixed[i] for each i < len(fixed).
+    def maps(self, k: int = 0, image: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+        """The maps fixing gens[:k] and, when ``image`` is given, sending gens[k] to it.
 
-        The fixed images are not nodes; the search proper starts at the
-        first generator after them.  In an automorphism search, fixed
-        images equal to the generators start the map as the identity on
-        their span, which is found once per prefix and kept.
+        k > 0 is for an automorphism search: the map starts as the identity
+        on the span of gens[:k], found once per k and kept.  Neither the fixed
+        generators nor ``image`` are nodes; the search proper starts after them.
         """
         if not self.same:
             return
         gens, cols, cands, spend = self.gens, self.cols, self.cands, self.budget.spend
         n = self.src[0].order
-        k = 0
-        while self.dst is self.src and k < len(fixed) and fixed[k] == gens[k]:
-            k += 1
         if k not in self.spans:
             self.spans[k] = list(_orbit((0,), [s_cols[g] for s_cols, _ in cols for g in gens[:k]]))
         domain = list(self.spans[k])  # elements with an image, in the order they got it
@@ -712,10 +710,9 @@ class _HomSearch:
                 pos += 1
             return True
 
-        for depth in range(k, len(fixed)):
-            if not extend(depth, fixed[depth]):
-                return
-        first = len(fixed)
+        if image is not None and not extend(k, image):
+            return
+        first = k + (image is not None)
         single = len(cols) == 1
         if first == len(gens):
             if single or self._preserves_rest(img):
@@ -795,14 +792,14 @@ def _aut_chain(owner: FiniteGroup | SkewBrace, budget: _Budget) -> tuple[int, tu
     kept: list[Perm] = []
     order = 1
     for depth in reversed(range(len(search.gens))):
-        fixed, point = search.gens[:depth], search.gens[depth]
+        point = search.gens[depth]
         orbit = _orbit((point,), kept)
         ruled_out: set[int] = set()
         for v in search.cands[depth]:
             if v in orbit or v in ruled_out:
                 continue
             budget.spend()
-            found = next(search.maps(fixed + [v]), None)
+            found = next(search.maps(depth, v), None)
             if found is None:
                 ruled_out |= _orbit((v,), kept)
             else:
@@ -822,11 +819,14 @@ def are_isomorphic(
     generator-image search, whose first map is returned, compares element
     orders and centraliser sizes, which an isomorphism keeps.
     """
-    if g.order != h.order:
+    return _isomorphism(g, h, _Budget(budget, "isomorphism search"))
+
+
+def _isomorphism(g: FiniteGroup, h: FiniteGroup, budget: _Budget) -> Optional[GroupHom]:
+    """:func:`are_isomorphic`, its search nodes spent from the caller's ``budget``."""
+    if g.order != h.order or g.derived_size() != h.derived_size():
         return None
-    if g.derived_size() != h.derived_size():
-        return None
-    images = next(_HomSearch([g], [h], _Budget(budget, "isomorphism search")).maps(), None)
+    images = next(_HomSearch([g], [h], budget).maps(), None)
     return None if images is None else GroupHom(g, h, images)
 
 
@@ -847,9 +847,6 @@ class PermRepresentation:
     degree: int
     perms: tuple[Perm, ...]
 
-    def __call__(self, g: int) -> Perm:
-        return self.perms[g]
-
     def is_injective(self) -> bool:
         return len(set(self.perms)) == self.source.order
 
@@ -861,9 +858,6 @@ class PermRepresentation:
         return all(
             p == ident or all(p[i] != i for i in range(self.degree)) for p in self.perms
         )
-
-    def image(self) -> PermutationGroup:
-        return PermutationGroup(self.degree, self.perms)
 
     def verify(self) -> None:
         t = self.source.table

@@ -197,9 +197,8 @@ def aut_order_by_candidates(tables: Sequence[FiniteGroup]) -> int:
     search = _HomSearch(tables, tables, _Budget(None, "per-candidate order search"))
     order = 1
     for depth, gen in enumerate(search.gens):
-        fixed = search.gens[:depth]
         order *= 1 + sum(
-            next(search.maps(fixed + [v]), None) is not None
+            next(search.maps(depth, v), None) is not None
             for v in search.cands[depth]
             if v != gen
         )

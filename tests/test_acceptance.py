@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bracelab.algebras import (
+    NilpotentAlgebra,
     catalog,
     cubes_vanish,
     cyclic_ring,
@@ -261,8 +262,10 @@ def test_04_cyclic_cube_cases():
         assert (witness.left, witness.right) == (6, 24)
         with pytest.raises(NotNilpotent):
             cyclic_ring(3, 0)
+        # built directly, as cyclic_ring(3, 0) rejects it
+        unit_product = NilpotentAlgebra("cyclic", 3, 3, np.ones((1, 1, 1), dtype=np.int64), r=0)
         with pytest.raises(QuasiInverseMissing):
-            quasi_inverse(cyclic_ring(3, 0, validate=False), 1)
+            quasi_inverse(unit_product, 1)
 
 
 def test_05_automorphism_orders():

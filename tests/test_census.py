@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from bracelab import census
-from bracelab.braces import SkewBrace, brace_from_groups
+from bracelab.braces import SkewBrace, brace_from_groups, is_biskew, is_two_sided, trivial_brace
 from bracelab.census import classify_braces, enumerate_braces
 from bracelab.errors import CapExceeded, SearchLimitExceeded
 from bracelab.groups import (
     _Budget,
     _automorphisms,
+    _isomorphism,
     abelian_group,
     are_isomorphic,
     automorphism_group,
     cyclic_group,
     dihedral_group,
+    heisenberg_group,
     holomorph,
     make_group,
     recognize,
@@ -226,9 +228,9 @@ def test_classify_finds_each_foreign_isomorphism_once(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return are_isomorphic(*args, **kwargs)
+        return _isomorphism(*args, **kwargs)
 
-    monkeypatch.setattr(census, "are_isomorphic", counted)
+    monkeypatch.setattr(census, "_isomorphism", counted)
     result = classify_braces(braces)
     assert len(calls) == 1
     assert [e.size for e in result.entries] == [
@@ -275,7 +277,7 @@ def test_enumerated_braces_are_classified_without_an_orbit_walk(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("enumerated braces need no orbit walk")
 
-    for name in ("_orbit_tables", "_aut_chain", "are_isomorphic"):
+    for name in ("_orbit_tables", "_aut_chain", "_isomorphism"):
         monkeypatch.setattr(census, name, fail)
     for braces, expected in zip(lists, walked):
         result = classify_braces(braces)
@@ -378,6 +380,57 @@ def test_one_budget_pays_for_the_listing_and_the_search():
     with pytest.raises(SearchLimitExceeded, match="regular subgroup search"):
         enumerate_braces(abelian_group([4, 4]), budget=listing.nodes + 1439)
     assert len(enumerate_braces(abelian_group([4, 4]), budget=listing.nodes + 1440)) == 880
+
+
+def test_classification_spends_one_budget_on_its_isomorphism_tests(monkeypatch):
+    # x -> a x mod 27 relabels Heis(3) for a = 1, 2, 4, 5; classifying the
+    # trivial braces of the four copies runs the first copy's order search
+    # (27 nodes) and an isomorphism search into it from each other copy
+    # (8 nodes each), all from the one default budget
+    def braces():
+        h = heisenberg_group(3)
+        return [trivial_brace(relabel(h, np.arange(27) * a % 27)) for a in (1, 2, 4, 5)]
+
+    monkeypatch.setenv("BRACELAB_BUDGET", str(27 + 3 * 8))
+    assert len(classify_braces(braces()).entries) == 1
+    monkeypatch.setenv("BRACELAB_BUDGET", str(27 + 3 * 8 - 1))
+    with pytest.raises(SearchLimitExceeded, match="classification search"):
+        classify_braces(braces())
+
+
+def _cubes_vanish(brace):
+    """Whether (a.b).c = 0 for all a, b, c, where a.b = a o b - a - b, read off the tables."""
+    add, inv = brace.add.table, brace.add.inverses
+    dot = add[add[brace.mult.table, inv[:, None]], inv[None, :]]
+    return not dot[dot[:, :, None], np.arange(brace.order)].any()
+
+
+def test_bachiller_order_p3_classes_are_biskew_as_their_rings_cube_to_zero():
+    # per additive group of order p^3 (C5^3 left out for time), the classes
+    # that are two-sided, bi-skew and have A^3 = 0; two-sided, not bi-skew
+    # and A^3 != 0; bi-skew and not two-sided; and neither.  A^3 is read on
+    # two-sided classes only.  The bi-skew classes that are not two-sided
+    # are named by circle group and confirmed by the triple scan
+    columns = [(True, True, True), (True, False, False), (False, True, None), (False, False, None)]
+    expected = {
+        (27,): ((2, 1, 0, 0), []),
+        (3, 9): ((14, 2, 2, 4), ["M3(3)", "M(3)"]),
+        (3, 3, 3): ((8, 1, 1, 2), ["M3(3)"]),
+        (125,): ((2, 1, 0, 0), []),
+        (5, 25): ((18, 2, 2, 8), ["M3(5)", "M3(5)"]),
+    }
+    for factors, (counts, exceptional) in expected.items():
+        found, odd = {}, []
+        for entry in classify_braces(enumerate_braces(abelian_group(factors))).entries:
+            b = entry.brace
+            two_sided, biskew = is_two_sided(b), is_biskew(b)
+            key = (two_sided, biskew, _cubes_vanish(b) if two_sided else None)
+            found[key] = found.get(key, 0) + 1
+            if biskew and not two_sided:
+                assert law_failures(b.mult, b.add.table) == []
+                odd.append(entry.circle_name)
+        assert found == {k: c for k, c in zip(columns, counts) if c}, factors
+        assert odd == exceptional, factors
 
 
 def test_regular_subgroups_match_the_tuple_closure():

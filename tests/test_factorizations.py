@@ -75,6 +75,16 @@ def test_a_factor_without_the_identity_and_an_unknown_side_are_rejected():
     assert str(exc.value) == "side must be 'left' or 'right', got 'middle'"
 
 
+def test_factor_members_outside_the_group_are_rejected():
+    # C6's elements are 0..5; -1 once wrapped to 5, and 6 raised IndexError
+    c6 = cyclic_group(6)
+    for bad in (-1, 6):
+        with pytest.raises(NotSubgroup, match=rf"left factor .*\(element {bad} is not in 0..5\)"):
+            validate_factorization(c6, [0, bad], [0, 2, 4])
+        with pytest.raises(NotSubgroup, match=rf"right factor .*\(element {bad} is not in 0..5\)"):
+            validate_factorization(c6, [0, 3], [0, 2, 4, bad])
+
+
 def test_decomposition_multiplies_back():
     f = s3_factorization()
     for x, (a, b) in enumerate(f.decomposition):

@@ -34,6 +34,7 @@ from bracelab.groups import (
     group_from_permutations,
     heisenberg_group,
     holomorph,
+    is_normal,
     left_regular,
     m3_group,
     make_group,
@@ -353,6 +354,15 @@ def test_subgroup_closure_in_s4():
     assert len(cyc) == 4
     sub = subgroup_group(s4, cyc)
     assert recognize(sub) == "C4"
+
+
+def test_subgroup_functions_reject_members_outside_the_group():
+    # C6's elements are 0..5; -1 once wrapped to 5, and 6 raised IndexError
+    c6 = cyclic_group(6)
+    for bad in (-1, 6):
+        for call in (subgroup_closure, subgroup_group, is_normal):
+            with pytest.raises(ValueError, match=f"element {bad} is not in 0..5"):
+                call(c6, [0, bad])
 
 
 def test_subgroup_group_rejects_non_closed():
