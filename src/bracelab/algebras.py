@@ -13,13 +13,14 @@ nilpotency.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .braces import SkewBrace, brace_from_groups
 from .errors import (
     BadPrime,
+    BraceLabError,
     InvalidTableError,
     NotAssociativeError,
     NotNilpotent,
@@ -27,7 +28,7 @@ from .errors import (
     UnknownName,
     UnsupportedParameter,
 )
-from .groups import MAX_ORDER, FiniteGroup, _coordinate_group, _prime_factors
+from .groups import MAX_ORDER, FiniteGroup, _coordinate_group, _prime_factors, _sum
 
 __all__ = [
     "NilpotentAlgebra",
@@ -322,9 +323,14 @@ def quasi_inverse(algebra: NilpotentAlgebra, u: Element) -> Element:
 
     The series must terminate within dimension + 2 terms;
     QuasiInverseMissing otherwise, which is how a non-nilpotent product
-    built directly as a ``NilpotentAlgebra`` fails.
+    built directly as a ``NilpotentAlgebra`` fails.  ValueError when ``u``
+    does not have one coordinate per basis vector (one, an int, for the
+    cyclic kind).
     """
     digits = [int(x) for x in np.reshape(u, -1)]
+    length = len(algebra.consts)
+    if len(digits) != length:
+        raise ValueError(f"expected an element of length {length}, got length {len(digits)}")
     acc, missing = _series_inverses(algebra, [digits])
     if missing[0]:
         raise QuasiInverseMissing(tuple(digits))
@@ -358,29 +364,42 @@ def _check_table_cap(algebra: NilpotentAlgebra) -> None:
 def additive_group(algebra: NilpotentAlgebra) -> FiniteGroup:
     """The underlying addition as a table group."""
     _check_table_cap(algebra)
-    return _coordinate_group(algebra._radices, lambda x, y: x + y)
+    return _coordinate_group(algebra._radices, _sum)
 
 
 def circle_group(algebra: NilpotentAlgebra) -> FiniteGroup:
     """The circle operation a o b = a + b + a.b as a table group.
 
-    Every element must have a terminating series inverse (checked first, so
-    a non-nilpotent product raises QuasiInverseMissing rather than a bare
-    table failure).
+    A table that fails as a group is explained by the series inverses when
+    one of them fails: QuasiInverseMissing for the lowest element whose
+    series does not end, else AssertionError for the lowest whose series
+    does not cancel; otherwise the table's own error stands.  A table that
+    passes proves that check would pass, so it runs only on failure.  The
+    circle operation is associative exactly when the product is, and a
+    finite ring whose circle operation is a group is radical, so it is
+    nilpotent: each power ideal is smaller than the one before, so
+    A^(dim+1) = 0.  Every series then ends within dim + 2 terms, and by
+    associativity it cancels.
     """
     _check_table_cap(algebra)
-    _check_series_inverses(algebra)
     # int32 suffices: at order <= MAX_ORDER each sum of x_i y_j c_ijl stays below 2^31
     consts = algebra.consts.astype(np.int32)
 
-    def rule(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        half = np.einsum("ix,ijl->jlx", x[:, :, 0], consts)     # [j, l, x] -> (x . e_j)_l
-        out = np.einsum("jlx,jy->lxy", half, y[:, 0, :])        # [l, x, y] -> (x . y)_l
-        out += x
-        out += y
-        return out
+    def rule(x: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
+        half = np.einsum("ix,ijl->ljx", x[:, :, 0], consts)     # [l, j, x] -> (x . e_j)_l
+        ys = y[:, 0, :]
+        out = np.empty((x.shape[1], y.shape[2]), dtype=np.int32)
+        for l in range(len(consts)):
+            np.einsum("jx,jy->xy", half[l], ys, out=out)        # [x, y] -> (x . y)_l
+            out += x[l]
+            out += y[l]
+            yield out
 
-    return _coordinate_group(algebra._radices, rule)
+    try:
+        return _coordinate_group(algebra._radices, rule)
+    except BraceLabError:
+        _check_series_inverses(algebra)
+        raise
 
 
 def to_brace(algebra: NilpotentAlgebra) -> SkewBrace:

@@ -25,6 +25,8 @@ from .groups import (
     _HomSearch,
     _automorphisms,
     _find_identity,
+    _group,
+    _table_entries,
     make_group,
 )
 from .perms import Perm, PermutationGroup
@@ -265,26 +267,29 @@ def prepare_brace_groups(
 
     The tables must have one square shape (InvalidTableError) and, where
     both have an identity, the same one (IdentityMismatch); both checks
-    come before either table is validated.  Each table then passes
-    :func:`make_group`, whose swap of 0 and the identity is thus the same
-    relabeling on both.  Useful when the caller wants to report on the
-    compatibility law rather than have it enforced.
+    come before either table is validated as a group.  Each table is then
+    checked as :func:`make_group` checks it, the additive one first, so
+    that its swap of 0 and the identity is the same relabeling on both.
+    Each table is converted once.  Useful when the caller wants to report
+    on the compatibility law rather than have it enforced.
     """
-    a_arr = np.asarray(add_table, dtype=np.int64)
-    m_arr = np.asarray(mult_table, dtype=np.int64)
+    a_arr, m_arr = np.asarray(add_table), np.asarray(mult_table)
     if a_arr.shape != m_arr.shape:
         raise InvalidTableError(
             f"tables must have matching shapes, got {a_arr.shape} and {m_arr.shape}"
         )
     if a_arr.ndim != 2 or a_arr.shape[0] != a_arr.shape[1]:
         raise InvalidTableError(f"tables must be square, got shape {a_arr.shape}")
-    n = a_arr.shape[0]
-    if n and 0 <= a_arr.min() and a_arr.max() < n and 0 <= m_arr.min() and m_arr.max() < n:
-        e_add = _find_identity(a_arr.astype(np.int32))
-        e_mult = _find_identity(m_arr.astype(np.int32))
-        if e_add is not None and e_mult is not None and e_add != e_mult:
-            raise IdentityMismatch(e_add, e_mult)
-    return make_group(a_arr), make_group(m_arr)
+    add = _table_entries(a_arr)
+    try:
+        mult = _table_entries(m_arr)
+    except InvalidTableError:
+        _group(add, _find_identity(add))  # the additive table's own errors come first
+        raise
+    e_add, e_mult = _find_identity(add), _find_identity(mult)
+    if e_add is not None and e_mult is not None and e_add != e_mult:
+        raise IdentityMismatch(e_add, e_mult)
+    return _group(add, e_add), _group(mult, e_mult)
 
 
 def make_brace(

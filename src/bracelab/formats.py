@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
 from .algebras import NilpotentAlgebra, cyclic_ring, make_algebra
 from .braces import SkewBrace, make_brace
 from .errors import FileFormatError
-from .groups import FiniteGroup, _check_order, make_group
+from .groups import _BLOCK, FiniteGroup, _check_order, make_group
 
 __all__ = [
     "read_group",
@@ -170,17 +170,43 @@ def read_group(path: PathLike) -> FiniteGroup:
     return make_group(_parse_rows(lines, 2, _parse_order(lines, "group")))
 
 
-def _rows_text(table: np.ndarray) -> str:
-    names = np.array([str(v) for v in range(int(table.max()) + 1)], dtype=object)
-    return "\n".join(map(" ".join, names[table].tolist()))
+def _rows_bytes(table: np.ndarray) -> Iterator[bytes]:
+    """A table's rows as ASCII text, each row ending in a newline, a block of rows at a time.
+
+    Each value's name with the space after it is one fixed-width word of
+    bytes, padded with zero bytes: 4 bytes while names have at most three
+    digits, 8 from 1000 on.  Each block of rows gathers its words, the
+    last column the words ending in a newline instead, and the zero bytes
+    are dropped.
+    """
+    n = table.shape[0]
+    top = int(table.max())
+    width = 4 if top < 1000 else 8
+    names = [str(v) for v in range(top + 1)]
+    spaced, ended = (
+        np.array([name + sep for name in names], dtype=f"S{width}").view(f"u{width}")
+        for sep in " \n"
+    )
+    block = max(1, _BLOCK // n)
+    for lo in range(0, n, block):
+        rows = table[lo : lo + block]
+        words = np.take(spaced, rows)
+        words[:, -1] = np.take(ended, rows[:, -1])
+        yield words.tobytes().translate(None, b"\0")
+
+
+def _group_chunks(g: FiniteGroup) -> Iterator[bytes]:
+    yield f"group {g.order}\n".encode()
+    yield from _rows_bytes(g.table)
 
 
 def group_text(g: FiniteGroup) -> str:
-    return f"group {g.order}\n{_rows_text(g.table)}\n"
+    return b"".join(_group_chunks(g)).decode("ascii")
 
 
 def write_group(path: PathLike, g: FiniteGroup) -> None:
-    Path(path).write_text(group_text(g))
+    with open(path, "wb") as fh:
+        fh.writelines(_group_chunks(g))
 
 
 def read_brace_tables(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
@@ -204,12 +230,21 @@ def read_brace(path: PathLike) -> SkewBrace:
     return make_brace(add, mult)
 
 
+def _brace_chunks(brace: SkewBrace) -> Iterator[bytes]:
+    yield f"brace {brace.order}\n".encode()
+    yield from _rows_bytes(brace.add.table)
+    yield b"\n"
+    yield from _rows_bytes(brace.mult.table)
+
+
 def brace_text(brace: SkewBrace) -> str:
-    return f"brace {brace.order}\n{_rows_text(brace.add.table)}\n\n{_rows_text(brace.mult.table)}\n"
+    return b"".join(_brace_chunks(brace)).decode("ascii")
 
 
 def write_brace(path: PathLike, brace: SkewBrace) -> None:
-    Path(path).write_text(brace_text(brace))
+    """Write the brace file; the text is made and written a block of rows at a time."""
+    with open(path, "wb") as fh:
+        fh.writelines(_brace_chunks(brace))
 
 
 def read_algebra(path: PathLike) -> NilpotentAlgebra:

@@ -70,6 +70,9 @@ __all__ = [
 
 MAX_ORDER = 1024
 _DEFAULT_BUDGET = 2_000_000
+# entries in a block of table rows that a pass over a large table works on
+# at once: its buffers stay small enough to be reused, not mapped afresh
+_BLOCK = 2**15
 
 
 class _Budget:
@@ -131,19 +134,14 @@ class FiniteGroup:
         """Each the smallest element the earlier ones do not generate.
 
         Generated means a left-normed product of the earlier members, so the
-        set is defined on any loop table and make_group tests it; in a group
-        each member at least doubles the reached set, so there are at most
-        log2(n).  Every map search walks :func:`generating_sequence`
-        instead, whose greedy order its maps follow.
+        set is defined on any table with identity 0 and make_group tests it;
+        in a group each member at least doubles the reached set, so there
+        are at most log2(n).  Every map search walks
+        :func:`generating_sequence` instead, whose greedy order its maps
+        follow.
         """
         if self._generators is None:
-            reached = np.zeros(self.order, dtype=bool)
-            reached[0] = True
-            gens: list[int] = []
-            while not reached.all():
-                gens.append(int(np.argmin(reached)))
-                reached[subgroup_closure(self, gens)] = True
-            self._generators = tuple(gens)
+            self._generators = tuple(s for s, _ in _spans(self.table))
         return self._generators
 
     @property
@@ -251,36 +249,72 @@ def _relabel(arr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
     """Validate an n x n multiplication table and wrap it as a group.
 
-    Every table passes here, the two of a brace included.  Checks, in
-    order: shape and entry range (InvalidTableError), a two-sided identity
-    (NoIdentityError) which is moved to index 0 by swapping it with 0,
-    bijective rows and columns (NotBijectiveRowError), and associativity
-    with a lexicographically first witness (NotAssociativeError).
-    Associativity is Light's test, (x*s)*y == x*(s*y) for all x and y, on
-    each of the group's own ``generators``, O(n^2) per member: the elements
-    passing it are closed under the product, and every element is a
-    left-normed product of the members, so the table is associative.  Only
-    a failing table is scanned triple by triple.
+    Every table passes here, the two of a brace included.  The errors are
+    those of these checks in order: shape and entries, integers in 0..n-1
+    (InvalidTableError, naming the first entry that is not an integer); a
+    two-sided identity (NoIdentityError), which is moved to index 0 by
+    swapping it with 0; bijective rows, then columns
+    (NotBijectiveRowError); associativity, with the lexicographically first
+    witness (NotAssociativeError).  Associativity is Light's test,
+    (x*s)*y == x*(s*y) for all x and y, on each of the group's own
+    ``generators``, O(n^2) per member: the elements passing it are closed
+    under the product, and every element is a left-normed product of the
+    members, so the table is associative.
+
+    A group needs neither sort: an associative table with a two-sided
+    identity and 0 in every row is a group, since every element has a
+    right inverse, so its rows and columns are bijective.  So "0 in every
+    row" and Light's test run first, and each generator must at least
+    double the set the earlier ones generate, as in a group.  Only a table
+    failing one of them is sorted by rows, then by columns, and scanned
+    triple by triple, which gives the error of the order above.
     """
-    arr = np.asarray(table, dtype=np.int64)
+    arr = _table_entries(table)
+    return _group(arr, _find_identity(arr))
+
+
+def _table_entries(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """The table as a fresh int32 array; InvalidTableError unless its entries are 0..n-1.
+
+    The shape must be square with 1 to MAX_ORDER rows.  An entry that is
+    not an integer is named, the first in row-major order; integral floats
+    are taken as their integers.
+    """
+    arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidTableError(f"table must be square, got shape {arr.shape}")
     n = arr.shape[0]
     if n == 0:
         raise InvalidTableError("table must have at least one element")
     _check_order(n)
+    if arr.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):
+            ints = arr.astype(np.int64)
+        if arr.dtype.kind in "fcO":
+            bad = np.argwhere(ints != arr)
+            if len(bad):
+                i, j = (int(v) for v in bad[0])
+                raise InvalidTableError(f"table entry {arr[i, j]} at ({i}, {j}) is not an integer")
+        arr = ints
     if arr.min() < 0 or arr.max() >= n:
         raise InvalidTableError(f"table entries must lie in 0..{n - 1}")
-    arr = arr.astype(np.int32)
+    return arr.astype(np.int32)
 
-    e = _find_identity(arr)
+
+def _group(arr: np.ndarray, e: Optional[int]) -> FiniteGroup:
+    """make_group past its entry checks, on a fresh int32 table and its identity (None if none)."""
     if e is None:
         raise NoIdentityError("table has no two-sided identity element")
+    n = arr.shape[0]
     if e != 0:
         sigma = np.arange(n, dtype=np.int32)
         sigma[0], sigma[e] = e, 0
         arr = _relabel(arr, sigma)
-
+    parts = _group_parts(arr)
+    if parts is not None:
+        g = FiniteGroup(arr)
+        g._inverses, g._generators = parts
+        return g
     idx = np.arange(n)
     rows = (np.sort(arr, axis=1) == idx).all(axis=1)
     if not rows.all():
@@ -288,12 +322,58 @@ def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
     cols = (np.sort(arr, axis=0) == idx[:, None]).all(axis=0)
     if not cols.all():
         raise NotBijectiveRowError(int(np.argmin(cols)), "column")
+    raise NotAssociativeError(_first_non_associative(arr))
 
-    g = FiniteGroup(arr)
-    for s in g.generators:
-        if not np.array_equal(arr[arr[:, s]], arr[:, arr[s]]):
-            raise NotAssociativeError(_first_non_associative(arr))
-    return g
+
+def _group_parts(arr: np.ndarray) -> Optional[tuple[np.ndarray, tuple[int, ...]]]:
+    """The inverses and generators of a table with identity 0, or None if it is no group.
+
+    None when 0 is missing from a row, a generator does not at least
+    double its span, as it does in a group, or Light's test fails.  The
+    table is not frozen yet: numpy's argmin copies a read-only array.
+    The test compares both sides a block of rows at a time, in two
+    buffers of _BLOCK entries reused throughout, so it allocates no n x n
+    array; a ``take`` mode other than "raise" writes into them directly,
+    and the indices are in range.
+    """
+    n = arr.shape[0]
+    # 0 is the least entry, so each row's first least entry is 0 when it has one
+    inverses = np.argmin(arr, axis=1).astype(np.int32)
+    if not (arr[np.arange(n), inverses] == 0).all():
+        return None
+    inverses.flags.writeable = False
+    block = min(n, max(1, _BLOCK // n))
+    left, right = np.empty((block, n), dtype=np.int32), np.empty((block, n), dtype=np.int32)
+    gens, size = [], 1
+    for s, span in _spans(arr):
+        if span < 2 * size:
+            return None
+        col, row = arr[:, s], arr[s]
+        for lo in range(0, n, block):
+            k = min(block, n - lo)
+            arr.take(col[lo : lo + k], axis=0, out=left[:k], mode="wrap")   # [x, y] -> (x*s)*y
+            arr[lo : lo + k].take(row, axis=1, out=right[:k], mode="wrap")  # [x, y] -> x*(s*y)
+            if not (left[:k] == right[:k]).all():
+                return None
+        gens.append(s)
+        size = span
+    return inverses, tuple(gens)
+
+
+def _spans(table: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Each member of a table's ``generators``, with the size of the set it and those before generate.
+
+    Each such span is the orbit of the one before under right
+    multiplication by every member so far.
+    """
+    n = table.shape[0]
+    maps: list[list[int]] = []
+    span = {0}
+    while len(span) < n:
+        s = next(x for x in range(n) if x not in span)
+        maps.append(table[:, s].tolist())
+        span = _orbit(span, maps)
+        yield s, len(span)
 
 
 def _first_non_associative(arr: np.ndarray) -> tuple[int, int, int]:
@@ -327,12 +407,15 @@ def _check_order(n: int) -> None:
 def _coordinate_group(radices: Sequence[int], rule: Callable) -> FiniteGroup:
     """The group on the coordinate box ``radices``, labelled big-endian.
 
-    Element k has the mixed-radix digits of k as coordinates.  ``rule(x, y)``
-    gets int32 coordinate arrays of shape (len(radices), n, 1) and
-    (len(radices), 1, n), so ``x[i]`` and ``y[i]`` broadcast over every pair,
-    and returns the product's coordinates unreduced; they are taken modulo
-    their radices here.  The radices and the order are checked before
-    anything is built.
+    Element k has the mixed-radix digits of k as coordinates.  The table is
+    built a block of m rows at a time, m n <= _BLOCK: ``rule(x, y)`` gets
+    int32 coordinate arrays of shape (len(radices), m, 1) for the block's
+    rows and (len(radices), 1, n), so ``x[i]`` and ``y[i]`` broadcast over
+    every pair, and returns or yields the product's coordinates unreduced,
+    in order, each an m x n int32 array it does not read again: each is
+    folded into the int32 index table as it comes, and taken modulo its
+    radix in place.  The radices and the order are checked before anything
+    is built.
     """
     if min(radices) < 1:
         raise InvalidTableError(f"every coordinate radix must be positive, got {list(radices)}")
@@ -340,21 +423,40 @@ def _coordinate_group(radices: Sequence[int], rule: Callable) -> FiniteGroup:
     _check_order(n)
     coords = np.array(np.unravel_index(np.arange(n), radices), dtype=np.int32)
     x, y = coords[:, :, None], coords[:, None, :]
-    return make_group(np.ravel_multi_index(tuple(rule(x, y)), radices, mode="wrap"))
+    index = np.zeros((n, n), dtype=np.int32)
+    block = max(1, _BLOCK // n)
+    for lo in range(0, n, block):
+        rows = index[lo : lo + block]
+        for c, r in zip(rule(x[:, lo : lo + block], y), radices):
+            # rows * r + c mod r, with c mod r = c - (c // r) * r, which
+            # numpy computes several times faster than %
+            rows *= r
+            rows += c
+            np.floor_divide(c, r, out=c)
+            c *= r
+            rows -= c
+    return _group(index, _find_identity(index))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     """The integers mod n under addition."""
     if n < 1 or n > MAX_ORDER:
         raise InvalidTableError(f"cyclic group order must be in 1..{MAX_ORDER}, got {n}")
-    return _coordinate_group((n,), lambda x, y: x + y)
+    return _coordinate_group((n,), _sum)
 
 
 def abelian_group(factors: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups of the given orders, labelled big-endian."""
     if not len(factors):
         raise InvalidTableError("an abelian group needs at least one cyclic factor")
-    return _coordinate_group([int(m) for m in factors], lambda x, y: x + y)
+    return _coordinate_group([int(m) for m in factors], _sum)
+
+
+def _sum(x: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
+    """The coordinate rule of a product of cyclic groups, one coordinate at a time in one buffer."""
+    out = np.empty((x.shape[1], y.shape[2]), dtype=np.int32)
+    for a, b in zip(x, y):
+        yield np.add(a, b, out=out)
 
 
 def symmetric_group(m: int) -> FiniteGroup:
@@ -529,16 +631,26 @@ def is_normal(g: FiniteGroup, elements: Iterable[int]) -> bool:
 
 @dataclass(frozen=True)
 class GroupHom:
-    """A verified homomorphism, stored as the image of every element."""
+    """A verified homomorphism, stored as the image of every element.
+
+    ValueError when ``images`` does not give one element of 0..m-1 of the
+    target per source element, naming the first image outside that range,
+    or when the map is not a homomorphism.
+    """
 
     source: FiniteGroup
     target: FiniteGroup
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        img = np.asarray(self.images, dtype=np.int32)
+        img = np.asarray(self.images, dtype=np.int64)
         if img.shape != (self.source.order,):
             raise ValueError("images must list one target element per source element")
+        m = self.target.order
+        outside = np.flatnonzero((img < 0) | (img >= m))
+        if outside.size:
+            x = int(outside[0])
+            raise ValueError(f"image {int(img[x])} of element {x} is not in 0..{m - 1}")
         st, tt = self.source.table, self.target.table
         if not np.array_equal(img[st], tt[np.ix_(img, img)]):
             bad = np.argwhere(img[st] != tt[np.ix_(img, img)])

@@ -13,7 +13,9 @@ order count by its own search where the library closes orbits under the
 maps it has found, closing every candidate at every step of a greedy
 generating sequence where the library skips the ones an earlier
 closure covers, evaluating a law on every triple of elements where
-the library checks generators only, checking every displacement map
+the library checks generators only, sorting every row and column of
+a table before its associativity is decided where the library sorts
+only a table that fails as a group, checking every displacement map
 where the library checks those of the circle generators, comparing braces pairwise where
 the library compares orbits of circle tables, or closing candidate
 subgroups of the holomorph as permutation tuples, filtering their
@@ -603,6 +605,36 @@ def first_non_associative(table: np.ndarray) -> Optional[tuple[int, int, int]]:
     t = np.asarray(table)
     bad = np.argwhere(t[t] != t[:, t])      # [a, b, c]: (a*b)*c vs a*(b*c)
     return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def table_verdict(table: np.ndarray) -> tuple:
+    """make_group's verdict on a table with entries in 0..n-1, by its checks in their first order.
+
+    The first two-sided identity is swapped with 0; then every row, then
+    every column, is sorted against 0..n-1; then associativity is decided
+    on the whole cube of triples.  The verdict is ("group", the relabelled
+    table as lists), ("NoIdentityError",), ("NotBijectiveRowError", index,
+    axis) or ("NotAssociativeError", witness).
+    """
+    t = np.asarray(table, dtype=np.int64)
+    n = len(t)
+    idx = list(range(n))
+    identity = next(
+        (e for e in idx if t[e].tolist() == idx and t[:, e].tolist() == idx), None
+    )
+    if identity is None:
+        return ("NoIdentityError",)
+    swap = np.arange(n)
+    swap[0], swap[identity] = identity, 0
+    t = swap[t[np.ix_(swap, swap)]]         # swapping is its own inverse
+    for axis, lines in (("row", t), ("column", t.T)):
+        for k, line in enumerate(lines.tolist()):
+            if sorted(line) != idx:
+                return ("NotBijectiveRowError", k, axis)
+    witness = first_non_associative(t)
+    if witness is not None:
+        return ("NotAssociativeError", witness)
+    return ("group", t.tolist())
 
 
 def law_failures(add: FiniteGroup, m_t: np.ndarray) -> list[tuple[int, int, int, int, int]]:

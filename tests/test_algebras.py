@@ -228,6 +228,14 @@ def test_cyclic_rejection_modes():
         cyclic_ring(3, -1)
 
 
+def test_quasi_inverse_rejects_an_element_of_the_wrong_length():
+    # () once raised a bare IndexError
+    with pytest.raises(ValueError, match=r"^expected an element of length 1, got length 0$"):
+        quasi_inverse(cyclic_ring(3, 2), ())
+    with pytest.raises(ValueError, match=r"^expected an element of length 3, got length 2$"):
+        quasi_inverse(catalog("degraaf_A340", 3), [1, 0])
+
+
 def test_circle_group_reports_the_first_element_without_an_inverse():
     # e0 . e0 = e0 is idempotent, so no power of e0 = (1, 0) vanishes
     idempotent = unchecked_algebra(3, 2, {(0, 0): [1, 0]})

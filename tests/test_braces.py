@@ -27,6 +27,7 @@ from bracelab.errors import (
     BraceAxiomFailure,
     IdentityMismatch,
     InvalidTableError,
+    NoIdentityError,
     SearchLimitExceeded,
 )
 from bracelab.algebras import catalog, to_brace
@@ -319,10 +320,32 @@ def refuse(*args):
     ],
 )
 def test_prepare_brace_groups_checks_shapes_before_either_table(monkeypatch, add, mult, message):
-    monkeypatch.setattr("bracelab.braces.make_group", refuse)
+    for name in ("make_group", "_table_entries", "_group"):
+        monkeypatch.setattr(f"bracelab.braces.{name}", refuse)
     with pytest.raises(InvalidTableError) as exc:
         prepare_brace_groups(add, mult)
     assert str(exc.value) == message
+
+
+def test_make_brace_rejects_non_integral_entries():
+    # such entries were once truncated, so this pair passed as a brace on C2
+    c2, bad = [[0, 1], [1, 0]], [[0, 1.7], [1, 0]]
+    for add, mult in ((bad, c2), (c2, bad)):
+        with pytest.raises(InvalidTableError, match=r"^table entry 1\.7 at \(0, 1\) is not an"):
+            make_brace(add, mult)
+    b = make_brace([[0.0, 1.0], [1.0, 0.0]], [[0, 1], [1, 0]])
+    assert b.add is b.mult and b.add.table.tolist() == [[0, 1], [1, 0]]
+
+
+def test_prepare_brace_groups_reports_the_additive_table_first():
+    # each table is converted once, but the errors come in the order of
+    # make_group on the additive table, then on the circle table
+    with pytest.raises(NoIdentityError):
+        prepare_brace_groups([[1, 0], [0, 0]], [[0, 2], [2, 0]])
+    with pytest.raises(InvalidTableError, match=r"^table entries must lie in 0\.\.1$"):
+        prepare_brace_groups([[0, 1], [1, 0]], [[0, 2], [2, 0]])
+    with pytest.raises(NoIdentityError):
+        prepare_brace_groups([[0, 1], [1, 0]], [[1, 0], [0, 0]])
 
 
 def test_unequal_orders_are_no_brace_and_no_brace_isomorphism(monkeypatch):

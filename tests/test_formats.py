@@ -24,7 +24,7 @@ from bracelab.formats import (
     write_brace,
     write_group,
 )
-from bracelab.groups import symmetric_group
+from bracelab.groups import cyclic_group, symmetric_group
 from oracles import parse_rows_by_line, rows_text_by_row
 from test_acceptance import (
     CATALOG_SWEEP,
@@ -203,16 +203,25 @@ def corpus_braces(sixdim_brace):
     return braces + [s3_factorization_brace(), order36_factorization_brace(), sixdim_brace]
 
 
-def test_writer_matches_the_row_by_row_writer(corpus_braces):
+def test_writer_matches_the_row_by_row_writer(tmp_path, corpus_braces):
+    path = tmp_path / "out"
     for b in corpus_braces:
         expected = (
             f"brace {b.order}\n{rows_text_by_row(b.add.table)}\n\n"
             f"{rows_text_by_row(b.mult.table)}\n"
         )
         assert brace_text(b) == expected
-    for k in range(1, 7):
-        g = symmetric_group(k)
-        assert group_text(g) == f"group {g.order}\n{rows_text_by_row(g.table)}\n"
+        write_brace(path, b)
+        assert path.read_bytes() == expected.encode()
+    # the writer's words are 4 bytes up to the name 999 and 8 from 1000 on;
+    # these orders sit on both sides of each digit count
+    groups = [symmetric_group(k) for k in range(1, 7)]
+    groups += [cyclic_group(n) for n in (1, 10, 11, 100, 101, 1000, 1001, 1024)]
+    for g in groups:
+        expected = f"group {g.order}\n{rows_text_by_row(g.table)}\n"
+        assert group_text(g) == expected
+        write_group(path, g)
+        assert path.read_bytes() == expected.encode()
 
 
 def _read_outcome(read, path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -64,6 +65,7 @@ from oracles import (
     relabel,
     searched_automorphisms,
     searched_name,
+    table_verdict,
 )
 
 
@@ -147,6 +149,81 @@ def test_make_group_moves_identity_to_zero():
             scrambled[a][b] = sigma[(sigma[a] + sigma[b]) % 3]
     g = make_group(scrambled)
     assert np.array_equal(g.table, cyclic_group(3).table)
+
+
+def test_make_group_rejects_non_integral_entries():
+    # such entries were once truncated, so this table passed as C2
+    with pytest.raises(InvalidTableError, match=r"^table entry 1\.5 at \(0, 1\) is not an"):
+        make_group([[0.0, 1.5], [1, 0]])
+    with pytest.raises(InvalidTableError, match=r"^table entry nan at \(1, 1\) is not an integer$"):
+        make_group([[0, 1], [1, np.nan]])
+    assert np.array_equal(make_group([[0.0, 1.0], [1.0, 0.0]]).table, cyclic_group(2).table)
+
+
+def _scrambled(table, rng):
+    """The table relabelled by a random permutation, which moves its identity too."""
+    sigma = rng.permutation(len(table))
+    inv = np.argsort(sigma)
+    return sigma[np.asarray(table)[np.ix_(inv, inv)]]
+
+
+def _gate_corpus(rng):
+    """Seeded tables of order 2 to 12, each family failing the gate its own way or not at all."""
+    tables = []
+    for g in (g for n in range(2, 13) for g in _abstract_groups_of_order(n)):
+        n = g.order
+        for _ in range(2):
+            made = [g.table.copy()]                     # a group
+            loop = intercalate_swap(g.table, rng)       # a loop, most often not associative
+            if loop is not None:
+                made.append(loop)
+            if n > 2:                                   # a row repeating an entry
+                t = g.table.copy()
+                r, c1, c2 = int(rng.integers(1, n)), *rng.choice(np.arange(1, n), 2, replace=False)
+                t[r, c1] = t[r, c2]
+                made.append(t)
+            t = g.table.copy()                          # 0 missing from a row
+            r = int(rng.integers(1, n))
+            t[r, g.inverses[r]] = rng.integers(1, n)
+            made.append(t)
+            # every row a permutation, with x * 0 = x: the columns rarely are
+            t = np.array([[x, *rng.permutation([v for v in range(n) if v != x])] for x in range(n)])
+            t[0] = np.arange(n)
+            made.append(t)
+            # identity 0 and 0 in every row, the other entries at random
+            t = rng.integers(0, n, (n, n))
+            t[0], t[:, 0] = np.arange(n), np.arange(n)
+            t[np.arange(1, n), rng.integers(1, n, n - 1)] = 0
+            made.append(t)
+            made.append(rng.integers(0, n, (n, n)))     # most often no identity
+            tables += [_scrambled(t, rng) for t in made]
+    return tables
+
+
+def _make_group_verdict(table):
+    """make_group's outcome in the form of table_verdict."""
+    try:
+        return ("group", make_group(table).table.tolist())
+    except NoIdentityError:
+        return ("NoIdentityError",)
+    except NotBijectiveRowError as exc:
+        return ("NotBijectiveRowError", exc.element, exc.axis)
+    except NotAssociativeError as exc:
+        return ("NotAssociativeError", exc.witness)
+
+
+def test_make_group_gives_the_verdicts_of_its_first_check_order():
+    # make_group sorts rows and columns only when a table fails as a group;
+    # each error and witness must be the one the sorts-first order gives
+    tables = _gate_corpus(np.random.default_rng(38))
+    kinds = Counter()
+    for t in tables:
+        verdict = table_verdict(t)
+        assert _make_group_verdict(t) == verdict, t.tolist()
+        kinds[verdict[0] if verdict[0] != "NotBijectiveRowError" else verdict[2]] += 1
+    assert len(tables) > 300
+    assert set(kinds) == {"group", "NoIdentityError", "row", "column", "NotAssociativeError"}
+    assert min(kinds.values()) >= 10, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +402,7 @@ def test_stock_constructors_reject_before_building(monkeypatch):
         raise AssertionError(f"built a {len(table)}-element table")
 
     monkeypatch.setattr("bracelab.groups.make_group", refuse)
+    monkeypatch.setattr("bracelab.groups._group", lambda table, e: refuse(table))
     too_large = [
         lambda: heisenberg_group(13),
         lambda: m3_group(11),
@@ -363,6 +441,16 @@ def test_subgroup_functions_reject_members_outside_the_group():
         for call in (subgroup_closure, subgroup_group, is_normal):
             with pytest.raises(ValueError, match=f"element {bad} is not in 0..5"):
                 call(c6, [0, bad])
+
+
+def test_group_hom_rejects_images_outside_the_target():
+    # 5 once raised a bare IndexError, and -1 wrapped to 1
+    c2 = cyclic_group(2)
+    for bad in (-1, 2, 5):
+        with pytest.raises(ValueError, match=rf"^image {bad} of element 1 is not in 0\.\.1$"):
+            GroupHom(c2, c2, (0, bad))
+    with pytest.raises(ValueError, match=r"^image 3 of element 0 is not in 0\.\.2$"):
+        GroupHom(c2, cyclic_group(3), (3, 0))
 
 
 def test_subgroup_group_rejects_non_closed():
