@@ -29,6 +29,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .groups import MAX_ORDER, FiniteGroup, _coordinate_group, _prime_factors, _sum
+from .perms import _indices, _integer
 
 __all__ = [
     "NilpotentAlgebra",
@@ -57,6 +58,16 @@ _CATALOG_PRIMES = {
 
 def _is_prime(p: int) -> bool:
     return p >= 2 and _prime_factors(p) == [p]
+
+
+def _residues(values: object, q: int) -> np.ndarray:
+    """Ring coordinates, at least 1-D, reduced mod q and then passed through the index gate.
+
+    An integer or integral float is reduced first, so any integer passes.
+    """
+    arr = np.array(values, dtype=object, ndmin=1)
+    arr.flat = [c if _integer(c) is None else _integer(c) % q for c in arr.flat]
+    return _indices(arr, q, "coordinate {value} at {at}")
 
 
 class NilpotentAlgebra:
@@ -100,7 +111,7 @@ class NilpotentAlgebra:
 
     def _coords(self, u: Element) -> np.ndarray:
         """u's coordinates reduced mod ``modulus``, so int64 arithmetic on them cannot wrap."""
-        return (np.atleast_1d(np.asarray(u, dtype=object)) % self.modulus).astype(np.int64)
+        return _residues(u, self.modulus).astype(np.int64)
 
     def add(self, u: Element, v: Element) -> Element:
         return self._element((self._coords(u) + self._coords(v)) % self.modulus)
@@ -125,7 +136,7 @@ class NilpotentAlgebra:
         return self._element(index // self._place % self.modulus)
 
     def encode(self, u: Element) -> int:
-        return int(np.atleast_1d(u) % self.modulus @ self._place)
+        return int(self._coords(u) @ self._place)
 
     def elements(self) -> np.ndarray:
         """All elements; a (order, dim) digit matrix for "modp" kind."""
@@ -249,15 +260,14 @@ def make_algebra(
     if not _is_prime(p):
         raise BadPrime(p)
     consts = np.zeros((dim, dim, dim), dtype=np.int64)
-    for (i, j), vec in products.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise InvalidTableError(f"structure constant index ({i}, {j}) out of range")
-        arr = np.asarray(vec, dtype=object)
+    keys = _indices(list(products), dim, "structure constant index {value} at {at}")
+    for (i, j), vec in zip(keys.tolist(), products.values()):
+        arr = _residues(vec, p)  # reduced before int64 can wrap
         if arr.shape != (dim,):
             raise InvalidTableError(
                 f"structure constant for ({i}, {j}) must have length {dim}"
             )
-        consts[i, j] = [int(c) % p for c in arr]  # reduced before int64 can wrap
+        consts[i, j] = arr
     left = np.einsum("ijm,mkl->ijkl", consts, consts) % p
     right = np.einsum("jkm,iml->ijkl", consts, consts) % p
     if not np.array_equal(left, right):
@@ -327,13 +337,13 @@ def quasi_inverse(algebra: NilpotentAlgebra, u: Element) -> Element:
     does not have one coordinate per basis vector (one, an int, for the
     cyclic kind).
     """
-    digits = [int(x) for x in np.reshape(u, -1)]
+    digits = algebra._coords(u).reshape(-1)
     length = len(algebra.consts)
     if len(digits) != length:
         raise ValueError(f"expected an element of length {length}, got length {len(digits)}")
     acc, missing = _series_inverses(algebra, [digits])
     if missing[0]:
-        raise QuasiInverseMissing(tuple(digits))
+        raise QuasiInverseMissing(tuple(digits.tolist()))
     return algebra._element(acc[0])
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .braces import SkewBrace
-from .errors import CapExceeded
+from .errors import BraceLabError, CapExceeded
 from .groups import (
     FiniteGroup,
     _Budget,
@@ -89,6 +89,7 @@ def enumerate_braces(
     circle table.  Raises CapExceeded when more than ``cap`` subgroups
     exist and SearchLimitExceeded when the call outgrows its node budget,
     which pays for listing Aut(g) too unless the listing is cached on g.
+    A cap must be an integer of at least 0, as a budget one of at least 1.
 
     Each brace is read straight off the search: regular subgroups of the
     holomorph are exactly the braces on g, so neither the circle table nor
@@ -138,6 +139,8 @@ def enumerate_braces(
     One node is one candidate that passes both filters of the module
     docstring, is no such conjugate and is closed.
     """
+    if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool) or cap < 0:
+        raise BraceLabError(f"the result cap must be a non-negative integer, got {cap!r}")
     n = g.order
     spent = _Budget(budget, "regular subgroup search")
     auts = _automorphisms(g, spent).elements

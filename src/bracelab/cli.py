@@ -85,16 +85,12 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _parse_indices(text: str, order: int) -> list[int]:
-    """Comma- or whitespace-separated indices of elements of a group of ``order``."""
-    parts = text.replace(",", " ").split()
+def _parse_indices(text: str) -> list[int]:
+    """Comma- or whitespace-separated integers; the library checks their range."""
     try:
-        indices = [int(tok) for tok in parts]
+        return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an index list: {text!r}")
-    if not all(0 <= i < order for i in indices):
-        raise argparse.ArgumentTypeError(f"not an index list of 0..{order - 1}: {text!r}")
-    return indices
 
 
 def _output_brace(brace: SkewBrace, out: Optional[str], pairs: Pairs, fmt: str) -> None:
@@ -262,8 +258,8 @@ def _build_factorization(args: argparse.Namespace) -> tuple[SkewBrace, Pairs]:
                 "factorization needs --group, --left and --right (or --sym form)"
             )
         g = read_group(args.group)
-        left = subgroup_closure(g, _parse_indices(args.left, g.order))
-        right = subgroup_closure(g, _parse_indices(args.right, g.order))
+        left = subgroup_closure(g, _parse_indices(args.left))
+        right = subgroup_closure(g, _parse_indices(args.right))
     fact = validate_factorization(g, left, right)
     brace = circle_from_factorization(fact)
     pairs = [

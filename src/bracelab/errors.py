@@ -15,8 +15,8 @@ class BraceLabError(Exception):
 # multiplication-table validation
 
 
-class InvalidTableError(BraceLabError):
-    """Table is not a square 0-based index matrix, or exceeds the size cap."""
+class InvalidTableError(BraceLabError, ValueError):
+    """An index or table entry is not an integer in range, or a shape or size is wrong."""
 
 
 class NoIdentityError(BraceLabError):

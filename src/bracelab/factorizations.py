@@ -22,11 +22,12 @@ from .braces import (
     find_axiom_failures,
     validate_direct,
 )
-from .errors import IntersectionNontrivial, NotSubgroup, OrderMismatch
+from .errors import IntersectionNontrivial, InvalidTableError, NotSubgroup, OrderMismatch
 from .groups import (
     FiniteGroup,
     PermRepresentation,
     _escaping_product,
+    _members,
     are_isomorphic,
     direct_product,
     is_normal,
@@ -66,15 +67,18 @@ class ExactFactorization:
     decomposition: tuple[tuple[int, int], ...]
 
 
-def _check_subgroup(g: FiniteGroup, elems: set[int], side: str) -> None:
-    outside = [x for x in elems if not 0 <= x < g.order]
-    if outside:
-        raise NotSubgroup(side, f"element {min(outside)} is not in 0..{g.order - 1}")
-    if 0 not in elems:
+def _factor(g: FiniteGroup, elements: Iterable[int], side: str) -> list[int]:
+    """The distinct members of one factor, sorted; NotSubgroup unless they form a subgroup."""
+    try:
+        elems = _members(g, elements)
+    except InvalidTableError as exc:  # the index gate's message, under the side's name
+        raise NotSubgroup(side, str(exc)) from None
+    if not elems or elems[0] != 0:
         raise NotSubgroup(side, "missing the identity")
-    escape = _escaping_product(g, sorted(elems))
+    escape = _escaping_product(g, elems)
     if escape is not None:
         raise NotSubgroup(side, "{} * {} = {} escapes".format(*escape))
+    return elems
 
 
 def validate_factorization(
@@ -82,28 +86,26 @@ def validate_factorization(
 ) -> ExactFactorization:
     """Check subgroup-ness, trivial intersection, and the order product.
 
-    Errors: NotSubgroup (the failing side, with a member outside 0..n-1 or
-    the lexicographically first product escaping it), IntersectionNontrivial,
-    OrderMismatch.  On success every element's unique decomposition is tabulated.
+    Errors: NotSubgroup (the failing side, with the index gate's message
+    for a member that is not an integer in 0..n-1, or the lexicographically
+    first product escaping it), IntersectionNontrivial, OrderMismatch.  On
+    success every element's unique decomposition is tabulated.
     """
-    lset = {int(x) for x in left}
-    rset = {int(x) for x in right}
-    _check_subgroup(g, lset, "left")
-    _check_subgroup(g, rset, "right")
-    common = sorted((lset & rset) - {0})
+    lefts, rights = _factor(g, left, "left"), _factor(g, right, "right")
+    common = sorted((set(lefts) & set(rights)) - {0})
     if common:
         raise IntersectionNontrivial(common)
-    if len(lset) * len(rset) != g.order:
-        raise OrderMismatch(len(lset), len(rset), g.order)
+    if len(lefts) * len(rights) != g.order:
+        raise OrderMismatch(len(lefts), len(rights), g.order)
     decomposition: list[Optional[tuple[int, int]]] = [None] * g.order
-    for a in sorted(lset):
-        for b in sorted(rset):
+    for a in lefts:
+        for b in rights:
             x = g.mul(a, b)
             if decomposition[x] is not None:
                 raise AssertionError(f"element {x} decomposed twice")
             decomposition[x] = (a, b)
     return ExactFactorization(
-        g, tuple(sorted(lset)), tuple(sorted(rset)), tuple(decomposition)  # type: ignore[arg-type]
+        g, tuple(lefts), tuple(rights), tuple(decomposition)  # type: ignore[arg-type]
     )
 
 

@@ -38,7 +38,7 @@ from .errors import (
     NotBijectiveRowError,
     SearchLimitExceeded,
 )
-from .perms import Perm, PermutationGroup, all_perms, compose, identity_perm
+from .perms import Perm, PermutationGroup, _indices, all_perms, compose, identity_perm
 
 if TYPE_CHECKING:
     from .braces import SkewBrace
@@ -78,19 +78,20 @@ _BLOCK = 2**15
 class _Budget:
     """The node budget of one public call, spent by every search the call runs.
 
-    The limit is the call's ``budget`` argument, else the BRACELAB_BUDGET
-    environment variable, else a built-in default; a value that is given
-    but is not a positive integer raises BraceLabError.  Spending past the
-    limit raises SearchLimitExceeded naming ``context``, the call's search.
+    The limit is the call's ``budget`` argument, an int or numpy integer,
+    else the BRACELAB_BUDGET environment variable's text, else a built-in
+    default; BraceLabError unless it is a positive integer.  Spending past
+    the limit raises SearchLimitExceeded naming ``context``, the call's search.
     """
 
     def __init__(self, override: Optional[int], context: str) -> None:
         given, name = override, "the budget= argument or --budget"
         if override is None:
             given, name = os.environ.get("BRACELAB_BUDGET") or _DEFAULT_BUDGET, "BRACELAB_BUDGET"
-        if not str(given).strip().isdecimal() or int(given) < 1:
+        limit = int(given) if override is None and str(given).strip().isdecimal() else given
+        if not isinstance(limit, (int, np.integer)) or isinstance(limit, bool) or limit < 1:
             raise BraceLabError(f"{name} must be a positive integer, got {given!r}")
-        self.limit, self.context, self.nodes = int(given), context, 0
+        self.limit, self.context, self.nodes = int(limit), context, 0
 
     def spend(self, nodes: int = 1) -> None:
         """Count ``nodes`` nodes; past the limit, raise SearchLimitExceeded."""
@@ -251,9 +252,9 @@ def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
 
     Every table passes here, the two of a brace included.  The errors are
     those of these checks in order: shape and entries, integers in 0..n-1
-    (InvalidTableError, naming the first entry that is not an integer); a
-    two-sided identity (NoIdentityError), which is moved to index 0 by
-    swapping it with 0; bijective rows, then columns
+    (InvalidTableError from the index gate, ``perms._indices``, naming the
+    first bad entry); a two-sided identity (NoIdentityError), which is
+    moved to index 0 by swapping it with 0; bijective rows, then columns
     (NotBijectiveRowError); associativity, with the lexicographically first
     witness (NotAssociativeError).  Associativity is Light's test,
     (x*s)*y == x*(s*y) for all x and y, on each of the group's own
@@ -276,9 +277,8 @@ def make_group(table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
 def _table_entries(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """The table as a fresh int32 array; InvalidTableError unless its entries are 0..n-1.
 
-    The shape must be square with 1 to MAX_ORDER rows.  An entry that is
-    not an integer is named, the first in row-major order; integral floats
-    are taken as their integers.
+    The shape must be square with 1 to MAX_ORDER rows; then the index
+    gate checks the entries.
     """
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -287,18 +287,7 @@ def _table_entries(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     if n == 0:
         raise InvalidTableError("table must have at least one element")
     _check_order(n)
-    if arr.dtype.kind not in "biu":
-        with np.errstate(invalid="ignore"):
-            ints = arr.astype(np.int64)
-        if arr.dtype.kind in "fcO":
-            bad = np.argwhere(ints != arr)
-            if len(bad):
-                i, j = (int(v) for v in bad[0])
-                raise InvalidTableError(f"table entry {arr[i, j]} at ({i}, {j}) is not an integer")
-        arr = ints
-    if arr.min() < 0 or arr.max() >= n:
-        raise InvalidTableError(f"table entries must lie in 0..{n - 1}")
-    return arr.astype(np.int32)
+    return _indices(arr, n, "table entry {value} at {at}")
 
 
 def _group(arr: np.ndarray, e: Optional[int]) -> FiniteGroup:
@@ -449,7 +438,8 @@ def abelian_group(factors: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups of the given orders, labelled big-endian."""
     if not len(factors):
         raise InvalidTableError("an abelian group needs at least one cyclic factor")
-    return _coordinate_group([int(m) for m in factors], _sum)
+    radices = _indices(factors, MAX_ORDER + 1, "cyclic factor {value}").tolist()
+    return _coordinate_group(radices, _sum)
 
 
 def _sum(x: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
@@ -502,7 +492,8 @@ def m3_group(p: int) -> FiniteGroup:
     multiplication by 1 + p, whose y-th power is 1 + y p mod p^2; index
     x p + y.
     """
-    if p % 2 == 0:
+    _check_order(p**3)  # before the primality test, whose time grows with p
+    if p % 2 == 0 or _prime_factors(p) != [p]:
         raise InvalidTableError("the exponent-p^2 construction needs an odd prime")
     return _coordinate_group((p * p, p), lambda x, y: (x[0] + y[0] * (1 + p * x[1]), x[1] + y[1]))
 
@@ -527,7 +518,7 @@ def semidirect_product(
     """
     nb, nj = base.order, actor.order
     _check_order(nb * nj)
-    act = np.asarray(action, dtype=np.int32)
+    act = _indices(action, nb, "action entry {value} at {at}")
     if act.shape != (nj, nb):
         raise ActionNotHomomorphism(
             f"action must give one permutation of {nb} points per actor element, "
@@ -557,19 +548,15 @@ def semidirect_product(
 
 
 def _members(g: FiniteGroup, elements: Iterable[int]) -> list[int]:
-    """The distinct ``elements`` as sorted ints; ValueError names one outside 0..n-1."""
-    elems = sorted({int(x) for x in elements})
-    for x in elems[:1] + elems[-1:]:  # the least and the greatest
-        if not 0 <= x < g.order:
-            raise ValueError(f"element {x} is not in 0..{g.order - 1}")
-    return elems
+    """The distinct ``elements`` as sorted ints; the index gate names the first bad one."""
+    return sorted(set(_indices(list(elements), g.order, "element {value}").tolist()))
 
 
 def subgroup_closure(g: FiniteGroup, seed: Iterable[int]) -> list[int]:
     """Sorted orbit of 0 under right multiplication by each member of ``seed``.
 
     In a group table that is the subgroup ``seed`` generates.  ValueError
-    names a member outside 0..n-1.
+    names a member that is not an integer in 0..n-1.
     """
     return sorted(_orbit((0,), g.table[:, _members(g, seed)].T.tolist()))
 
@@ -591,7 +578,7 @@ def subgroup_group(g: FiniteGroup, elements: Iterable[int]) -> FiniteGroup:
     """Reindex a closed subset as a group in its own right.
 
     Elements are sorted, so local index 0 is the identity.  ValueError if a
-    member is outside 0..n-1, the identity is missing or a product escapes.
+    member is not an index of g, the identity is missing or a product escapes.
     """
     elems = _members(g, elements)
     if not elems or elems[0] != 0:
@@ -617,7 +604,7 @@ def _escaping_product(g: FiniteGroup, elems: Sequence[int]) -> Optional[tuple[in
 
 
 def is_normal(g: FiniteGroup, elements: Iterable[int]) -> bool:
-    """Whether a subset is stable under conjugation; ValueError names a member outside 0..n-1."""
+    """Whether a subset is stable under conjugation; ValueError names a member not in 0..n-1."""
     inside = np.zeros(g.order, dtype=bool)
     inside[_members(g, elements)] = True
     t, xs = g.table, np.arange(g.order)[:, None]
@@ -633,9 +620,9 @@ def is_normal(g: FiniteGroup, elements: Iterable[int]) -> bool:
 class GroupHom:
     """A verified homomorphism, stored as the image of every element.
 
-    ValueError when ``images`` does not give one element of 0..m-1 of the
-    target per source element, naming the first image outside that range,
-    or when the map is not a homomorphism.
+    ``images`` is kept as a tuple of ints.  ValueError when it does not
+    give one target element per source element, the index gate naming the
+    first bad image, or when the map is not a homomorphism.
     """
 
     source: FiniteGroup
@@ -643,14 +630,10 @@ class GroupHom:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        img = np.asarray(self.images, dtype=np.int64)
+        img = _indices(self.images, self.target.order, "image {value} of element {at}")
         if img.shape != (self.source.order,):
             raise ValueError("images must list one target element per source element")
-        m = self.target.order
-        outside = np.flatnonzero((img < 0) | (img >= m))
-        if outside.size:
-            x = int(outside[0])
-            raise ValueError(f"image {int(img[x])} of element {x} is not in 0..{m - 1}")
+        object.__setattr__(self, "images", tuple(img.tolist()))
         st, tt = self.source.table, self.target.table
         if not np.array_equal(img[st], tt[np.ix_(img, img)]):
             bad = np.argwhere(img[st] != tt[np.ix_(img, img)])

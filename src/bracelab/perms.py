@@ -12,6 +12,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .errors import InvalidTableError
+
 __all__ = [
     "Perm",
     "compose",
@@ -26,6 +28,7 @@ __all__ = [
 ]
 
 Perm = tuple[int, ...]
+_POINT = "point {value} at {at}"  # a bad point of a permutation, for the index gate
 
 
 def identity_perm(n: int) -> Perm:
@@ -33,7 +36,9 @@ def identity_perm(n: int) -> Perm:
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
-    """Function composition p∘q: the map x -> p(q(x))."""
+    """Function composition p∘q: the map x -> p(q(x)); ValueError unless the lengths agree."""
+    if len(p) != len(q):
+        raise ValueError(f"cannot compose permutations of lengths {len(p)} and {len(q)}")
     return tuple([p[i] for i in q])
 
 
@@ -137,6 +142,52 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(out)
 
 
+def _indices(values: object, n: int, what: str) -> np.ndarray:
+    """``values`` as a fresh int32 array of its shape, each entry an index in 0..n-1.
+
+    The one check of caller-supplied indices: table entries, element
+    lists, images, permutation points, actions and ring coordinates.  An
+    index is an integer, and an integral float is taken as its integer.  A
+    string is none, even one that spells an integer, nor is a bool array,
+    which numpy reads as a mask; numpy turns a bool in a list of integers
+    into 0 or 1 before the gate sees it.  Otherwise InvalidTableError
+    names the first bad entry in row-major order by ``what``, a format
+    string with the fields ``value`` and ``at``, its position (an int in
+    one dimension, else a tuple).  A success costs one conversion, a
+    min/max range test and one cast; only a failure is searched.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # nested sequences of unequal lengths
+        raise InvalidTableError(f"the entries do not form an array: {exc}") from None
+    if arr.dtype.kind in "iuf":
+        ints = arr
+        if arr.dtype.kind == "f":
+            with np.errstate(invalid="ignore"):  # NaN and overflow fail the comparison
+                ints = arr.astype(np.int64)
+        integral = ints is arr or (ints == arr).all()
+        if integral and (not ints.size or 0 <= ints.min() <= ints.max() < n):
+            return ints.astype(np.int32)
+        entries, k = arr, int(np.argmax((ints != arr) | (ints < 0) | (ints >= n)))
+    else:  # strings, bools and other objects, one at a time
+        entries = np.asarray(values, dtype=object)
+        k = next((k for k, v in enumerate(entries.flat) if _integer(v) not in range(n)), None)
+        if k is None:
+            return entries.astype(np.int32)
+    value = entries.reshape(-1)[k : k + 1].tolist()[0]
+    at = tuple(int(i) for i in np.unravel_index(k, entries.shape))
+    at = at[0] if len(at) == 1 else at
+    reason = "is not an integer" if _integer(value) is None else f"is not in 0..{n - 1}"
+    raise InvalidTableError(f"{what.format(value=repr(value), at=at)} {reason}")
+
+
+def _integer(v: object) -> Optional[int]:
+    """v as an int if it is an integer or an integral float, else None."""
+    if isinstance(v, (float, np.floating)):
+        return int(v) if float(v).is_integer() else None
+    return int(v) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else None
+
+
 def _reached(start: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> set[bytes]:
     """The bytes of every row reached from the row ``start``, breadth-first.
 
@@ -167,11 +218,11 @@ class PermutationGroup:
             wide = rows.shape[1:] == (degree,)
         else:
             wide = all(len(p) == degree for p in rows)
-        arr = np.asarray(rows).reshape(len(rows), degree) if wide else None
+        arr = _indices(rows, degree, _POINT).reshape(len(rows), degree) if wide else None
         points = np.arange(degree)
         if arr is None or not (np.sort(arr, axis=1) == points).all():
-            # name the failing element that sorts first
-            bad = min(tuple(map(int, p)) for p in rows if sorted(p) != list(range(degree)))
+            # name the failing element that sorts first, as given
+            bad = min(tuple(np.ravel(p).tolist()) for p in rows if sorted(p) != [*range(degree)])
             raise ValueError(f"{bad} is not a permutation of degree {degree}")
         # rows of big-endian entries in 0..degree-1, led by a 0 so that no
         # row is empty, compare bytewise as their tuples do: one unique call
@@ -196,7 +247,7 @@ class PermutationGroup:
     @classmethod
     def from_generators(cls, degree: int, generators: Iterable[Sequence[int]]) -> "PermutationGroup":
         """The group the permutations generate; p∘g reads p at the points of g."""
-        gens = np.array([tuple(g) for g in generators], dtype=np.int32).reshape(-1, degree)
+        gens = _indices([tuple(g) for g in generators], degree, _POINT).reshape(-1, degree)
         found = _reached(np.arange(degree, dtype=np.int32), lambda p: p.take(gens, axis=1))
         return cls(degree, np.frombuffer(b"".join(found), dtype=np.int32).reshape(-1, degree))
 

@@ -304,7 +304,7 @@ def test_catalog_errors():
         (lambda: make_algebra(3, 0, {}), InvalidTableError,
          "algebra dimension must be positive, got 0"),
         (lambda: make_algebra(3, 2, {(2, 0): [0, 0]}), InvalidTableError,
-         "structure constant index (2, 0) out of range"),
+         "structure constant index 2 at (0, 0) is not in 0..1"),
         (lambda: make_algebra(3, 2, {(0, 1): [1]}), InvalidTableError,
          "structure constant for (0, 1) must have length 2"),
         (lambda: cyclic_ring(4, 1), BadPrime, "4 is not a supported prime"),

@@ -342,7 +342,7 @@ def test_prepare_brace_groups_reports_the_additive_table_first():
     # make_group on the additive table, then on the circle table
     with pytest.raises(NoIdentityError):
         prepare_brace_groups([[1, 0], [0, 0]], [[0, 2], [2, 0]])
-    with pytest.raises(InvalidTableError, match=r"^table entries must lie in 0\.\.1$"):
+    with pytest.raises(InvalidTableError, match=r"^table entry 2 at \(0, 1\) is not in 0\.\.1$"):
         prepare_brace_groups([[0, 1], [1, 0]], [[0, 2], [2, 0]])
     with pytest.raises(NoIdentityError):
         prepare_brace_groups([[0, 1], [1, 0]], [[1, 0], [0, 0]])

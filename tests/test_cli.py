@@ -224,9 +224,9 @@ def test_factorization_without_its_factors_exits_2(capsys, argv, message):
         (["--sym", "3", "--left-gens", "(12)(13)", "--right-gens", "(123)"],
          "bad cycles '(12)(13)': repeated point; the cycles must be disjoint"),
         (["--group", "s3.grp", "--left", "99", "--right", "1"],
-         "not an index list of 0..5: '99'"),
+         "element 99 is not in 0..5"),
         (["--group", "s3.grp", "--left", "-1", "--right", "1"],
-         "not an index list of 0..5: '-1'"),
+         "element -1 is not in 0..5"),
         (["--sym", "-1", "--left-gens", "()", "--right-gens", "()"],
          "symmetric group degree must be positive, got -1"),
         (["--sym", "0", "--left-gens", "()", "--right-gens", "()"],

@@ -377,7 +377,7 @@ def test_stock_constructors_match_the_per_entry_loops():
 
     cases = (
         [(heisenberg_group(p), looped_heisenberg_table(p)) for p in range(1, 11)]
-        + [(m3_group(p), looped_m3_table(p)) for p in (3, 5, 7, 9)]
+        + [(m3_group(p), looped_m3_table(p)) for p in (3, 5, 7)]
         + [(dihedral_group(m), looped_dihedral_table(m)) for m in range(1, 41)]
         + [(symmetric_group(m), looped_symmetric_table(m)) for m in range(1, 7)]
         + [
