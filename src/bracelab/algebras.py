@@ -132,8 +132,17 @@ class NilpotentAlgebra:
     # -- element <-> index codecs ------------------------------------------
 
     def decode(self, index: int) -> Element:
-        """Element for a carrier index (big-endian base-q digits)."""
-        return self._element(index // self._place % self.modulus)
+        """Element for a carrier index (big-endian base-q digits).
+
+        The index is an integer, or an integral float, in 0..order-1;
+        InvalidTableError otherwise.  It is checked as a Python int, since
+        the order can pass the index gate's int32.
+        """
+        k = _integer(index)
+        if k is None or not 0 <= k < self.order:
+            reason = "is not an integer" if k is None else f"is not in 0..{self.order - 1}"
+            raise InvalidTableError(f"element index {index!r} {reason}")
+        return self._element(k // self._place % self.modulus)
 
     def encode(self, u: Element) -> int:
         return int(self._coords(u) @ self._place)

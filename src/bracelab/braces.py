@@ -29,7 +29,7 @@ from .groups import (
     _table_entries,
     make_group,
 )
-from .perms import Perm, PermutationGroup
+from .perms import Perm, PermutationGroup, _array
 
 __all__ = [
     "CounterexampleTriple",
@@ -273,7 +273,7 @@ def prepare_brace_groups(
     Each table is converted once.  Useful when the caller wants to report
     on the compatibility law rather than have it enforced.
     """
-    a_arr, m_arr = np.asarray(add_table), np.asarray(mult_table)
+    a_arr, m_arr = _array(add_table), _array(mult_table)
     if a_arr.shape != m_arr.shape:
         raise InvalidTableError(
             f"tables must have matching shapes, got {a_arr.shape} and {m_arr.shape}"

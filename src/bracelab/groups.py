@@ -38,7 +38,7 @@ from .errors import (
     NotBijectiveRowError,
     SearchLimitExceeded,
 )
-from .perms import Perm, PermutationGroup, _indices, all_perms, compose, identity_perm
+from .perms import Perm, PermutationGroup, _array, _indices, all_perms, compose, identity_perm
 
 if TYPE_CHECKING:
     from .braces import SkewBrace
@@ -212,8 +212,10 @@ class FiniteGroup:
             inv = self.inverses
             t = self.table
             lefts = t[np.ix_(inv, inv)]
-            comms = t[lefts, t]
-            self._derived = len(subgroup_closure(self, np.unique(comms).tolist()))
+            # a mask, not np.unique, which imports numpy.ma on first use
+            seen = np.zeros(self.order, dtype=bool)
+            seen[t[lefts, t]] = True
+            self._derived = len(subgroup_closure(self, np.flatnonzero(seen).tolist()))
         return self._derived
 
     # -- identity and comparison -------------------------------------------
@@ -280,7 +282,7 @@ def _table_entries(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     The shape must be square with 1 to MAX_ORDER rows; then the index
     gate checks the entries.
     """
-    arr = np.asarray(table)
+    arr = _array(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidTableError(f"table must be square, got shape {arr.shape}")
     n = arr.shape[0]

@@ -142,6 +142,14 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(out)
 
 
+def _array(values: object) -> np.ndarray:
+    """``np.asarray(values)``; InvalidTableError for nested sequences of unequal lengths."""
+    try:
+        return np.asarray(values)
+    except ValueError as exc:
+        raise InvalidTableError(f"the entries do not form an array: {exc}") from None
+
+
 def _indices(values: object, n: int, what: str) -> np.ndarray:
     """``values`` as a fresh int32 array of its shape, each entry an index in 0..n-1.
 
@@ -156,10 +164,7 @@ def _indices(values: object, n: int, what: str) -> np.ndarray:
     one dimension, else a tuple).  A success costs one conversion, a
     min/max range test and one cast; only a failure is searched.
     """
-    try:
-        arr = np.asarray(values)
-    except ValueError as exc:  # nested sequences of unequal lengths
-        raise InvalidTableError(f"the entries do not form an array: {exc}") from None
+    arr = _array(values)
     if arr.dtype.kind in "iuf":
         ints = arr
         if arr.dtype.kind == "f":

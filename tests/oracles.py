@@ -26,14 +26,18 @@ orbits of lambda-vectors, or naming a group by
 isomorphism search where the library counts elements, or building the
 stock group and ring tables entry by entry or by each ring kind's own
 formula where the library broadcasts one coordinate rule, or reading
-and writing table rows one line and one token at a time where the
-library decodes and prints the whole table as arrays.  It also lists
+a file as text and table rows one line and one token at a time where
+the library parses the file's bytes a block of rows at a time, or
+writing table rows one entry at a time where the library prints whole
+blocks of rows.  It also lists
 one group of each isomorphism type up to order 31, among them the
 quaternion group, whose table no library constructor builds, and the
 nine nonabelian groups of order 16, and the endomorphisms of a group
 whose image is abelian, by closing every tuple of generator images.
 """
 import itertools
+import re
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,6 +50,7 @@ from bracelab.braces import (
     validate_direct,
 )
 from bracelab.errors import FileFormatError
+from bracelab.formats import _parse_order
 from bracelab.groups import (
     FiniteGroup,
     _Budget,
@@ -785,28 +790,61 @@ def ring_tables(algebra: NilpotentAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return sums % p @ powers, (sums + prods) % p @ powers
 
 
+_ENTRY = re.compile("[0-9]{1,18}")
+_ROW = re.compile("[0-9]{1,18}([ \t]+[0-9]{1,18})*")
+
+
+def text_lines(path: Path) -> list[str]:
+    """A file's lines from its whole text, read and split by Python's text reading."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(line, f"byte {exc.object[exc.start]:#04x} is not valid text") from None
+    return text.splitlines()
+
+
 def parse_rows_by_line(lines: list[str], start: int, n: int) -> np.ndarray:
-    """The n table rows on lines start..start+n-1, one line and one int() at a time."""
+    """The n table rows on lines start..start+n-1, one line and one int() at a time.
+
+    A row's entries are separated by runs of spaces and tabs, and each is
+    1 to 18 ASCII digits.
+    """
     rows = []
     for offset in range(n):
         line_no = start + offset
         if line_no > len(lines):
             raise FileFormatError(line_no, f"expected {n} table rows, file ended early")
-        tokens = lines[line_no - 1].split()
+        line = lines[line_no - 1]
+        tokens = [t for t in line.replace("\t", " ").split(" ") if t]
         if len(tokens) != n:
             raise FileFormatError(
                 line_no, f"expected {n} entries in table row, got {len(tokens)}"
             )
-        row = []
-        for t in tokens:
+        if not _ROW.fullmatch(line.strip(" \t")):
+            t = next(t for t in tokens if not _ENTRY.fullmatch(t))
             try:
-                row.append(int(t))
+                int(t)
             except ValueError:
-                raise FileFormatError(
-                    line_no, f"table entry must be an integer, got {t!r}"
-                ) from None
-        rows.append(row)
+                reason = "an integer"
+            else:
+                reason = "an unsigned decimal integer of at most 18 digits"
+            raise FileFormatError(line_no, f"table entry must be {reason}, got {t!r}")
+        rows.append(list(map(int, tokens)))
     return np.asarray(rows, dtype=np.int64)
+
+
+def read_tables_by_line(path: Path, kind: str) -> list[np.ndarray]:
+    """The tables of a group or brace file, from its text split into lines, row by row."""
+    lines = text_lines(path)
+    n = _parse_order(lines, kind)
+    tables = [parse_rows_by_line(lines, 2, n)]
+    if kind == "brace":
+        sep = 2 + n
+        if sep > len(lines) or lines[sep - 1].strip():
+            raise FileFormatError(sep, "expected a blank line between the two tables")
+        tables.append(parse_rows_by_line(lines, sep + 1, n))
+    return tables
 
 
 def rows_text_by_row(table: np.ndarray) -> str:

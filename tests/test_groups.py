@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -703,6 +705,33 @@ def test_are_isomorphic_compares_derived_sizes_before_the_search(monkeypatch):
 
     monkeypatch.setattr("bracelab.groups._HomSearch", refuse)
     assert are_isomorphic(cyclic_group(6), symmetric_group(3)) is None
+
+
+def test_derived_size_is_the_order_of_the_commutator_subgroup():
+    for n in range(1, 17):
+        for g in _abstract_groups_of_order(n):
+            t, inv = g.table.tolist(), g.inverses.tolist()
+            comms = {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(n) for b in range(n)}
+            assert g.derived_size() == len(subgroup_closure(g, sorted(comms))), (n, g)
+
+
+def test_isomorphism_tests_leave_numpy_ma_unimported():
+    # numpy's unique imports numpy.ma on first use, which costs a fresh
+    # process about 17 ms of CPU and 1 MB in its first isomorphism test
+    # (numpy 1.x imports numpy.ma with numpy itself, so only a change counts)
+    code = (
+        "import sys\n"
+        "from bracelab.groups import abelian_group, are_isomorphic, dihedral_group, make_group\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "d4 = dihedral_group(4)\n"
+        "assert are_isomorphic(d4, abelian_group([2, 4])) is None\n"
+        "assert are_isomorphic(d4, make_group(d4.table[::-1, ::-1] ^ 7)) is not None\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    assert after == before
 
 
 def test_are_isomorphic_finds_map():

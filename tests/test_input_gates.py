@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bracelab.algebras import catalog, cyclic_ring, make_algebra, quasi_inverse
-from bracelab.braces import make_brace
+from bracelab.braces import make_brace, prepare_brace_groups
 from bracelab.census import enumerate_braces
 from bracelab.cli import main
 from bracelab.errors import BraceLabError, InvalidTableError, NotSubgroup
@@ -119,6 +119,17 @@ CASES = [
          "coordinate 1.5 at 1 is not an integer"),
     case(lambda: catalog("degraaf_A340", 3).encode([0, 0, 0.5]), InvalidTableError,
          "coordinate 0.5 at 2 is not an integer"),
+    # ring element indices
+    case(lambda: catalog("degraaf_A340", 3).decode(1.5), InvalidTableError,
+         "element index 1.5 is not an integer"),
+    case(lambda: catalog("degraaf_A340", 3).decode("3"), InvalidTableError,
+         "element index '3' is not an integer"),
+    case(lambda: catalog("degraaf_A340", 3).decode(-1), InvalidTableError,
+         "element index -1 is not in 0..26"),
+    case(lambda: catalog("degraaf_A340", 3).decode(27), InvalidTableError,
+         "element index 27 is not in 0..26"),
+    case(lambda: make_algebra(65537, 2, {}).decode(65537**2), InvalidTableError,
+         "element index 4295098369 is not in 0..4295098368"),
     # search limits
     case(lambda: automorphism_group(C3, budget="10"), BraceLabError,
          "the budget= argument or --budget must be a positive integer, got '10'"),
@@ -164,6 +175,9 @@ def test_ragged_entries_are_a_library_error():
         lambda: semidirect_product(C3, C2, [[0, 1, 2], [0, 2]]),
         lambda: GroupHom(C2, C2, (0, (1, 0))),
         lambda: make_algebra(3, 2, {(0,): [0, 0], (1, 0): [0, 0]}),
+        lambda: make_group([[0, 1], [1]]),
+        lambda: prepare_brace_groups([[0, 1], [1]], [[0, 1], [1, 0]]),
+        lambda: make_brace([[0, 1], [1, 0]], [[0, 1], [1]]),
     ):
         with pytest.raises(InvalidTableError, match="^the entries do not form an array: "):
             call()
@@ -178,6 +192,16 @@ def test_integral_floats_come_back_as_ints():
     closure = subgroup_closure(C6, [2.0])
     assert closure == [0, 2, 4] and all(type(x) is int for x in closure)
     assert make_group(np.array([[0.0, 1.0], [1.0, 0.0]])) == C2
+
+
+def test_ring_element_indices_past_int32_decode():
+    # p^dim passes 2^31, so decode checks its index as a Python int
+    ring = make_algebra(65537, 2, {})
+    assert ring.decode(2**31).tolist() == [32767, 32769]
+    assert ring.decode(ring.order - 1).tolist() == [65536, 65536]
+    # an integral float is taken as its integer, as the index gate takes it
+    coords = catalog("degraaf_A340", 3).decode(3.0)
+    assert coords.dtype.kind == "i" and coords.tolist() == [0, 1, 0]
 
 
 def test_ring_coordinates_reduce_before_the_gate():
