@@ -100,7 +100,8 @@ class NilpotentAlgebra:
         self.order = p**dim
         self.modulus = p ** (dim // len(consts))
         self._radices = (self.modulus,) * len(consts)
-        self._place = self.modulus ** np.arange(len(consts) - 1, -1, -1)
+        # Python ints, as the order can pass int64
+        self._place = [self.modulus**i for i in range(len(consts) - 1, -1, -1)]
         self._dims: Optional[list[int]] = None
 
     def _element(self, coords: np.ndarray) -> Element:
@@ -142,10 +143,10 @@ class NilpotentAlgebra:
         if k is None or not 0 <= k < self.order:
             reason = "is not an integer" if k is None else f"is not in 0..{self.order - 1}"
             raise InvalidTableError(f"element index {index!r} {reason}")
-        return self._element(k // self._place % self.modulus)
+        return self._element(np.array([k // place % self.modulus for place in self._place]))
 
     def encode(self, u: Element) -> int:
-        return int(self._coords(u) @ self._place)
+        return sum(c * place for c, place in zip(self._coords(u).tolist(), self._place))
 
     def elements(self) -> np.ndarray:
         """All elements; a (order, dim) digit matrix for "modp" kind."""

@@ -56,8 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000
-# points of holomorph candidates the search's set-up holds at once
-_BLOCK_POINTS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,9 @@ def enumerate_braces(
     Then (a, k)(b, l) = (a * alpha_k(b), kl), two table lookups and one
     product in Aut(g).  Candidates with image a are tried in the order of
     their permutation tuples, so the search visits the holomorph as if it
-    were listed sorted; it is never built as tuples.
+    were listed sorted; it is never built as tuples.  A target's m
+    candidates are sorted and cycle-tested when the search first branches
+    on it, and the closure reads fixed points off one m x n table.
 
     Conjugating (a, k) by an automorphism beta gives (beta(a), beta alpha_k
     beta^-1).  Each node keeps the beta that fix every branch target so
@@ -147,31 +147,13 @@ def enumerate_braces(
     m = len(auts)
     rows = g.table.tolist()
     alphas = np.array(auts, dtype=np.int32)
-    idx = np.arange(n)
     gens = list(g.generators)
     width = max(gens, default=0) + 1
-    rank = np.empty(n * m, dtype=np.intp)  # rank[a * m + k]: place of (a, k) in tuple order
-    # uniform[a][k]: every cycle of (a, k) has one length, as in every
-    # semiregular group; for a != 0 this implies no fixed point
-    uniform = np.empty((n, m), dtype=bool)
-    by_start: list[np.ndarray] = []  # per a: the usable k, in tuple order
-    # the translations in blocks of at most _BLOCK_POINTS points, each one
-    # pass over its candidates: one block on every census group the tests
-    # run, and bounded memory where Aut(g) is large
-    block = max(1, _BLOCK_POINTS // (m * n))
-    for lo in range(0, n, block):
-        # moved[i * m + k] is the permutation (lo + i, k); it starts with
-        # lo + i, and automorphisms agreeing on g.generators are equal, so
-        # the columns up to the last generator sort the block in tuple
-        # order (int16 holds every point, as n <= MAX_ORDER)
-        moved = g.table[lo : lo + block].astype(np.int16)[:, alphas].reshape(-1, n)
-        order = np.lexsort(moved[:, :width].T[::-1])
-        rank[lo * m + order] = np.arange(lo * m, lo * m + len(order))
-        uniform[lo : lo + block] = _equal_cycles(moved).reshape(-1, m)
-        by_start += [ks[uniform[lo + i, ks]] for i, ks in enumerate(order.reshape(-1, m) % m)]
-    rank = rank.reshape(n, m)
-    uniform = uniform.tolist()
-    del moved
+    candidates: dict[int, np.ndarray] = {}  # per target a: the usable k, in tuple order
+    # fixes[k][x]: (x, k) fixes a point y, that is x = y * alpha_k(y)^-1
+    fixes = np.zeros((m, n), dtype=bool)
+    fixes[np.arange(m)[:, None], g.table[np.arange(n), g.inverses[alphas]]] = True
+    fixes = [row.tobytes() for row in fixes]
     products = _Products(auts, alphas, gens)
     aut_inverse = products.index_of(np.argsort(alphas, axis=1)[:, gens]).tolist()
     inverses = g.inverses.tolist()
@@ -185,9 +167,11 @@ def enumerate_braces(
         of H.  Each product of an element with (t, l) that lies outside
         them starts a new coset, added whole by right multiplication with
         every element of H; the group is complete once every element's
-        product with (t, l) lies inside.  None at the first element with
-        cycles of different lengths or an image of 0 already taken: the
-        group is then not semiregular.
+        product with (t, l) lies inside.  None at the first new element
+        that fixes a point or whose image of 0 is taken: the group is then
+        not semiregular.  This is the verdict of testing cycles, as in a
+        group every element but the identity fixes no point exactly when
+        every element's cycles have one length.
         """
         elems = dict(base)
         coset = list(base.items())
@@ -199,7 +183,7 @@ def enumerate_braces(
                 row, alpha, km = rows[c], auts[kl], kl * m
                 for b, j in coset:
                     x, xj = row[alpha[b]], products[km + j]
-                    if x in elems or not uniform[x][xj]:
+                    if x in elems or fixes[xj][x]:
                         return None
                     elems[x] = xj
                     todo.append((x, xj))
@@ -213,7 +197,13 @@ def enumerate_braces(
             return
         # branch on the smallest point not yet hit from 0
         target = next(x for x in range(n) if x not in elems)
-        ks = by_start[target]
+        ks = candidates.get(target)
+        if ks is None:
+            # row k is (target, k); automorphisms agreeing on the generators
+            # are equal, so the columns up to the last one give tuple order
+            moved = g.table[target][alphas]
+            order = np.lexsort(moved[:, :width].T[::-1])
+            ks = candidates[target] = order[_equal_cycles(moved[order])]
         # a candidate q = (target, k) sending a point h(0) of the orbit of 0
         # back into it would put q∘h, and so q, in this group in any regular
         # overgroup; it does so when alpha_k(h(0)) lies in target^-1 * orbit
@@ -262,9 +252,16 @@ def enumerate_braces(
             if len(reached) > cap:
                 raise CapExceeded(cap, "regular subgroup enumeration")
     # row x of a circle table is the permutation (x, k) for its k, so the
-    # tables sort as the tuple-order ranks of their rows do
+    # tables sort as the tuple-order ranks of their rows do, taken in each
+    # column x among the k that occur there; big-endian ranks compare
+    # bytewise as their tuples do
     found = np.frombuffer(b"".join(reached), dtype=np.int32).reshape(-1, n)
-    order = np.lexsort(rank[idx, found].T[::-1])
+    rank = np.empty(found.shape, dtype=">i4")
+    for x in range(n):
+        ks, at = np.unique(found[:, x], return_inverse=True)
+        rank[:, x] = np.argsort(np.lexsort(g.table[x][alphas[ks, :width]].T[::-1]))[at]
+    order = np.argsort(rank.view(np.dtype((np.void, 4 * n))).ravel())
+    del rank
     found = found[order]
     classes = np.fromiter(reached.values(), dtype=np.intp, count=len(reached))[order]
     translations = ~found.any(axis=1)  # lambda-vector all the identity
@@ -273,7 +270,7 @@ def enumerate_braces(
         tables[:, x] = g.table[x][alphas[found[:, x]]]
     # the search state goes before the braces are built, so that the peak
     # holds only one of them (the C2^4 census: 152 MB, 179 MB keeping both)
-    del reached, products, leaves, leaf, found, rank, uniform, images, conj
+    del reached, products, candidates, fixes, leaves, leaf, found, images, conj
     braces = []
     for table, cls, own in zip(tables, classes.tolist(), translations.tolist()):
         brace = SkewBrace(g, g if own else FiniteGroup(table))
@@ -315,14 +312,14 @@ def _equal_cycles(perms: np.ndarray) -> np.ndarray:
     """
     equal = np.zeros(len(perms), dtype=bool)
     live = np.arange(len(perms))
-    base = power = perms
+    power = perms
     points = np.arange(perms.shape[1])
     while live.size:
         back = power == points
         hit = back.any(axis=1)
         equal[live[hit]] = back[hit].all(axis=1)
-        live, base, power = live[~hit], base[~hit], power[~hit]
-        power = np.take_along_axis(base, power, axis=1)
+        live, power = live[~hit], power[~hit]
+        power = perms[live[:, None], power]
     return equal
 
 

@@ -231,8 +231,10 @@ class PermutationGroup:
             raise ValueError(f"{bad} is not a permutation of degree {degree}")
         # rows of big-endian entries in 0..degree-1, led by a 0 so that no
         # row is empty, compare bytewise as their tuples do: one unique call
-        # sorts and deduplicates them
-        keys = np.hstack([np.zeros((len(arr), 1), dtype=">i4"), arr.astype(">i4")])
+        # sorts and deduplicates them (allocated big-endian, since numpy may
+        # stack big-endian arrays into native order)
+        keys = np.zeros((len(arr), degree + 1), dtype=">i4")
+        keys[:, 1:] = arr
         _, first = np.unique(keys.view(np.dtype((np.void, 4 * degree + 4))), return_index=True)
         del keys
         elems = arr[first]

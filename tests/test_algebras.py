@@ -167,6 +167,15 @@ def test_codec_roundtrip():
     assert list(a.decode(9)) == [1, 0, 0]
 
 
+def test_codecs_round_trip_past_int64():
+    # the order 449^10 passes 2^63, so int64 place values wrap in encode
+    # and overflow in decode
+    a = make_algebra(449, 10, {})
+    assert a.encode(a.decode(1)) == 1
+    assert a.decode(449**9).tolist() == [1] + [0] * 9
+    assert a.encode(a.decode(449**9)) == 449**9
+
+
 def test_ring_tables_match_the_per_kind_formulas():
     cases = [("degraaf_A340", {}), ("sixdim_wedge", {})]
     cases += [("truncated_poly", {"m": m}) for m in (1, 2, 3)]

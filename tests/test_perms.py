@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bracelab.groups import automorphism_group, cyclic_group
 from bracelab.perms import (
     PermutationGroup,
     all_perms,
@@ -99,6 +100,19 @@ def test_permutation_group_from_generators():
 def test_permutation_group_requires_identity():
     with pytest.raises(ValueError):
         PermutationGroup(3, [(1, 2, 0), (2, 0, 1)])
+
+
+def test_permutation_group_lists_in_tuple_order_past_degree_256():
+    # entries of 256 and up: byte keys compare as the tuples do only when
+    # they are big-endian, else the shift by 256 sorts before the shift by 1
+    rng = np.random.default_rng(41)
+    for degree in (257, 300, 1024):
+        shifts = (np.arange(degree) + np.arange(degree)[:, None]) % degree
+        perms = [tuple(p) for p in shifts.tolist()]
+        perms += [tuple(rng.permutation(degree).tolist()) for _ in range(20)]
+        assert PermutationGroup(degree, perms).elements == tuple(sorted(perms))
+    # Aut(C257) is listed only when its identity sorts first
+    assert automorphism_group(cyclic_group(257)).order == 256
 
 
 @pytest.mark.parametrize(
