@@ -20,16 +20,17 @@ import numpy as np
 from .braces import SkewBrace, brace_from_groups
 from .errors import (
     BadPrime,
-    BraceLabError,
     InvalidTableError,
+    NoIdentityError,
     NotAssociativeError,
+    NotBijectiveRowError,
     NotNilpotent,
     QuasiInverseMissing,
     UnknownName,
     UnsupportedParameter,
 )
-from .groups import MAX_ORDER, FiniteGroup, _coordinate_group, _prime_factors, _sum
-from .perms import _indices, _integer
+from .groups import MAX_ORDER, FiniteGroup, _check_order, _coordinate_group, _prime_factors, _sum
+from .perms import _count, _indices, _integer
 
 __all__ = [
     "NilpotentAlgebra",
@@ -54,10 +55,6 @@ _CATALOG_PRIMES = {
     "truncated_poly": (2, 3, 5, 7),
     "cyclic": (3, 5, 7),
 }
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and _prime_factors(p) == [p]
 
 
 def _residues(values: object, q: int) -> np.ndarray:
@@ -263,11 +260,11 @@ def make_algebra(
     on all basis triples (NotAssociativeError) and nilpotency of the
     power-ideal chain (NotNilpotent).
     """
-    if dim < 1:
-        raise InvalidTableError(f"algebra dimension must be positive, got {dim}")
+    dim = _count(dim, 1, "algebra dimension")
     _check_dimension(dim)
+    p = _count(p, 1, "algebra prime")
     _check_products_fit(p, dim)
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise BadPrime(p)
     consts = np.zeros((dim, dim, dim), dtype=np.int64)
     keys = _indices(list(products), dim, "structure constant index {value} at {at}")
@@ -295,12 +292,13 @@ def cyclic_ring(p: int, r: int) -> NilpotentAlgebra:
     r = 0 gives the ordinary product, which is not nilpotent; validation
     rejects it via NotNilpotent.
     """
-    if p**3 > MAX_ORDER:
-        raise InvalidTableError(f"p^3 = {p**3} exceeds the cap of {MAX_ORDER}")
-    if not _is_prime(p):
+    p = _count(p, 1, "cyclic ring prime")
+    _check_order(p**3)  # before the primality test, whose time grows with p
+    if _prime_factors(p) != [p]:
         raise BadPrime(p)
-    if r < 0:
+    if _integer(r) is not None and r < 0:  # any other bad r fails _count
         raise UnsupportedParameter(f"product scale exponent must be >= 0, got {r}")
+    r = _count(r, 0, "product scale exponent")
     algebra = NilpotentAlgebra("cyclic", p, 3, np.full((1, 1, 1), pow(p, r, p**3)), r=r)
     power_ideal_dims(algebra)
     return algebra
@@ -374,16 +372,8 @@ def _check_series_inverses(algebra: NilpotentAlgebra) -> None:
         raise AssertionError(f"series inverse of element {index} does not cancel")
 
 
-def _check_table_cap(algebra: NilpotentAlgebra) -> None:
-    if algebra.order > MAX_ORDER:
-        raise InvalidTableError(
-            f"algebra has {algebra.order} elements, above the table cap of {MAX_ORDER}"
-        )
-
-
 def additive_group(algebra: NilpotentAlgebra) -> FiniteGroup:
     """The underlying addition as a table group."""
-    _check_table_cap(algebra)
     return _coordinate_group(algebra._radices, _sum)
 
 
@@ -401,7 +391,6 @@ def circle_group(algebra: NilpotentAlgebra) -> FiniteGroup:
     A^(dim+1) = 0.  Every series then ends within dim + 2 terms, and by
     associativity it cancels.
     """
-    _check_table_cap(algebra)
     # int32 suffices: at order <= MAX_ORDER each sum of x_i y_j c_ijl stays below 2^31
     consts = algebra.consts.astype(np.int32)
 
@@ -417,7 +406,7 @@ def circle_group(algebra: NilpotentAlgebra) -> FiniteGroup:
 
     try:
         return _coordinate_group(algebra._radices, rule)
-    except BraceLabError:
+    except (NoIdentityError, NotBijectiveRowError, NotAssociativeError):
         _check_series_inverses(algebra)
         raise
 
@@ -464,8 +453,9 @@ def catalog(
     if name == "truncated_poly":
         if m is None:
             raise UnsupportedParameter("truncated_poly needs the degree parameter m")
-        if m < 1:
+        if _integer(m) is not None and m < 1:  # any other bad m fails _count
             raise UnsupportedParameter(f"truncated_poly degree m = {m} is out of range")
+        m = _count(m, 1, "truncated_poly degree m")
         _check_dimension(m)
         products = {}
         for i in range(m):

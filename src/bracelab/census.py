@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .braces import SkewBrace
-from .errors import BraceLabError, CapExceeded
+from .errors import CapExceeded
 from .groups import (
     FiniteGroup,
     _Budget,
@@ -46,7 +46,7 @@ from .groups import (
     _relabel,
     recognize,
 )
-from .perms import Perm, _reached
+from .perms import Perm, _count, _reached
 
 __all__ = [
     "CensusEntry",
@@ -139,8 +139,7 @@ def enumerate_braces(
     One node is one candidate that passes both filters of the module
     docstring, is no such conjugate and is closed.
     """
-    if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool) or cap < 0:
-        raise BraceLabError(f"the result cap must be a non-negative integer, got {cap!r}")
+    cap = _count(cap, 0, "the result cap")
     n = g.order
     spent = _Budget(budget, "regular subgroup search")
     auts = _automorphisms(g, spent).elements

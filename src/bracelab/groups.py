@@ -38,7 +38,7 @@ from .errors import (
     NotBijectiveRowError,
     SearchLimitExceeded,
 )
-from .perms import Perm, PermutationGroup, _array, _indices, all_perms, compose, identity_perm
+from .perms import Perm, PermutationGroup, _array, _count, _indices, all_perms, compose, identity_perm
 
 if TYPE_CHECKING:
     from .braces import SkewBrace
@@ -78,20 +78,20 @@ _BLOCK = 2**15
 class _Budget:
     """The node budget of one public call, spent by every search the call runs.
 
-    The limit is the call's ``budget`` argument, an int or numpy integer,
+    The limit is the call's ``budget`` argument, read by ``perms._count``,
     else the BRACELAB_BUDGET environment variable's text, else a built-in
     default; BraceLabError unless it is a positive integer.  Spending past
     the limit raises SearchLimitExceeded naming ``context``, the call's search.
     """
 
     def __init__(self, override: Optional[int], context: str) -> None:
-        given, name = override, "the budget= argument or --budget"
         if override is None:
-            given, name = os.environ.get("BRACELAB_BUDGET") or _DEFAULT_BUDGET, "BRACELAB_BUDGET"
-        limit = int(given) if override is None and str(given).strip().isdecimal() else given
-        if not isinstance(limit, (int, np.integer)) or isinstance(limit, bool) or limit < 1:
-            raise BraceLabError(f"{name} must be a positive integer, got {given!r}")
-        self.limit, self.context, self.nodes = int(limit), context, 0
+            text = os.environ.get("BRACELAB_BUDGET") or str(_DEFAULT_BUDGET)
+            if not text.strip().isdecimal() or int(text) < 1:
+                raise BraceLabError(f"BRACELAB_BUDGET must be a positive integer, got {text!r}")
+            override = int(text)
+        self.limit = _count(override, 1, "the budget= argument or --budget")
+        self.context, self.nodes = context, 0
 
     def spend(self, nodes: int = 1) -> None:
         """Count ``nodes`` nodes; past the limit, raise SearchLimitExceeded."""
@@ -431,9 +431,7 @@ def _coordinate_group(radices: Sequence[int], rule: Callable) -> FiniteGroup:
 
 def cyclic_group(n: int) -> FiniteGroup:
     """The integers mod n under addition."""
-    if n < 1 or n > MAX_ORDER:
-        raise InvalidTableError(f"cyclic group order must be in 1..{MAX_ORDER}, got {n}")
-    return _coordinate_group((n,), _sum)
+    return _coordinate_group((_count(n, 1, "cyclic group order"),), _sum)
 
 
 def abelian_group(factors: Sequence[int]) -> FiniteGroup:
@@ -457,8 +455,7 @@ def symmetric_group(m: int) -> FiniteGroup:
     ``table[i, j]`` is "apply permutation i, then permutation j", so that
     products read left to right.  Element 0 is the identity.
     """
-    if m < 1:
-        raise InvalidTableError(f"symmetric group degree must be positive, got {m}")
+    m = _count(m, 1, "symmetric group degree")
     # m! passes the cap exactly when min(m, MAX_ORDER)! does, which is cheap
     if factorial(min(m, MAX_ORDER)) > MAX_ORDER:
         raise InvalidTableError(f"order {m}! exceeds the supported cap of {MAX_ORDER}")
@@ -470,8 +467,7 @@ def symmetric_group(m: int) -> FiniteGroup:
 
 def dihedral_group(m: int) -> FiniteGroup:
     """Symmetries of an m-gon, order 2m; index = rotation + m * flip."""
-    if m < 1:
-        raise InvalidTableError("dihedral parameter must be positive")
+    m = _count(m, 1, "dihedral parameter")
     # coordinates (flip, rotation); a flip reverses the rotation after it
     return _coordinate_group((2, m), lambda x, y: (x[0] + y[0], x[1] + y[1] - 2 * x[0] * y[1]))
 
@@ -482,6 +478,7 @@ def heisenberg_group(p: int) -> FiniteGroup:
     Index a p^2 + b p + c holds the matrix with entries a, b above the
     diagonal and c in the corner.
     """
+    p = _count(p, 1, "Heisenberg group modulus")
     return _coordinate_group(
         (p, p, p), lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
     )
@@ -494,6 +491,7 @@ def m3_group(p: int) -> FiniteGroup:
     multiplication by 1 + p, whose y-th power is 1 + y p mod p^2; index
     x p + y.
     """
+    p = _count(p, 1, "exponent-p^2 group prime")
     _check_order(p**3)  # before the primality test, whose time grows with p
     if p % 2 == 0 or _prime_factors(p) != [p]:
         raise InvalidTableError("the exponent-p^2 construction needs an odd prime")
@@ -526,19 +524,18 @@ def semidirect_product(
             f"action must give one permutation of {nb} points per actor element, "
             f"got shape {act.shape}"
         )
-    idx = np.arange(nb)
-    for j in range(nj):
-        img = act[j]
-        if not np.array_equal(np.sort(img), idx):
-            raise ActionNotAutomorphism(j, "not a bijection")
-        if not np.array_equal(img[base.table], base.table[np.ix_(img, img)]):
-            raise ActionNotAutomorphism(j, "does not preserve the product")
-    for j1 in range(nj):
-        for j2 in range(nj):
-            if not np.array_equal(act[actor.table[j1, j2]], act[j1][act[j2]]):
-                raise ActionNotHomomorphism(
-                    f"action of product {j1}*{j2} differs from composed actions"
-                )
+    bijective = (np.sort(act, axis=1) == np.arange(nb)).all(axis=1)
+    # [j, a, b]: action[j](a * b) against action[j](a) * action[j](b)
+    kept = (act[:, base.table] == base.table[act[:, :, None], act[:, None, :]]).all(axis=(1, 2))
+    if not (bijective & kept).all():
+        j = int(np.argmin(bijective & kept))
+        reason = "does not preserve the product" if bijective[j] else "not a bijection"
+        raise ActionNotAutomorphism(j, reason)
+    # [j1, j2, x]: action[j1 * j2][x] against action[j1][action[j2][x]]
+    composed = (act[actor.table] == act[:, act]).all(axis=2)
+    if not composed.all():
+        j1, j2 = (int(v) for v in np.argwhere(~composed)[0])
+        raise ActionNotHomomorphism(f"action of product {j1}*{j2} differs from composed actions")
     return _coordinate_group(
         (nb, nj),
         lambda x, y: (base.table[x[0], act[x[1], y[0]]], actor.table[x[1], y[1]]),

@@ -113,7 +113,7 @@ def parse_cycles(text: str, degree: int) -> Perm:
     which is only unambiguous for degree <= 9; larger degrees must separate
     points with spaces or commas.
     """
-    text = text.strip()
+    degree, text = _count(degree, 0, "permutation degree"), text.strip()
     if text in ("", "e", "()"):
         return identity_perm(degree)
     out = list(range(degree))
@@ -193,6 +193,15 @@ def _integer(v: object) -> Optional[int]:
     return int(v) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else None
 
 
+def _count(value: object, least: int, what: str) -> int:
+    """A size or limit as an int of at least ``least`` (0 or 1), by the index gate's rule."""
+    k = _integer(value)
+    if k is None or k < least:
+        kind = "positive" if least else "non-negative"
+        raise InvalidTableError(f"{what} must be a {kind} integer, got {value!r}")
+    return k
+
+
 def _reached(start: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> set[bytes]:
     """The bytes of every row reached from the row ``start``, breadth-first.
 
@@ -218,6 +227,7 @@ class PermutationGroup:
     __slots__ = ("degree", "elements", "_index", "__weakref__")
 
     def __init__(self, degree: int, elements: Iterable[Sequence[int]] | np.ndarray) -> None:
+        degree = _count(degree, 0, "permutation degree")
         rows = elements if isinstance(elements, np.ndarray) else list(elements)
         if isinstance(rows, np.ndarray):
             wide = rows.shape[1:] == (degree,)
@@ -254,6 +264,7 @@ class PermutationGroup:
     @classmethod
     def from_generators(cls, degree: int, generators: Iterable[Sequence[int]]) -> "PermutationGroup":
         """The group the permutations generate; p∘g reads p at the points of g."""
+        degree = _count(degree, 0, "permutation degree")
         gens = _indices([tuple(g) for g in generators], degree, _POINT).reshape(-1, degree)
         found = _reached(np.arange(degree, dtype=np.int32), lambda p: p.take(gens, axis=1))
         return cls(degree, np.frombuffer(b"".join(found), dtype=np.int32).reshape(-1, degree))

@@ -228,9 +228,9 @@ def test_factorization_without_its_factors_exits_2(capsys, argv, message):
         (["--group", "s3.grp", "--left", "-1", "--right", "1"],
          "element -1 is not in 0..5"),
         (["--sym", "-1", "--left-gens", "()", "--right-gens", "()"],
-         "symmetric group degree must be positive, got -1"),
+         "symmetric group degree must be a positive integer, got -1"),
         (["--sym", "0", "--left-gens", "()", "--right-gens", "()"],
-         "symmetric group degree must be positive, got 0"),
+         "symmetric group degree must be a positive integer, got 0"),
     ],
 )
 def test_factorization_with_bad_factors_exits_2(tmp_path, monkeypatch, capsys, argv, message):

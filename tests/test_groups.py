@@ -344,10 +344,11 @@ def test_semidirect_product_rejects_each_bad_action():
         (lambda: make_group(np.zeros((0, 0), dtype=int)), InvalidTableError,
          "table must have at least one element"),
         (lambda: cyclic_group(0), InvalidTableError,
-         "cyclic group order must be in 1..1024, got 0"),
+         "cyclic group order must be a positive integer, got 0"),
         (lambda: cyclic_group(1025), InvalidTableError,
-         "cyclic group order must be in 1..1024, got 1025"),
-        (lambda: dihedral_group(0), InvalidTableError, "dihedral parameter must be positive"),
+         "order 1025 exceeds the supported cap of 1024"),
+        (lambda: dihedral_group(0), InvalidTableError,
+         "dihedral parameter must be a positive integer, got 0"),
         (lambda: m3_group(2), InvalidTableError,
          "the exponent-p^2 construction needs an odd prime"),
         (lambda: subgroup_group(cyclic_group(4), [1, 2]), ValueError,
@@ -358,9 +359,9 @@ def test_semidirect_product_rejects_each_bad_action():
         (lambda: GroupHom(cyclic_group(3), cyclic_group(3), (0, 1, 1)), ValueError,
          "not a homomorphism: fails at (1, 1)"),
         (lambda: symmetric_group(0), InvalidTableError,
-         "symmetric group degree must be positive, got 0"),
+         "symmetric group degree must be a positive integer, got 0"),
         (lambda: symmetric_group(-1), InvalidTableError,
-         "symmetric group degree must be positive, got -1"),
+         "symmetric group degree must be a positive integer, got -1"),
     ],
 )
 def test_constructors_reject_bad_parameters(build, error, message):

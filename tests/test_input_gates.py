@@ -1,13 +1,16 @@
-"""Bad caller input is named, never truncated, wrapped or raised as a bare IndexError.
+"""Bad caller input is named: never truncated, wrapped, or a bare IndexError or TypeError.
 
 Every index a caller hands the library passes one gate: table entries,
 subgroup members, images, permutation points, actions, structure-constant
-keys and ring coordinates.  Each case below gives a bad input to one
-caller of that gate, or breaks one of the rules for search limits and
-constructor parameters, and pins the whole message.  Members and images
-at -1 and n, and the wrong lengths of tables, images, permutations,
-structure constants and ring elements, are pinned beside their callers'
-other tests, so they are not repeated here.
+keys and ring coordinates.  Every size or limit, a group order or degree,
+a ring prime, dimension or scale, a permutation degree, a budget or a
+census cap, is read by one rule: an integer as the gate reads one entry,
+of at least 1, or of at least 0 for a permutation degree, the ring scale
+or the cap.  Each case below gives a bad input to one caller of the gate
+or of that rule, and pins the whole message.  Members and images at -1
+and n, and the wrong lengths of tables, images, permutations, structure
+constants and ring elements, are pinned beside their callers' other
+tests, so they are not repeated here.
 """
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from bracelab.algebras import catalog, cyclic_ring, make_algebra, quasi_inverse
 from bracelab.braces import make_brace, prepare_brace_groups
 from bracelab.census import enumerate_braces
 from bracelab.cli import main
-from bracelab.errors import BraceLabError, InvalidTableError, NotSubgroup
+from bracelab.errors import BraceLabError, InvalidTableError, NotSubgroup, SearchLimitExceeded
 from bracelab.factorizations import validate_factorization
 from bracelab.formats import write_group
 from bracelab.groups import (
@@ -24,14 +27,17 @@ from bracelab.groups import (
     abelian_group,
     automorphism_group,
     cyclic_group,
+    dihedral_group,
+    heisenberg_group,
     is_normal,
     m3_group,
     make_group,
     semidirect_product,
     subgroup_closure,
     subgroup_group,
+    symmetric_group,
 )
-from bracelab.perms import PermutationGroup, compose
+from bracelab.perms import PermutationGroup, compose, parse_cycles
 
 NAN = float("nan")
 C2, C3, C6 = cyclic_group(2), cyclic_group(3), cyclic_group(6)
@@ -150,6 +156,34 @@ CASES = [
          "cannot compose permutations of lengths 2 and 3"),
     case(lambda: compose((0, 1, 2), (1, 0)), ValueError,
          "cannot compose permutations of lengths 3 and 2"),
+    # sizes, degrees and primes: each an integer, as the index gate reads one
+    case(lambda: cyclic_group(2.5), InvalidTableError,
+         "cyclic group order must be a positive integer, got 2.5"),
+    case(lambda: heisenberg_group("3"), InvalidTableError,
+         "Heisenberg group modulus must be a positive integer, got '3'"),
+    case(lambda: dihedral_group(True), InvalidTableError,
+         "dihedral parameter must be a positive integer, got True"),
+    case(lambda: symmetric_group(True), InvalidTableError,
+         "symmetric group degree must be a positive integer, got True"),
+    case(lambda: m3_group(3.5), InvalidTableError,
+         "exponent-p^2 group prime must be a positive integer, got 3.5"),
+    case(lambda: make_algebra(3, 2.5, {}), InvalidTableError,
+         "algebra dimension must be a positive integer, got 2.5"),
+    case(lambda: make_algebra("3", 2, {}), InvalidTableError,
+         "algebra prime must be a positive integer, got '3'"),
+    case(lambda: cyclic_ring(3, 1.5), InvalidTableError,
+         "product scale exponent must be a non-negative integer, got 1.5"),
+    case(lambda: cyclic_ring(3.5, 1), InvalidTableError,
+         "cyclic ring prime must be a positive integer, got 3.5"),
+    case(lambda: catalog("truncated_poly", 3, m=2.5), InvalidTableError,
+         "truncated_poly degree m must be a positive integer, got 2.5"),
+    case(lambda: PermutationGroup(2.5, [(0, 1)]), InvalidTableError,
+         "permutation degree must be a non-negative integer, got 2.5"),
+    case(lambda: PermutationGroup.from_generators("2", [(1, 0)]), InvalidTableError,
+         "permutation degree must be a non-negative integer, got '2'"),
+    case(lambda: parse_cycles("(12)", 2.5), InvalidTableError,
+         "permutation degree must be a non-negative integer, got 2.5",
+         "parse_cycles: permutation degree 2.5"),
 ] + [
     case(lambda p=p: m3_group(p), InvalidTableError,
          "the exponent-p^2 construction needs an odd prime", f"m3_group({p})")
@@ -217,6 +251,17 @@ def test_search_limits_take_numpy_integers_and_an_environment_text(monkeypatch):
     assert len(enumerate_braces(C3, cap=np.int64(1))) == 1
     monkeypatch.setenv("BRACELAB_BUDGET", " 10 ")
     assert len(automorphism_group(C3)) == 2
+
+
+def test_integral_floats_are_taken_as_sizes_and_limits():
+    assert np.array_equal(cyclic_group(4.0).table, cyclic_group(4).table)
+    ring = make_algebra(3.0, 2, {})
+    assert type(ring.p) is int and ring.p == 3 and type(ring.order) is int and ring.order == 9
+    # listing Aut(C3) takes 3 nodes, so a budget of 2.0 is read as 2 and runs out
+    with pytest.raises(SearchLimitExceeded):
+        automorphism_group(cyclic_group(3), budget=2.0)
+    assert len(automorphism_group(cyclic_group(3), budget=3.0)) == 2
+    assert len(enumerate_braces(C3, cap=np.float64(1.0))) == 1
 
 
 def test_enumerate_with_a_negative_cap_exits_2(tmp_path, capsys):
