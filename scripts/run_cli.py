@@ -5,7 +5,8 @@
 
 runs ``python -m bracelab.cli ARG...``, echoes its standard output and
 error, writes the output to FILE when given, and prints one line with
-the exit code, the child's peak resident memory and its wall time.
+the exit code, the child's peak resident memory, its wall time and its
+CPU time (user plus system).
 The runner exits 1 when the child's exit code differs from CODE
 (default 0), when either stream holds a ``Traceback`` or when the peak
 passes MB; otherwise 0.  ``--address-space-gb`` caps the child's
@@ -42,12 +43,13 @@ def main(argv: list[str] | None = None) -> int:
         preexec_fn=limit if opts.address_space_gb else None,
     )
     seconds = time.perf_counter() - start
-    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    peak_mb, cpu = usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime
     if opts.out:
         with open(opts.out, "w") as out:
             out.write(child.stdout)
     sys.stdout.write(child.stdout + child.stderr)
-    print(f"exit {child.returncode}, peak RSS {peak_mb:.0f} MB, {seconds:.1f} s")
+    print(f"exit {child.returncode}, peak RSS {peak_mb:.0f} MB, {seconds:.1f} s, {cpu:.2f} s CPU")
     failures = []
     if child.returncode != opts.exit:
         failures.append(f"expected exit {opts.exit}")

@@ -38,6 +38,7 @@ import numpy as np
 from .braces import SkewBrace
 from .errors import CapExceeded
 from .groups import (
+    _BLOCK,
     FiniteGroup,
     _Budget,
     _aut_chain,
@@ -105,7 +106,10 @@ def enumerate_braces(
     their permutation tuples, so the search visits the holomorph as if it
     were listed sorted; it is never built as tuples.  A target's m
     candidates are sorted and cycle-tested when the search first branches
-    on it, and the closure reads fixed points off one m x n table.
+    on it, and the closure reads fixed points off one m x n table.  The
+    last level, where the group so far has index 2, is settled by lookups:
+    the closure tests the square of the candidate and its conjugates of
+    the generators on the search path, and builds no coset to do so.
 
     Conjugating (a, k) by an automorphism beta gives (beta(a), beta alpha_k
     beta^-1).  Each node keeps the beta that fix every branch target so
@@ -159,8 +163,10 @@ def enumerate_braces(
 
     leaves: list[list[int]] = []  # per leaf: k of its element with image x, by x
 
-    def closure(base: dict[int, int], t: int, l: int) -> Optional[dict[int, int]]:
-        """The group ``base`` and (t, l) generate, as image of 0 -> k.
+    def closure(
+        base: dict[int, int], t: int, l: int, path: list[tuple[int, int]]
+    ) -> Optional[dict[int, int]]:
+        """The group ``base`` and q = (t, l) generate, as image of 0 -> k.
 
         ``base`` is a group H, so the new group is a union of left cosets
         of H.  Each product of an element with (t, l) that lies outside
@@ -171,7 +177,28 @@ def enumerate_braces(
         not semiregular.  This is the verdict of testing cycles, as in a
         group every element but the identity fixes no point exactly when
         every element's cycles have one length.
+
+        When H has index 2 the verdict is a few lookups.  A regular
+        overgroup of order n holds H with index 2, so H is normal in it
+        and q^2 lies in H.  Conversely, if q^2 and q h q^-1, for each
+        generator h = (a, k) of H on ``path``, lie in H, then H u qH is a
+        group.  The back filter puts q(orbit of 0) outside the orbit, so
+        that group hits all n points, and being of order n it is regular.
         """
+        if 2 * len(base) == n:
+            if base.get(rows[t][auts[l][t]]) != products[l * m + l]:
+                return None
+            alpha, inv = auts[l], aut_inverse[l]
+            u = auts[inv][inverses[t]]  # q^-1 = (u, inv)
+            for a, k in path:
+                lk = products[l * m + k]
+                if base.get(rows[rows[t][alpha[a]]][auts[lk][u]]) != products[lk * m + inv]:
+                    return None
+            elems = dict(base)
+            row, lm = rows[t], l * m
+            for b, j in base.items():
+                elems[row[alpha[b]]] = products[lm + j]
+            return elems
         elems = dict(base)
         coset = list(base.items())
         todo = list(coset)
@@ -190,7 +217,7 @@ def enumerate_braces(
                 return None
         return elems
 
-    def grow(elems: dict[int, int], stabiliser: list[int]) -> None:
+    def grow(elems: dict[int, int], stabiliser: list[int], path: list[tuple[int, int]]) -> None:
         if len(elems) == n:
             leaves.append([elems[x] for x in range(n)])
             return
@@ -218,13 +245,14 @@ def enumerate_braces(
             conjugates = [products[products[b * m + k] * m + aut_inverse[b]] for b in fixing]
             closed.add(k)
             closed.update(conjugates)
-            grown = closure(elems, target, k)
+            grown = closure(elems, target, k, path)
             if grown is not None:
-                grow(grown, [b for b, c in zip(fixing, conjugates) if c == k])
+                stays = [b for b, c in zip(fixing, conjugates) if c == k]
+                grow(grown, stays, path + [(target, k)])
 
     # a listing sorts its elements, so the identity, the smallest
     # permutation, is element 0; the stabilisers hold the others
-    grow({0: 0}, list(range(1, m)))
+    grow({0: 0}, list(range(1, m)), [])
     # grow refers to itself; unbinding it frees the search state on return
     # rather than at the next garbage collection
     del grow
@@ -264,12 +292,22 @@ def enumerate_braces(
     found = found[order]
     classes = np.fromiter(reached.values(), dtype=np.intp, count=len(reached))[order]
     translations = ~found.any(axis=1)  # lambda-vector all the identity
+    # entry (i, x, y) is x * alpha_k(y) for k = found[i, x], read from the
+    # flat table at x * n + alpha_k(y), a block of at most _BLOCK entries
+    # at a time through one reused index buffer
     tables = np.empty((len(found), n, n), dtype=g.table.dtype)
-    for x in range(n):
-        tables[:, x] = g.table[x][alphas[found[:, x]]]
+    flat, offsets = g.table.ravel(), np.arange(0, n * n, n, dtype=np.int32)[:, None]
+    block = max(1, _BLOCK // (n * n))
+    buf = np.empty((block, n, n), dtype=np.int32)
+    for lo in range(0, len(found), block):
+        chunk = found[lo : lo + block]
+        part = buf[: len(chunk)]
+        np.take(alphas, chunk, axis=0, out=part, mode="clip")
+        part += offsets
+        np.take(flat, part, out=tables[lo : lo + block], mode="clip")
     # the search state goes before the braces are built, so that the peak
     # holds only one of them (the C2^4 census: 152 MB, 179 MB keeping both)
-    del reached, products, candidates, fixes, leaves, leaf, found, images, conj
+    del reached, products, candidates, fixes, leaves, leaf, found, chunk, images, conj
     braces = []
     for table, cls, own in zip(tables, classes.tolist(), translations.tolist()):
         brace = SkewBrace(g, g if own else FiniteGroup(table))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -435,20 +437,86 @@ def test_bachiller_order_p3_classes_are_biskew_as_their_rings_cube_to_zero():
 
 
 def test_regular_subgroups_match_the_tuple_closure():
+    # every group of order up to 12 and C4 x C4, each also relabelled, and
+    # one relabelling each of C16, C2 x C8 and the nonabelian groups of
+    # order 16 but C2 x Q8, whose oracle alone takes about a second; the
+    # searches of order 16 end mostly in index-2 closures
     rng = np.random.default_rng(17)
     bases = [g for n in range(1, 13) for g in _abstract_groups_of_order(n)]
+    cases = []
     for base in bases + [abelian_group([4, 4])]:
         sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
-        for g in (base, relabel(base, sigma)):
-            # the oracle runs first, so Aut(g) is cached outside the budget
-            expected, nodes = tuple_closure_regular_subgroups(g)
-            # a budget must be positive, so a search of 0 or 1 nodes (orders
-            # 1 and prime) is pinned at budget 1 alone
-            braces = enumerate_braces(g, budget=max(nodes, 1))
-            assert [PermutationGroup(g.order, b.mult.table) for b in braces] == expected
-            if nodes > 1:
-                with pytest.raises(SearchLimitExceeded, match="regular subgroup search"):
-                    enumerate_braces(g, budget=nodes - 1)
+        cases += [base, relabel(base, sigma)]
+    order_16 = [g for name, g in nonabelian_groups_of_order_16().items() if name != "C2 x Q8"]
+    for base in [cyclic_group(16), abelian_group([2, 8]), *order_16]:
+        cases.append(relabel(base, np.concatenate([[0], 1 + rng.permutation(15)])))
+    for g in cases:
+        # the oracle runs first, so Aut(g) is cached outside the budget
+        expected, nodes = tuple_closure_regular_subgroups(g)
+        # a budget must be positive, so a search of 0 or 1 nodes (orders
+        # 1 and prime) is pinned at budget 1 alone
+        braces = enumerate_braces(g, budget=max(nodes, 1))
+        assert [PermutationGroup(g.order, b.mult.table) for b in braces] == expected
+        if nodes > 1:
+            with pytest.raises(SearchLimitExceeded, match="regular subgroup search"):
+                enumerate_braces(g, budget=nodes - 1)
+
+
+# SHA-256 of enumerate_braces and classify_braces on each group, as the
+# stock table and one relabelling: the circle tables and search classes of
+# the braces in order, then the size and circle name of each class
+CENSUS_DIGESTS = {
+    "C2^3": (
+        "736e9cf4782d3178a779b140d127180bf20e80803919a145a5a564475b875158",
+        "c756f83cd92aa9390eb90dc42854144e67e0a0b98ca8610867fa8075a10db370",
+    ),
+    "Q8": (
+        "e578c08b306fd5dedbc97e4673d20d756a0b55c0d5da14dfbe9de0f8f1737a9c",
+        "17b4502e4c9a8aa99df3acdd5118bf89805da80d5edc820401c5b522abd0c6a7",
+    ),
+    "D6": (
+        "375a516f14a72d96862116a0a237e0308e642f18f6a3f28ac0e87763849970f5",
+        "b4d34bf289ee9e19cd7909652453d08eab7c5ad12b135368fa50fd3a2193dd10",
+    ),
+    "C2 x C8": (
+        "91e72aa7fb62ccb7725099eb7434001e9aba68547cda712e89d6111e496937bc",
+        "f21156c3e62edcaf07275014fc9aeb311b23147bb2749ab9ae0511eb7828c335",
+    ),
+    "C4 x C4": (
+        "4aa7f5d7b03481006cac4e24b3e4ca3aa750170cfe7d87a41f870054805dfe40",
+        "0274f495ec0c884bfdc5033c16bd010dbf9d8db6c3be2a4ad0965d069c6a842a",
+    ),
+    "C2^2 x C4": (
+        "db26d54367e454645a0bdd4ecdf2ca3ff9fd4e339a44764560512a902a2c43cd",
+        "53c39605ba41ae85cbb6046ce7cd62e812284a04690c971acd530900800f910d",
+    ),
+}
+
+
+def _census_digest(g):
+    h = hashlib.sha256()
+    braces = enumerate_braces(g)
+    for b in braces:
+        h.update(np.ascontiguousarray(b.mult.table, dtype="<i4").tobytes())
+        h.update(b._census_class.to_bytes(4, "little"))
+    for e in classify_braces(braces).entries:
+        h.update(f"{e.size} {e.circle_name};".encode())
+    return h.hexdigest()
+
+
+def test_census_output_matches_its_pinned_digests():
+    rng = np.random.default_rng(45)
+    groups = {
+        "C2^3": abelian_group([2, 2, 2]),
+        "Q8": quaternion_group(),
+        "D6": dihedral_group(6),
+        "C2 x C8": abelian_group([2, 8]),
+        "C4 x C4": abelian_group([4, 4]),
+        "C2^2 x C4": abelian_group([2, 2, 4]),
+    }
+    for name, base in groups.items():
+        sigma = np.concatenate([[0], 1 + rng.permutation(base.order - 1)])
+        assert (_census_digest(base), _census_digest(relabel(base, sigma))) == CENSUS_DIGESTS[name], name
 
 
 def test_filtered_candidates_lie_in_no_regular_overgroup():
